@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -57,9 +58,14 @@ EXIT_DATA = 3
 EXIT_EMPTY_SPLIT = 4
 EXIT_DIVERGED = 5
 
-TRAIN_CONFIG_KEYS = """generator_steps seed gp_lambda n_critic batch_size learning_rate
-adam_beta1 adam_beta2 adam_eps noise_dim hidden_scale critic_hidden_scale
-gp_ds_through_csi checkpoint_every""".split()
+# Config-file parser for each TrainingConfig field type (the annotation
+# strings, under postponed evaluation).
+_TRAIN_FIELD_PARSERS = {
+    "int": cfg.pop_int,
+    "float": cfg.pop_float,
+    "float | None": cfg.pop_float,
+    "bool": cfg.pop_bool,
+}
 
 
 def _parse_positions(spec: str, fallback_bounds=None) -> np.ndarray:
@@ -144,23 +150,16 @@ def cmd_split(args) -> int:
 
 
 def _training_config_from_file(path: str | Path) -> TrainingConfig:
+    """One config key per TrainingConfig field, with the field's default;
+    a field without a default is a required key."""
     entries = cfg.load_config(path)
     values = {}
-    values["generator_steps"] = cfg.pop_int(entries, "generator_steps")
-    values["seed"] = cfg.pop_int(entries, "seed", default=0)
-    values["gp_lambda"] = cfg.pop_float(entries, "gp_lambda", default=10.0)
-    values["n_critic"] = cfg.pop_int(entries, "n_critic", default=5)
-    values["batch_size"] = cfg.pop_int(entries, "batch_size", default=64)
-    values["learning_rate"] = cfg.pop_float(entries, "learning_rate", default=1e-4)
-    values["adam_beta1"] = cfg.pop_float(entries, "adam_beta1", default=0.0)
-    values["adam_beta2"] = cfg.pop_float(entries, "adam_beta2", default=0.9)
-    values["adam_eps"] = cfg.pop_float(entries, "adam_eps", default=1e-8)
-    values["noise_dim"] = cfg.pop_int(entries, "noise_dim", default=128)
-    values["hidden_scale"] = cfg.pop_float(entries, "hidden_scale", default=1.0)
-    critic_scale = cfg.pop_float(entries, "critic_hidden_scale", default=math.nan)
-    values["critic_hidden_scale"] = None if math.isnan(critic_scale) else critic_scale
-    values["gp_ds_through_csi"] = cfg.pop_bool(entries, "gp_ds_through_csi", default=True)
-    values["checkpoint_every"] = cfg.pop_int(entries, "checkpoint_every", default=0)
+    for field in dataclasses.fields(TrainingConfig):
+        parse = _TRAIN_FIELD_PARSERS[field.type]
+        if field.default is dataclasses.MISSING:
+            values[field.name] = parse(entries, field.name)
+        else:
+            values[field.name] = parse(entries, field.name, default=field.default)
     if entries:
         raise cfg.ConfigError(f"unknown training config keys: {sorted(entries)}")
     return TrainingConfig(**values)
@@ -252,14 +251,17 @@ def _dataset_label(path: str, used: set) -> str:
     return label
 
 
-def _write_points_csv(path: Path, dataset: CsiDataset, power_reference: float) -> None:
+def _write_points_csv(
+    path: Path, dataset: CsiDataset, power_reference: float, spreads: np.ndarray
+) -> None:
+    """One row per datapoint; ``spreads`` are the dataset's per-antenna delay
+    spreads from :func:`dataset_delay_spreads`."""
     geometry = dataset.geometry
     num_arrays = geometry.num_arrays
     header = ["x1", "x2"]
     for b in range(num_arrays):
         header += [f"power_db_b{b}", f"mean_ds_ns_b{b}", f"aoa_rad_b{b}"]
     powers = dataset_powers(dataset, basis="array")
-    spreads = dataset_delay_spreads(dataset)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -295,14 +297,15 @@ def cmd_evaluate(args) -> int:
         float(dataset_powers(ds, basis="array").max()) for _, ds in named if len(ds) > 0
     )
 
-    ds_pools = [(label, dataset_delay_spreads(ds).ravel() * 1e9) for label, ds in named]
+    spreads = [dataset_delay_spreads(ds) for _, ds in named]
+    ds_pools = [(label, s.ravel() * 1e9) for (label, _), s in zip(named, spreads)]
     if args.gaussian_baseline:
         reference_pool = ds_pools[0][1]
         gauss = gaussian_fit_samples(reference_pool, n=reference_pool.size, seed=args.seed)
         ds_pools.append(("gaussian", gauss))
 
-    for (label, dataset) in named:
-        _write_points_csv(out_dir / f"points_{label}.csv", dataset, pooled_max)
+    for (label, dataset), spread in zip(named, spreads):
+        _write_points_csv(out_dir / f"points_{label}.csv", dataset, pooled_max, spread)
 
     edges = pooled_edges([pool for _, pool in ds_pools], n_bins=args.bins)
     with open(out_dir / "ds_histograms.csv", "w", newline="") as handle:

@@ -1,10 +1,12 @@
-"""Hand-written gradient routines for the training hot loop.
+"""The WGAN-GP training losses and their exact gradients.
 
-Mathematically identical to the graph-built losses in
-:mod:`csigen.gan.nets` but expressed as straight-line numpy, which is an
-order of magnitude faster per step.  The test suite cross-validates every
-routine here against the differentiation kernel and against finite
-differences.
+Straight-line numpy over the same kernels that sampling runs
+(:func:`csigen.gan.mlp.mlp_forward` / :func:`~csigen.gan.mlp.mlp_backward`
+and :func:`csigen.gan.nets.delay_spread_forward`), an order of magnitude
+faster per step than the graph-built losses in :mod:`csigen.gan.nets`.
+Those graph losses differentiate through :mod:`csigen.gan.autodiff` and are
+kept as the independent reference the tests check these gradients against,
+together with central finite differences.
 
 The penalty's parameter gradient uses the directional-derivative identity:
 with u = d(penalty)/d(gradient) held constant,
@@ -22,43 +24,21 @@ from __future__ import annotations
 import numpy as np
 
 from csigen.core import ArrayGeometry
-from csigen.gan.mlp import MlpParams
+from csigen.gan.mlp import MlpParams, mlp_backward, mlp_forward
 from csigen.gan.nets import (
     CriticParams,
-    DS_VARIANCE_FLOOR,
     GRAD_NORM_FLOOR,
+    DelaySpreadCache,
     DelaySpreadScaler,
     delay_spread_flat,
+    delay_spread_forward,
     generator_forward,
 )
 
 
-class _DsCache:
-    """Intermediates of the delay-spread computation at one input."""
-
-    __slots__ = ("re", "im", "power", "total", "taps", "mean", "centered", "var", "ds_taps")
-
-
-def _ds_forward(flat: np.ndarray, geometry: ArrayGeometry) -> tuple[np.ndarray, _DsCache]:
-    cache = _DsCache()
-    n = flat.shape[0]
-    n_ant, n_tap = geometry.num_antennas, geometry.num_taps
-    half = n_ant * n_tap
-    cache.re = flat[:, :half].reshape(n, n_ant, n_tap)
-    cache.im = flat[:, half:].reshape(n, n_ant, n_tap)
-    cache.power = cache.re * cache.re + cache.im * cache.im
-    cache.total = cache.power.sum(axis=2) + 1e-30
-    cache.taps = np.arange(1, n_tap + 1, dtype=np.float64)
-    cache.mean = (cache.power * cache.taps).sum(axis=2) / cache.total
-    cache.centered = cache.taps - cache.mean[:, :, None]
-    cache.var = (cache.power * cache.centered * cache.centered).sum(axis=2) / cache.total
-    cache.ds_taps = np.sqrt(cache.var + DS_VARIANCE_FLOOR)
-    return cache.ds_taps * geometry.tap_duration, cache
-
-
-def _ds_vjp(adjoint: np.ndarray, cache: _DsCache, geometry: ArrayGeometry) -> np.ndarray:
+def _ds_vjp(adjoint: np.ndarray, cache: DelaySpreadCache, geometry: ArrayGeometry) -> np.ndarray:
     """Input gradient of the delay spread given an adjoint on the seconds
-    output; reverse of every step in :func:`_ds_forward`."""
+    output; reverse of every step in :func:`delay_spread_forward`."""
     a_var = adjoint * geometry.tap_duration * 0.5 / cache.ds_taps
     centered_sq = cache.centered * cache.centered
     a_s2c = a_var / cache.total
@@ -77,7 +57,7 @@ def _ds_vjp(adjoint: np.ndarray, cache: _DsCache, geometry: ArrayGeometry) -> np
     return np.concatenate([a_re.reshape(n, -1), a_im.reshape(n, -1)], axis=1)
 
 
-def _ds_jvp(direction: np.ndarray, cache: _DsCache, geometry: ArrayGeometry) -> np.ndarray:
+def _ds_jvp(direction: np.ndarray, cache: DelaySpreadCache, geometry: ArrayGeometry) -> np.ndarray:
     """Forward-mode derivative of the delay spread along ``direction``."""
     n = direction.shape[0]
     n_ant, n_tap = cache.re.shape[1], cache.re.shape[2]
@@ -97,57 +77,14 @@ def _ds_jvp(direction: np.ndarray, cache: _DsCache, geometry: ArrayGeometry) -> 
     return d_ds_taps * geometry.tap_duration
 
 
-class _MlpCache:
-    __slots__ = ("inputs", "masks", "output")
-
-
-def _mlp_forward(params: MlpParams, x: np.ndarray) -> _MlpCache:
-    cache = _MlpCache()
-    cache.inputs = []
-    cache.masks = []
-    activation = x
-    for layer in params.layers:
-        cache.inputs.append(activation)
-        pre = activation @ layer.weights.T + layer.bias
-        if layer.activation == "relu":
-            mask = pre > 0.0
-            cache.masks.append(mask)
-            activation = np.where(mask, pre, 0.0)
-        else:
-            cache.masks.append(None)
-            activation = pre
-    cache.output = activation
-    return cache
-
-
-def _mlp_backward(
-    params: MlpParams,
-    cache: _MlpCache,
-    adjoint: np.ndarray,
-    grads: list[np.ndarray],
-    offset: int,
-    accumulate_bias: bool = True,
-) -> np.ndarray:
-    """Accumulate parameter gradients into ``grads[offset:]`` and return the
-    input adjoint."""
-    for index in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[index]
-        mask = cache.masks[index]
-        if mask is not None:
-            adjoint = adjoint * mask
-        grads[offset + 2 * index] += adjoint.T @ cache.inputs[index]
-        if accumulate_bias:
-            grads[offset + 2 * index + 1] += adjoint.sum(axis=0)
-        adjoint = adjoint @ layer.weights
-    return adjoint
-
-
-def _mlp_jvp(params: MlpParams, cache: _MlpCache, direction: np.ndarray) -> tuple[np.ndarray, list]:
-    """Forward-mode pass through the frozen masks; returns the output
-    perturbation and the per-layer input perturbations."""
+def _mlp_jvp(params: MlpParams, cache: tuple, direction: np.ndarray) -> tuple[np.ndarray, list]:
+    """Forward-mode pass through the frozen masks of a :func:`mlp_forward`
+    cache; returns the output perturbation and the per-layer input
+    perturbations."""
+    _, masks = cache
     tangents = []
     tangent = direction
-    for layer, mask in zip(params.layers, cache.masks):
+    for layer, mask in zip(params.layers, masks):
         tangents.append(tangent)
         tangent = tangent @ layer.weights.T
         if mask is not None:
@@ -157,7 +94,7 @@ def _mlp_jvp(params: MlpParams, cache: _MlpCache, direction: np.ndarray) -> tupl
 
 def _mlp_jvp_backward(
     params: MlpParams,
-    cache: _MlpCache,
+    cache: tuple,
     tangents: list,
     adjoint: np.ndarray,
     grads: list[np.ndarray],
@@ -165,18 +102,23 @@ def _mlp_jvp_backward(
 ) -> np.ndarray:
     """Backward sweep over a JVP pass: parameter gradients of a scalar that
     is linear in the JVP output.  Biases drop out (their tangent is zero)."""
+    _, masks = cache
     for index in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[index]
-        mask = cache.masks[index]
-        if mask is not None:
-            adjoint = adjoint * mask
+        if masks[index] is not None:
+            adjoint = adjoint * masks[index]
         grads[offset + 2 * index] += adjoint.T @ tangents[index]
-        adjoint = adjoint @ layer.weights
+        adjoint = adjoint @ params.layers[index].weights
     return adjoint
 
 
-class _CriticPass:
-    """One critic evaluation with everything the backward passes need."""
+class CriticPass:
+    """One critic evaluation: the scores (N, 1) and everything the backward
+    passes need.
+
+    With ``ds_scaled`` given, the delay-spread side input is that constant;
+    without it, the pass computes it from ``csi_flat`` and
+    :func:`critic_backward` then carries the input gradient through it.
+    """
 
     __slots__ = ("trunk", "fusion", "ds_cache", "scores")
 
@@ -189,46 +131,39 @@ class _CriticPass:
         pos_scaled: np.ndarray,
         ds_scaled: np.ndarray | None = None,
     ) -> None:
-        self.trunk = _mlp_forward(critic.trunk, csi_flat)
+        trunk_out, self.trunk = mlp_forward(critic.trunk, csi_flat)
         if ds_scaled is None:
-            ds_seconds, self.ds_cache = _ds_forward(csi_flat, geometry)
+            ds_seconds, self.ds_cache = delay_spread_forward(csi_flat, geometry)
             ds_scaled = ds_scaler.scale(ds_seconds)
         else:
             self.ds_cache = None
-        fused = np.concatenate([self.trunk.output, ds_scaled, pos_scaled], axis=1)
-        self.fusion = _mlp_forward(critic.fusion, fused)
-        self.scores = self.fusion.output
+        fused = np.concatenate([trunk_out, ds_scaled, pos_scaled], axis=1)
+        self.scores, self.fusion = mlp_forward(critic.fusion, fused)
 
 
-def _critic_backward(
+def critic_backward(
     critic: CriticParams,
     geometry: ArrayGeometry,
     ds_scaler: DelaySpreadScaler,
-    forward: _CriticPass,
+    forward: CriticPass,
     seed: np.ndarray,
-    grads: list[np.ndarray],
-    want_input_grad: bool = False,
-) -> np.ndarray | None:
-    """Backward pass seeded on the scores; optionally returns the CSI input
-    gradient including the delay-spread side path."""
-    trunk_offset = 0
+    grads: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Backward pass seeded on the scores.
+
+    Adds the critic parameter gradients to ``grads`` (canonical order) when
+    a list is given, and returns the CSI input gradient, including the
+    delay-spread side path when ``forward`` computed the delay spread.
+    """
     fusion_offset = 2 * len(critic.trunk.layers)
-    adj_fused = _mlp_backward(critic.fusion, forward.fusion, seed, grads, fusion_offset)
+    adj_fused = mlp_backward(critic.fusion, forward.fusion, seed, grads, fusion_offset)
     trunk_width = critic.trunk.output_width
-    n_ant = geometry.num_antennas
-    adj_trunk_out = adj_fused[:, :trunk_width]
-    input_grad = _mlp_backward(critic.trunk, forward.trunk, adj_trunk_out, grads, trunk_offset)
-    if not want_input_grad:
-        return None
+    input_grad = mlp_backward(critic.trunk, forward.trunk, adj_fused[:, :trunk_width], grads)
     if forward.ds_cache is not None:
-        adj_ds_scaled = adj_fused[:, trunk_width : trunk_width + n_ant]
+        adj_ds_scaled = adj_fused[:, trunk_width : trunk_width + geometry.num_antennas]
         ds_gain = 2.0 / (ds_scaler.maximum - ds_scaler.minimum)
         input_grad = input_grad + _ds_vjp(adj_ds_scaled * ds_gain, forward.ds_cache, geometry)
     return input_grad
-
-
-def _zeros_like_arrays(arrays: list[np.ndarray]) -> list[np.ndarray]:
-    return [np.zeros_like(a) for a in arrays]
 
 
 def critic_loss_fast(
@@ -244,22 +179,24 @@ def critic_loss_fast(
     gp_lambda: float,
     ds_through_csi: bool = True,
 ) -> tuple[float, list[np.ndarray], dict]:
-    """Drop-in fast equivalent of :func:`csigen.gan.nets.critic_loss`."""
+    """Critic objective mean[C(fake)] - mean[C(real)] + lambda * penalty and
+    its gradients with respect to the critic parameters only.
+
+    Same contract as the graph-built :func:`csigen.gan.nets.critic_loss`:
+    fake samples share the real samples' conditions; returns (loss,
+    gradients in canonical parameter order, diagnostics).
+    """
     n = real_flat.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    grads = _zeros_like_arrays(critic.arrays())
+    grads = [np.zeros_like(a) for a in critic.arrays()]
     fake_flat = generator_forward(generator, pos_scaled, noise)
     ds_fake_scaled = ds_scaler.scale(delay_spread_flat(fake_flat, geometry))
 
-    fake_pass = _CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled, ds_fake_scaled)
-    _critic_backward(
-        critic, geometry, ds_scaler, fake_pass, np.full((n, 1), 1.0 / n), grads
-    )
-    real_pass = _CriticPass(critic, geometry, ds_scaler, real_flat, pos_scaled, ds_real_scaled)
-    _critic_backward(
-        critic, geometry, ds_scaler, real_pass, np.full((n, 1), -1.0 / n), grads
-    )
+    fake_pass = CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled, ds_fake_scaled)
+    critic_backward(critic, geometry, ds_scaler, fake_pass, np.full((n, 1), 1.0 / n), grads)
+    real_pass = CriticPass(critic, geometry, ds_scaler, real_flat, pos_scaled, ds_real_scaled)
+    critic_backward(critic, geometry, ds_scaler, real_pass, np.full((n, 1), -1.0 / n), grads)
     loss = float(fake_pass.scores.mean() - real_pass.scores.mean())
 
     penalty_value = 0.0
@@ -267,23 +204,14 @@ def critic_loss_fast(
         eps_mix = np.asarray(eps_mix, dtype=np.float64).reshape(-1, 1)
         mixed = eps_mix * real_flat + (1.0 - eps_mix) * fake_flat
         if ds_through_csi:
-            mixed_pass = _CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled)
+            mixed_pass = CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled)
         else:
             ds_mixed = ds_scaler.scale(
                 eps_mix * delay_spread_flat(real_flat, geometry)
                 + (1.0 - eps_mix) * delay_spread_flat(fake_flat, geometry)
             )
-            mixed_pass = _CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled, ds_mixed)
-        penalty_grads = _zeros_like_arrays(grads)
-        input_grad = _critic_backward(
-            critic,
-            geometry,
-            ds_scaler,
-            mixed_pass,
-            np.ones((n, 1)),
-            penalty_grads,  # value-path parameter grads of sum(C) are not used
-            want_input_grad=True,
-        )
+            mixed_pass = CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled, ds_mixed)
+        input_grad = critic_backward(critic, geometry, ds_scaler, mixed_pass, np.ones((n, 1)))
         norm = np.sqrt((input_grad * input_grad).sum(axis=1) + GRAD_NORM_FLOOR)
         penalty_value = float(((norm - 1.0) ** 2).mean())
         u = (2.0 / n) * ((norm - 1.0) / norm)[:, None] * input_grad
@@ -300,7 +228,7 @@ def critic_loss_fast(
         )
         _, fusion_tangents = _mlp_jvp(critic.fusion, mixed_pass.fusion, fused_tangent)
 
-        pgrads = _zeros_like_arrays(grads)
+        pgrads = [np.zeros_like(a) for a in grads]
         fusion_offset = 2 * len(critic.trunk.layers)
         adj = _mlp_jvp_backward(
             critic.fusion, mixed_pass.fusion, fusion_tangents, np.ones((n, 1)), pgrads, fusion_offset
@@ -329,26 +257,20 @@ def generator_loss_fast(
     pos_scaled: np.ndarray,
     noise: np.ndarray,
 ) -> tuple[float, list[np.ndarray]]:
-    """Drop-in fast equivalent of :func:`csigen.gan.nets.generator_loss`."""
+    """Generator objective -mean[C(G(x, n))] and its gradients with respect
+    to the generator parameters, including the path through the
+    delay-spread side input; same contract as the graph-built
+    :func:`csigen.gan.nets.generator_loss`."""
     n = pos_scaled.shape[0]
     if n == 0:
         raise ValueError("empty batch")
     inputs = np.concatenate([noise, pos_scaled], axis=1)
-    gen_pass = _mlp_forward(generator, inputs)
-    fake_flat = gen_pass.output
-    critic_pass = _CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled)
+    fake_flat, gen_cache = mlp_forward(generator, inputs)
+    critic_pass = CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled)
     loss = float(-critic_pass.scores.mean())
-
-    critic_grads = _zeros_like_arrays(critic.arrays())  # discarded
-    adj_fake = _critic_backward(
-        critic,
-        geometry,
-        ds_scaler,
-        critic_pass,
-        np.full((n, 1), -1.0 / n),
-        critic_grads,
-        want_input_grad=True,
+    adj_fake = critic_backward(
+        critic, geometry, ds_scaler, critic_pass, np.full((n, 1), -1.0 / n)
     )
-    grads = _zeros_like_arrays(generator.arrays())
-    _mlp_backward(generator, gen_pass, adj_fake, grads, 0)
+    grads = [np.zeros_like(a) for a in generator.arrays()]
+    mlp_backward(generator, gen_cache, adj_fake, grads)
     return loss, grads

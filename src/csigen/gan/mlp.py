@@ -1,10 +1,11 @@
-"""Dense multilayer perceptrons: parameter containers, a fast forward pass
-with cached pre-activations, the matching hand-written backward pass, and a
-graph-building variant for the differentiation kernel.
+"""Dense multilayer perceptrons: parameter containers, the forward pass with
+the cache its backward needs, the hand-written backward pass that training
+uses, and a graph-building variant for the differentiation kernel.
 
-The two backward routes (hand-written and :mod:`csigen.gan.autodiff`) are
-independent implementations; the test suite checks both against central
-finite differences.
+The graph variant (:func:`mlp_vars` / :func:`mlp_apply` over
+:mod:`csigen.gan.autodiff`) is an independent second implementation; the
+test suite uses it, and central finite differences, as the reference for
+:func:`mlp_backward`.
 """
 
 from __future__ import annotations
@@ -79,47 +80,55 @@ def init_mlp(widths: list[int], activations: list[str], rng: np.random.Generator
     return MlpParams(layers)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Affine + activation chain; returns (output, cache) where the cache
-    holds each layer's input and pre-activation for the backward pass."""
+def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
+    """Affine + activation chain over a batch x of shape (N, input_width).
+
+    Returns (output, cache); the cache holds each layer's input and its ReLU
+    mask (None for a linear layer) for :func:`mlp_backward`.  A NaN
+    pre-activation propagates through the ReLU, so a NaN weight shows up in
+    the output.
+    """
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-    if x.shape[1] != params.input_width:
-        raise ValueError(f"input width {x.shape[1]} != expected {params.input_width}")
-    cache = []
+    if x.ndim != 2 or x.shape[1] != params.input_width:
+        raise ValueError(f"input shape {x.shape} != expected (N, {params.input_width})")
+    inputs: list[np.ndarray] = []
+    masks: list[np.ndarray | None] = []
     activation = x
     for layer in params.layers:
+        inputs.append(activation)
         pre = activation @ layer.weights.T + layer.bias
-        cache.append((activation, pre))
-        activation = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
-    return (activation[0] if squeeze else activation), cache
+        if layer.activation == "relu":
+            masks.append(pre > 0.0)
+            activation = np.maximum(pre, 0.0)
+        else:
+            masks.append(None)
+            activation = pre
+    return activation, (inputs, masks)
 
 
 def mlp_backward(
-    params: MlpParams, cache: list, adjoint: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Exact reverse-mode pass from the cached forward.
+    params: MlpParams,
+    cache: tuple[list, list],
+    adjoint: np.ndarray,
+    grads: list[np.ndarray] | None = None,
+    offset: int = 0,
+) -> np.ndarray:
+    """Exact reverse-mode pass from the cache of :func:`mlp_forward`.
 
-    Returns (per-layer (dW, db) gradients, input gradient).  The ReLU
-    subgradient at exactly 0 is 0.
+    Adds the parameter gradients to ``grads[offset:]`` (canonical order
+    W0, b0, W1, b1, ...) when a list is given, and skips their GEMMs when
+    ``grads`` is None.  Returns the input adjoint.  The ReLU subgradient at
+    exactly 0 is 0.
     """
-    if len(cache) != len(params.layers):
-        raise ValueError("forward cache does not match the parameter stack")
-    adjoint = np.asarray(adjoint, dtype=np.float64)
-    squeeze = adjoint.ndim == 1
-    if squeeze:
-        adjoint = adjoint[None, :]
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params.layers)
+    inputs, masks = cache
     for index in range(len(params.layers) - 1, -1, -1):
-        layer = params.layers[index]
-        layer_input, pre = cache[index]
-        if layer.activation == "relu":
-            adjoint = adjoint * (pre > 0.0)
-        grads[index] = (adjoint.T @ layer_input, adjoint.sum(axis=0))
-        adjoint = adjoint @ layer.weights
-    return grads, (adjoint[0] if squeeze else adjoint)
+        if masks[index] is not None:
+            adjoint = adjoint * masks[index]
+        if grads is not None:
+            grads[offset + 2 * index] += adjoint.T @ inputs[index]
+            grads[offset + 2 * index + 1] += adjoint.sum(axis=0)
+        adjoint = adjoint @ params.layers[index].weights
+    return adjoint
 
 
 def mlp_vars(params: MlpParams) -> list[tuple[ad.Var, ad.Var]]:
@@ -138,10 +147,3 @@ def mlp_apply(
             out = ad.relu(out)
     return out
 
-
-def flatten_grads(grads: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for dw, db in grads:
-        out.append(dw)
-        out.append(db)
-    return out

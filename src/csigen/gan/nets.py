@@ -1,4 +1,5 @@
-"""Generator and critic networks and the WGAN-GP loss machinery.
+"""Generator and critic networks, the delay-spread side input, and the
+graph-built WGAN-GP losses.
 
 Layouts follow the dense architecture used throughout: the generator maps
 (noise, scaled position) through ReLU layers of widths (512, 512, 1024,
@@ -11,6 +12,14 @@ A CSI tensor of shape (B, M_r, M_c, N_tap) is flattened to a width
 2*B*M_r*M_c*N_tap real vector: all real parts in C order, then all
 imaginary parts.  The CSI itself is not normalized; only positions and
 delay spreads are affinely scaled into [-1, 1].
+
+The numpy forward passes here (:func:`generator_forward`,
+:func:`delay_spread_forward`) are the ones training and sampling run; the
+training losses and their gradients are in :mod:`csigen.gan.fastgrad`.
+The graph-built losses below (:func:`critic_loss`, :func:`generator_loss`,
+:func:`gradient_penalty`, over :func:`delay_spread_flat_var`) differentiate
+through :mod:`csigen.gan.autodiff` and serve as the independent reference
+the tests check the training gradients against.
 """
 
 from __future__ import annotations
@@ -165,25 +174,43 @@ def unflatten_csi(flat: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
     return complex_flat.reshape((flat.shape[0],) + geometry.csi_shape)
 
 
-def delay_spread_flat(flat: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """Delay spreads (seconds) from flattened CSI, shape (N, num_antennas).
+class DelaySpreadCache:
+    """Intermediates of :func:`delay_spread_forward` at one input, read by
+    the delay-spread VJP and JVP in :mod:`csigen.gan.fastgrad`."""
 
-    Numpy twin of :func:`delay_spread_flat_var`; both include the variance
-    floor, so the critic sees identical side inputs on either path.
+    __slots__ = ("re", "im", "power", "total", "taps", "mean", "centered", "var", "ds_taps")
+
+
+def delay_spread_forward(
+    flat: np.ndarray, geometry: ArrayGeometry
+) -> tuple[np.ndarray, DelaySpreadCache]:
+    """Delay spreads (seconds) from flattened CSI, shape (N, num_antennas),
+    and the intermediates their derivatives need.
+
+    Includes the variance floor, as :func:`delay_spread_flat_var` does, so
+    the critic sees identical side inputs on either path.
     """
+    cache = DelaySpreadCache()
     flat = np.asarray(flat, dtype=np.float64)
     n = flat.shape[0]
     n_ant, n_tap = geometry.num_antennas, geometry.num_taps
     half = n_ant * n_tap
-    re = flat[:, :half].reshape(n, n_ant, n_tap)
-    im = flat[:, half:].reshape(n, n_ant, n_tap)
-    power = re * re + im * im
-    total = power.sum(axis=2) + 1e-30
-    taps = np.arange(1, n_tap + 1, dtype=np.float64)
-    mean = (power * taps).sum(axis=2) / total
-    centered = taps - mean[:, :, None]
-    variance = (power * centered * centered).sum(axis=2) / total
-    return np.sqrt(variance + DS_VARIANCE_FLOOR) * geometry.tap_duration
+    cache.re = flat[:, :half].reshape(n, n_ant, n_tap)
+    cache.im = flat[:, half:].reshape(n, n_ant, n_tap)
+    cache.power = cache.re * cache.re + cache.im * cache.im
+    cache.total = cache.power.sum(axis=2) + 1e-30
+    cache.taps = np.arange(1, n_tap + 1, dtype=np.float64)
+    cache.mean = (cache.power * cache.taps).sum(axis=2) / cache.total
+    cache.centered = cache.taps - cache.mean[:, :, None]
+    cache.var = (cache.power * cache.centered * cache.centered).sum(axis=2) / cache.total
+    cache.ds_taps = np.sqrt(cache.var + DS_VARIANCE_FLOOR)
+    return cache.ds_taps * geometry.tap_duration, cache
+
+
+def delay_spread_flat(flat: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
+    """Delay spreads (seconds) from flattened CSI, shape (N, num_antennas);
+    the value of :func:`delay_spread_forward`."""
+    return delay_spread_forward(flat, geometry)[0]
 
 
 def delay_spread_flat_var(flat: ad.Var, geometry: ArrayGeometry) -> ad.Var:
@@ -223,19 +250,6 @@ def generate_csi(
 ) -> np.ndarray:
     """Generator pass returning complex CSI tensors (N, B, M_r, M_c, N_tap)."""
     return unflatten_csi(generator_forward(params, conditions_scaled, noise), geometry)
-
-
-def critic_forward(
-    critic: CriticParams,
-    csi_flat: np.ndarray,
-    ds_scaled: np.ndarray,
-    pos_scaled: np.ndarray,
-) -> np.ndarray:
-    """Fast critic pass -> realness scores (N, 1)."""
-    trunk_out, _ = mlp_forward(critic.trunk, csi_flat)
-    fused = np.concatenate([trunk_out, ds_scaled, pos_scaled], axis=1)
-    score, _ = mlp_forward(critic.fusion, fused)
-    return score
 
 
 def _critic_activations(critic: CriticParams) -> tuple[list[str], list[str]]:

@@ -28,9 +28,8 @@ from csigen.core import ArrayGeometry, CsiDataset
 from csigen.dataio import ConditionScaler, fit_condition_scaler
 from csigen.gan.mlp import DenseLayer, MlpParams
 from csigen.gan.fastgrad import (
-    _CriticPass,
-    _critic_backward,
-    _zeros_like_arrays,
+    CriticPass,
+    critic_backward,
     critic_loss_fast,
     generator_loss_fast,
 )
@@ -327,16 +326,8 @@ def _calibrate_critic_scale(
     onto the constraint without changing the function class.
     """
     probe = min(256, real_flat.shape[0])
-    forward = _CriticPass(critic, geometry, ds_scaler, real_flat[:probe], pos_scaled[:probe])
-    input_grad = _critic_backward(
-        critic,
-        geometry,
-        ds_scaler,
-        forward,
-        np.ones((probe, 1)),
-        _zeros_like_arrays(critic.arrays()),
-        want_input_grad=True,
-    )
+    forward = CriticPass(critic, geometry, ds_scaler, real_flat[:probe], pos_scaled[:probe])
+    input_grad = critic_backward(critic, geometry, ds_scaler, forward, np.ones((probe, 1)))
     median = float(np.median(np.linalg.norm(input_grad, axis=1)))
     if median > 0.0 and np.isfinite(median):
         critic.fusion.layers[-1].weights /= median

@@ -22,7 +22,12 @@ class NoSignalError(ValueError):
 
 
 class AmbiguousAngleError(ValueError):
-    """Selected polynomial root does not map to a physical azimuth."""
+    """Selected polynomial root does not map to a physical azimuth.
+
+    :func:`root_music_azimuth` wraps the root phase into [-pi, pi], so every
+    root maps to an azimuth and it no longer raises this; the class stays
+    for callers that catch it.
+    """
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,8 @@ def root_music_azimuth(corr: CorrelationMatrix) -> float:
     strictly inside the unit circle the one closest to it is selected (ties:
     larger modulus, then smaller absolute phase).  The root phase is then
     polished on the unit circle (see :func:`_polish_spectrum_minimum`) and
-    the azimuth follows from the half-wavelength model arg(z) = pi * sin(azimuth).
+    the azimuth follows from the half-wavelength model arg(z) = pi * sin(azimuth),
+    with the phase wrapped into [-pi, pi].
     """
     entries = corr.entries
     m = entries.shape[0]
@@ -192,10 +198,10 @@ def root_music_azimuth(corr: CorrelationMatrix) -> float:
         range(inside.size), key=lambda i: (-np.abs(inside[i]), abs(np.angle(inside[i])))
     )
     omega = _polish_spectrum_minimum(diagonal_sums, float(np.angle(inside[order[0]])))
-    sine = omega / math.pi
-    if abs(sine) > 1.0:
-        raise AmbiguousAngleError(f"root phase maps to sin(azimuth) = {sine:.4f}")
-    return float(np.arcsin(sine))
+    if abs(omega) > math.pi:
+        # the polish can step past +-pi; the pseudo-spectrum is 2*pi-periodic
+        omega = math.remainder(omega, 2.0 * math.pi)
+    return float(np.arcsin(omega / math.pi))
 
 
 def pooled_edges(value_sets: list[np.ndarray], n_bins: int = 150) -> np.ndarray:

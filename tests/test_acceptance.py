@@ -23,10 +23,12 @@ from csigen.dataio import (
     save_dataset,
     split_train_test,
 )
+from csigen.gan.fastgrad import critic_loss_fast, generator_loss_fast
 from csigen.gan.mlp import init_mlp, mlp_backward, mlp_forward
 from csigen.gan.nets import (
     CriticSpec,
     DelaySpreadScaler,
+    delay_spread_flat,
     gradient_penalty,
     init_critic,
 )
@@ -91,6 +93,32 @@ def relative_error(a, b):
     return np.abs(a - b).max() / scale
 
 
+def assert_matches_central_differences(value, arrays, grads, tolerance=1e-3, flat=1e-12):
+    """Each gradient array against central differences of ``value`` over
+    the matching parameter array; arrays that both sides find flat (below
+    ``flat``) are skipped."""
+    for array, grad in zip(arrays, grads):
+        fd = central_difference(value, array, h=1e-5)
+        if np.abs(fd).max() < flat and np.abs(grad).max() < flat:
+            continue
+        assert relative_error(grad, fd) < tolerance
+
+
+def small_critic(geometry, rng):
+    spec = CriticSpec(
+        csi_width=2 * geometry.num_antennas * geometry.num_taps,
+        ds_width=geometry.num_antennas,
+        condition_dim=2,
+        trunk_widths=(6, 5),
+        fusion_hidden=(4,),
+    )
+    critic = init_critic(spec, rng)
+    for mats in (critic.trunk, critic.fusion):
+        for layer in mats.layers:
+            layer.bias += rng.uniform(-0.2, 0.2, size=layer.bias.shape)
+    return critic
+
+
 def test_criterion_1_gradient_correctness():
     """Analytic gradients vs central finite differences on random toy nets."""
     start = time.time()
@@ -110,10 +138,10 @@ def test_criterion_1_gradient_correctness():
             return float(out.sum())
 
         out, cache = mlp_forward(params, x)
-        grads, dx = mlp_backward(params, cache, np.ones_like(out))
-        for (dw, db), layer in zip(grads, params.layers):
-            assert relative_error(dw, central_difference(loss, layer.weights)) < 1e-4
-            assert relative_error(db, central_difference(loss, layer.bias)) < 1e-4
+        grads = [np.zeros_like(a) for a in params.arrays()]
+        dx = mlp_backward(params, cache, np.ones_like(out), grads)
+        for grad, array in zip(grads, params.arrays()):
+            assert relative_error(grad, central_difference(loss, array)) < 1e-4
         assert relative_error(dx, central_difference(loss, x)) < 1e-4
         networks += 1
 
@@ -122,17 +150,7 @@ def test_criterion_1_gradient_correctness():
     scaler = DelaySpreadScaler(0.0, geometry.num_taps * geometry.tap_duration)
     csi_width = 2 * geometry.num_antennas * geometry.num_taps
     for trial in range(5):
-        spec = CriticSpec(
-            csi_width=csi_width,
-            ds_width=geometry.num_antennas,
-            condition_dim=2,
-            trunk_widths=(6, 5),
-            fusion_hidden=(4,),
-        )
-        critic = init_critic(spec, rng)
-        for mats in (critic.trunk, critic.fusion):
-            for layer in mats.layers:
-                layer.bias += rng.uniform(-0.2, 0.2, size=layer.bias.shape)
+        critic = small_critic(geometry, rng)
         real = rng.standard_normal((3, csi_width)) * 1.5
         fake = rng.standard_normal((3, csi_width)) * 1.5
         pos = rng.uniform(-1, 1, (3, 2))
@@ -143,11 +161,35 @@ def test_criterion_1_gradient_correctness():
             return value
 
         _, grads = gradient_penalty(critic, geometry, scaler, real, fake, pos, eps)
-        for array, grad in zip(critic.arrays(), grads):
-            fd = central_difference(penalty_value, array, h=1e-5)
-            if np.abs(fd).max() < 1e-12 and np.abs(grad).max() < 1e-12:
-                continue
-            assert relative_error(grad, fd) < 1e-3
+        assert_matches_central_differences(penalty_value, critic.arrays(), grads)
+
+    # the training losses themselves, on the same small critics with a
+    # small generator, under both penalty paths.  The critic's output bias
+    # cancels from mean[C(fake)] - mean[C(real)]: its gradient is exactly 0,
+    # and central differences of the O(1) loss leave ~2e-11 of rounding there.
+    rng = np.random.default_rng(1004)
+    noise_dim = 4
+    for trial in range(3):
+        critic = small_critic(geometry, rng)
+        generator = init_mlp([noise_dim + 2, 7, csi_width], ["relu", "linear"], rng)
+        for layer in generator.layers:
+            layer.bias += rng.uniform(-0.2, 0.2, size=layer.bias.shape)
+        real = rng.standard_normal((3, csi_width)) * 1.5
+        pos = rng.uniform(-1, 1, (3, 2))
+        noise = rng.standard_normal((3, noise_dim))
+        eps = rng.uniform(0.2, 0.8, (3, 1))
+        ds_real = scaler.scale(delay_spread_flat(real, geometry))
+        for ds_through in (True, False):
+            args = (critic, generator, geometry, scaler, real, pos, ds_real, noise, eps, 10.0, ds_through)
+            _, grads, _ = critic_loss_fast(*args)
+            assert_matches_central_differences(
+                lambda: critic_loss_fast(*args)[0], critic.arrays(), grads, flat=1e-9
+            )
+        args = (critic, generator, geometry, scaler, pos, noise)
+        _, grads = generator_loss_fast(*args)
+        assert_matches_central_differences(
+            lambda: generator_loss_fast(*args)[0], generator.arrays(), grads, flat=1e-9
+        )
     elapsed = time.time() - start
     assert elapsed < 30.0, f"gradient checks took {elapsed:.1f} s (budget 30 s)"
     print(f"\nACCEPTANCE 1 (gradient correctness, {elapsed:.1f} s): PASS")

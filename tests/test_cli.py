@@ -1,15 +1,23 @@
 """End-to-end runs of every command, exit codes, and report round trips."""
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from csigen.cli import EXIT_DATA, EXIT_EMPTY_SPLIT, EXIT_OK, EXIT_USAGE, main
+from csigen.cli import (
+    EXIT_DATA,
+    EXIT_EMPTY_SPLIT,
+    EXIT_OK,
+    EXIT_USAGE,
+    _training_config_from_file,
+    main,
+)
 from csigen.dataio import load_dataset, save_dataset
-from csigen.gan.train import load_checkpoint
+from csigen.gan.train import TrainingConfig, load_checkpoint
 
 SCENARIO = """
 geometry.num_arrays = 1
@@ -209,6 +217,28 @@ class TestTrain:
         )
         assert code == EXIT_USAGE
         assert "warp_factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(TrainingConfig), ids=lambda field: field.name
+    )
+    def test_config_file_sets_one_field(self, tmp_path, field):
+        default = field.default
+        if default is dataclasses.MISSING:
+            value = 7  # generator_steps, the one required key
+        elif default is None:
+            value = 0.5
+        elif isinstance(default, bool):
+            value = not default
+        elif isinstance(default, int):
+            value = default + 3
+        else:
+            value = default * 2.0 + 0.5
+        values = {"generator_steps": 1, field.name: value}
+        path = tmp_path / "train.cfg"
+        path.write_text("".join(f"{key} = {val!r}\n" for key, val in values.items()))
+        config = _training_config_from_file(path)
+        assert config == TrainingConfig(**values)
+        assert getattr(config, field.name) == value
 
 
 @pytest.fixture()

@@ -209,6 +209,33 @@ class TestRootMusic:
         with pytest.raises(ValueError):
             root_music_azimuth(CorrelationMatrix(np.ones((1, 1), dtype=complex), 0))
 
+    def test_polished_phase_past_pi_wraps_onto_a_spectrum_minimum(self):
+        # a plane wave near endfire plus strong noise, stored at complex64 as
+        # a CSIT file holds it: the Newton polish steps the root phase past
+        # +pi (sin +1.02), and the estimate must come back one turn to -0.98
+        rng = np.random.default_rng(11842)
+        s = rng.uniform(0.995, 1.0) * rng.choice([-1, 1])
+        noise = 10 ** rng.uniform(-1, 0.3)
+        steer = np.exp(1j * math.pi * s * np.arange(4))
+        gains = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+        csi = gains[:, None, :] * steer[None, :, None]
+        csi = csi + noise * (rng.standard_normal(csi.shape) + 1j * rng.standard_normal(csi.shape))
+        csi = csi[None].astype(np.complex64).astype(np.complex128)
+
+        azimuth = root_music_azimuth(array_correlation(csi, 0))
+        assert math.isfinite(azimuth)
+        # brute-force MUSIC scan over s = sin(azimuth): ||a||^2 - |v^H a|^2
+        # with the principal eigenvector v of the column correlation
+        snapshots = np.moveaxis(csi[0], 1, 0).reshape(4, -1)
+        _, vectors = np.linalg.eigh(snapshots @ snapshots.conj().T)
+        grid = np.arange(-1.0, 1.0, 1e-4)
+        steering = np.exp(1j * math.pi * np.outer(grid, np.arange(4)))
+        denominator = 4.0 - np.abs(steering @ vectors[:, -1].conj()) ** 2
+        before, after = np.roll(denominator, 1), np.roll(denominator, -1)
+        minima = grid[(denominator <= before) & (denominator <= after)]
+        gaps = (math.sin(azimuth) - minima) % 2.0  # circular in pi * s
+        assert np.minimum(gaps, 2.0 - gaps).min() <= 1e-3
+
 
 class TestHistogramDensity:
     def test_all_in_one_bin(self):

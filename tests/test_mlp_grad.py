@@ -10,7 +10,6 @@ from csigen.gan import autodiff as ad
 from csigen.gan.mlp import (
     DenseLayer,
     MlpParams,
-    flatten_grads,
     init_mlp,
     mlp_apply,
     mlp_backward,
@@ -62,13 +61,13 @@ def random_mlp(rng, widths=None, last="linear"):
 class TestMlpForward:
     def test_zero_weights_bias_only(self):
         layer = DenseLayer(np.zeros((3, 4)), np.array([1.0, -2.0, 0.5]), "linear")
-        out, _ = mlp_forward(MlpParams([layer]), np.zeros(4))
-        assert np.array_equal(out, [1.0, -2.0, 0.5])
+        out, _ = mlp_forward(MlpParams([layer]), np.zeros((1, 4)))
+        assert np.array_equal(out, [[1.0, -2.0, 0.5]])
 
     def test_identity_relu(self):
         layer = DenseLayer(np.eye(2), np.zeros(2), "relu")
-        out, _ = mlp_forward(MlpParams([layer]), np.array([-1.0, 2.0]))
-        assert np.array_equal(out, [0.0, 2.0])
+        out, _ = mlp_forward(MlpParams([layer]), np.array([[-1.0, 2.0]]))
+        assert np.array_equal(out, [[0.0, 2.0]])
 
     def test_three_layer_matches_direct_oracle(self):
         rng = np.random.default_rng(3)
@@ -88,6 +87,8 @@ class TestMlpForward:
         params = random_mlp(rng)
         with pytest.raises(ValueError):
             mlp_forward(params, np.zeros((2, 7)))
+        with pytest.raises(ValueError):  # one sample is a (1, n) batch, not a vector
+            mlp_forward(params, np.zeros(5))
 
 
 class TestHandWrittenBackward:
@@ -95,11 +96,11 @@ class TestHandWrittenBackward:
         rng = np.random.default_rng(5)
         weights = rng.standard_normal((3, 4))
         params = MlpParams([DenseLayer(weights, np.zeros(3), "linear")])
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((1, 4))
         _, cache = mlp_forward(params, x)
         adjoint = rng.standard_normal(3)
-        _, dx = mlp_backward(params, cache, adjoint)
-        assert np.allclose(dx, weights.T @ adjoint, rtol=1e-12)
+        dx = mlp_backward(params, cache, adjoint[None, :])
+        assert np.allclose(dx[0], weights.T @ adjoint, rtol=1e-12)
 
     def test_constant_output_net_has_zero_input_grad(self):
         params = MlpParams(
@@ -108,11 +109,12 @@ class TestHandWrittenBackward:
                 DenseLayer(np.zeros((2, 4)), np.array([5.0, -1.0]), "linear"),
             ]
         )
-        x = np.random.default_rng(6).standard_normal(3)
+        x = np.random.default_rng(6).standard_normal((1, 3))
         _, cache = mlp_forward(params, x)
-        grads, dx = mlp_backward(params, cache, np.ones(2))
-        assert np.array_equal(dx, np.zeros(3))
-        assert np.array_equal(grads[0][0], np.zeros((4, 3)))
+        grads = [np.zeros_like(a) for a in params.arrays()]
+        dx = mlp_backward(params, cache, np.ones((1, 2)), grads)
+        assert np.array_equal(dx, np.zeros((1, 3)))
+        assert np.array_equal(grads[0], np.zeros((4, 3)))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -124,11 +126,29 @@ class TestHandWrittenBackward:
             return float(out.sum())
 
         _, cache = mlp_forward(params, x)
-        grads, dx = mlp_backward(params, cache, np.ones((3, 1)))
-        for (dw, db), layer in zip(grads, params.layers):
-            assert relative_error(dw, central_difference(loss, layer.weights)) < 1e-4
-            assert relative_error(db, central_difference(loss, layer.bias)) < 1e-4
+        grads = [np.zeros_like(a) for a in params.arrays()]
+        dx = mlp_backward(params, cache, np.ones((3, 1)), grads)
+        for grad, array in zip(grads, params.arrays()):
+            assert relative_error(grad, central_difference(loss, array)) < 1e-4
         assert relative_error(dx, central_difference(loss, x)) < 1e-4
+
+    def test_accumulates_at_offset_and_input_gradient_alone_is_identical(self):
+        rng = np.random.default_rng(12)
+        params = random_mlp(rng, widths=[6, 9, 5, 2])
+        x = rng.standard_normal((4, 6))
+        adjoint = rng.standard_normal((4, 2))
+        _, cache = mlp_forward(params, x)
+        alone = mlp_backward(params, cache, adjoint)
+        first = [np.zeros_like(a) for a in params.arrays()]
+        dx = mlp_backward(params, cache, adjoint, first)
+        assert np.array_equal(alone, dx)
+        # a second pass at offset 2 into a longer list adds the same gradients
+        grads = [np.ones(3), np.ones(3)] + [np.zeros_like(a) for a in params.arrays()]
+        mlp_backward(params, cache, adjoint, grads, offset=2)
+        mlp_backward(params, cache, adjoint, grads, offset=2)
+        assert np.array_equal(grads[0], np.ones(3)) and np.array_equal(grads[1], np.ones(3))
+        for total, single in zip(grads[2:], first):
+            assert np.array_equal(total, single + single)
 
 
 class TestAutodiffOps:
@@ -205,22 +225,20 @@ class TestAutodiffVsHandWritten:
                 return float(out.sum())
 
             # route 1: hand-written backward
-            _, cache = mlp_forward(params, x_val)
-            out, _ = mlp_forward(params, x_val)
-            grads, dx = mlp_backward(params, cache, np.ones_like(out))
+            out, cache = mlp_forward(params, x_val)
+            grads = [np.zeros_like(a) for a in params.arrays()]
+            dx = mlp_backward(params, cache, np.ones_like(out), grads)
             # route 2: differentiation kernel
             pvars = mlp_vars(params)
             x = ad.Var(x_val)
             y = mlp_apply(pvars, [l.activation for l in params.layers], x)
             flat_vars = [v for pair in pvars for v in pair] + [x]
             auto = ad.grad(ad.vsum(y), flat_vars)
-            hand = flatten_grads(grads) + [dx]
-            for route1, route2 in zip(hand, auto):
+            for route1, route2 in zip(grads + [dx], auto):
                 assert relative_error(route1, route2.value) < 1e-12
             # both routes against finite differences
-            for (dw, db), layer in zip(grads, params.layers):
-                assert relative_error(dw, central_difference(loss_value, layer.weights)) < 1e-4
-                assert relative_error(db, central_difference(loss_value, layer.bias)) < 1e-4
+            for grad, array in zip(grads, params.arrays()):
+                assert relative_error(grad, central_difference(loss_value, array)) < 1e-4
 
 
 GEO_SMALL = ArrayGeometry(1, 1, 2, 3, 1.272e9, 50e6)

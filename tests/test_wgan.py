@@ -7,13 +7,13 @@ import pytest
 
 from csigen.core import ArrayGeometry, CsiDataset
 from csigen.dataio import ConditionScaler
+from csigen.gan.fastgrad import CriticPass, critic_loss_fast, generator_loss_fast
 from csigen.gan.mlp import DenseLayer, MlpParams, mlp_forward
 from csigen.gan.nets import (
     CriticParams,
     CriticSpec,
     DelaySpreadScaler,
     GeneratorSpec,
-    critic_forward,
     critic_loss,
     delay_spread_flat,
     flatten_csi,
@@ -37,6 +37,12 @@ from csigen.gan.train import (
     save_checkpoint,
     train,
 )
+
+# Each loss identity holds for the routine that trains and for the graph-built
+# reference alike.
+CRITIC_LOSSES = (critic_loss, critic_loss_fast)
+GENERATOR_LOSSES = (generator_loss, generator_loss_fast)
+
 GEO = ArrayGeometry(1, 1, 2, 4, 1.272e9, 50e6)
 CSI_WIDTH = 2 * GEO.num_antennas * GEO.num_taps
 
@@ -111,12 +117,13 @@ class TestCriticLoss:
         fake_flat = mlp_forward(generator, np.concatenate([noise, pos], axis=1))[0]
         # overwrite the real batch with the fakes: loss must vanish
         ds_scaled = ds_scaler.scale(delay_spread_flat(fake_flat, GEO))
-        loss, grads, info = critic_loss(
-            critic, generator, GEO, ds_scaler, fake_flat, pos, ds_scaled,
-            noise, np.full((8, 1), 0.5), gp_lambda=0.0,
-        )
-        assert loss == pytest.approx(0.0, abs=1e-12)
-        assert info["real_score"] == pytest.approx(info["fake_score"], rel=1e-12)
+        for loss_fn in CRITIC_LOSSES:
+            loss, grads, info = loss_fn(
+                critic, generator, GEO, ds_scaler, fake_flat, pos, ds_scaled,
+                noise, np.full((8, 1), 0.5), gp_lambda=0.0,
+            )
+            assert loss == pytest.approx(0.0, abs=1e-12)
+            assert info["real_score"] == pytest.approx(info["fake_score"], rel=1e-12)
 
     def test_linear_critic_loss_is_mean_difference(self):
         rng = np.random.default_rng(4)
@@ -133,13 +140,14 @@ class TestCriticLoss:
         pos = rng.uniform(-1, 1, (16, 2))
         noise = rng.standard_normal((16, 6))
         fake_flat = mlp_forward(generator, np.concatenate([noise, pos], axis=1))[0]
-        loss, _, _ = critic_loss(
-            critic, generator, GEO, ds_scaler, real_flat, pos,
-            ds_scaler.scale(delay_spread_flat(real_flat, GEO)),
-            noise, np.full((16, 1), 0.3), gp_lambda=0.0,
-        )
         expected = w @ (fake_flat.mean(axis=0) - real_flat.mean(axis=0))
-        assert loss == pytest.approx(expected, rel=1e-10)
+        for loss_fn in CRITIC_LOSSES:
+            loss, _, _ = loss_fn(
+                critic, generator, GEO, ds_scaler, real_flat, pos,
+                ds_scaler.scale(delay_spread_flat(real_flat, GEO)),
+                noise, np.full((16, 1), 0.3), gp_lambda=0.0,
+            )
+            assert loss == pytest.approx(expected, rel=1e-10)
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(5)
@@ -148,39 +156,40 @@ class TestCriticLoss:
             GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.05), rng
         )
         _, ds_scaler = scaler_pair()
-        with pytest.raises(ValueError):
-            critic_loss(
-                critic, generator, GEO, ds_scaler,
-                np.zeros((0, CSI_WIDTH)), np.zeros((0, 2)), np.zeros((0, GEO.num_antennas)),
-                np.zeros((0, 6)), np.zeros((0, 1)), gp_lambda=10.0,
-            )
+        for loss_fn in CRITIC_LOSSES:
+            with pytest.raises(ValueError):
+                loss_fn(
+                    critic, generator, GEO, ds_scaler,
+                    np.zeros((0, CSI_WIDTH)), np.zeros((0, 2)), np.zeros((0, GEO.num_antennas)),
+                    np.zeros((0, 6)), np.zeros((0, 1)), gp_lambda=10.0,
+                )
 
     def test_critic_improves_on_fixed_toy_problem(self):
-        rng = np.random.default_rng(6)
-        dataset = toy_dataset(64, seed=7)
-        config = toy_config(generator_steps=0)
-        critic = init_critic(CriticSpec.for_geometry(GEO, hidden_scale=0.1), rng)
-        generator = init_generator(
-            GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.1), rng
-        )
-        cond_scaler, ds_scaler = scaler_pair()
-        real_flat = flatten_csi(dataset.csi)
-        pos = cond_scaler.scale(dataset.positions)
-        ds_real = ds_scaler.scale(delay_spread_flat(real_flat, GEO))
-        state = AdamState.zeros_like(critic.arrays())
-        adam_cfg = toy_config(learning_rate=1e-3)
-        losses = []
-        for step in range(50):
-            idx = rng.integers(0, 64, size=16)
-            noise = rng.standard_normal((16, 6))
-            eps = rng.uniform(size=(16, 1))
-            loss, grads, _ = critic_loss(
-                critic, generator, GEO, ds_scaler, real_flat[idx], pos[idx], ds_real[idx],
-                noise, eps, gp_lambda=10.0,
+        for loss_fn in CRITIC_LOSSES:
+            rng = np.random.default_rng(6)
+            dataset = toy_dataset(64, seed=7)
+            critic = init_critic(CriticSpec.for_geometry(GEO, hidden_scale=0.1), rng)
+            generator = init_generator(
+                GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.1), rng
             )
-            adam_update(critic.arrays(), grads, state, adam_cfg)
-            losses.append(loss)
-        assert np.mean(losses[-10:]) < np.mean(losses[:10])
+            cond_scaler, ds_scaler = scaler_pair()
+            real_flat = flatten_csi(dataset.csi)
+            pos = cond_scaler.scale(dataset.positions)
+            ds_real = ds_scaler.scale(delay_spread_flat(real_flat, GEO))
+            state = AdamState.zeros_like(critic.arrays())
+            adam_cfg = toy_config(learning_rate=1e-3)
+            losses = []
+            for step in range(50):
+                idx = rng.integers(0, 64, size=16)
+                noise = rng.standard_normal((16, 6))
+                eps = rng.uniform(size=(16, 1))
+                loss, grads, _ = loss_fn(
+                    critic, generator, GEO, ds_scaler, real_flat[idx], pos[idx], ds_real[idx],
+                    noise, eps, gp_lambda=10.0,
+                )
+                adam_update(critic.arrays(), grads, state, adam_cfg)
+                losses.append(loss)
+            assert np.mean(losses[-10:]) < np.mean(losses[:10]), loss_fn.__name__
 
 
 class TestGeneratorLoss:
@@ -195,13 +204,12 @@ class TestGeneratorLoss:
             GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.05), rng
         )
         _, ds_scaler = scaler_pair()
-        loss, grads = generator_loss(
-            critic, generator, GEO, ds_scaler,
-            rng.uniform(-1, 1, (8, 2)), rng.standard_normal((8, 6)),
-        )
-        assert loss == pytest.approx(-3.0)
-        for grad in grads:
-            assert np.abs(grad).max() == 0.0
+        pos, noise = rng.uniform(-1, 1, (8, 2)), rng.standard_normal((8, 6))
+        for loss_fn in GENERATOR_LOSSES:
+            loss, grads = loss_fn(critic, generator, GEO, ds_scaler, pos, noise)
+            assert loss == pytest.approx(-3.0)
+            for grad in grads:
+                assert np.abs(grad).max() == 0.0
 
     def test_linear_critic_composes_with_generator_jacobian(self):
         # two-layer linear generator so the full Jacobian is writable by hand
@@ -219,13 +227,14 @@ class TestGeneratorLoss:
         _, ds_scaler = scaler_pair()
         pos = rng.uniform(-1, 1, (4, 2))
         noise = rng.standard_normal((4, 6))
-        loss, grads = generator_loss(critic, generator, GEO, ds_scaler, pos, noise)
         inputs = np.concatenate([noise, pos], axis=1)
         # analytic: loss = -mean(w @ W2 W1 x); dW1 = -(W2^T w) mean_x^T
         dw1_expected = -np.outer(w2.T @ w, inputs.mean(axis=0))
-        assert np.allclose(grads[0], dw1_expected, rtol=1e-10)
         dw2_expected = -np.outer(w, (inputs @ w1.T).mean(axis=0))
-        assert np.allclose(grads[2], dw2_expected, rtol=1e-10)
+        for loss_fn in GENERATOR_LOSSES:
+            loss, grads = loss_fn(critic, generator, GEO, ds_scaler, pos, noise)
+            assert np.allclose(grads[0], dw1_expected, rtol=1e-10)
+            assert np.allclose(grads[2], dw2_expected, rtol=1e-10)
 
     def test_seeded_reproducibility(self):
         rng = np.random.default_rng(10)
@@ -236,10 +245,11 @@ class TestGeneratorLoss:
         _, ds_scaler = scaler_pair()
         pos = rng.uniform(-1, 1, (8, 2))
         noise = rng.standard_normal((8, 6))
-        first = generator_loss(critic, generator, GEO, ds_scaler, pos, noise)
-        second = generator_loss(critic, generator, GEO, ds_scaler, pos, noise)
-        assert first[0] == second[0]
-        assert all(np.array_equal(a, b) for a, b in zip(first[1], second[1]))
+        for loss_fn in GENERATOR_LOSSES:
+            first = loss_fn(critic, generator, GEO, ds_scaler, pos, noise)
+            second = loss_fn(critic, generator, GEO, ds_scaler, pos, noise)
+            assert first[0] == second[0]
+            assert all(np.array_equal(a, b) for a, b in zip(first[1], second[1]))
 
 
 class TestTrain:
@@ -432,7 +442,6 @@ class TestToyDistribution:
         # train on multipath data; the not-yet-converged model keeps genuine
         # mismatch, so the critic's witness generalizes to fresh positions
         # (near full convergence the gap would tend to zero by design)
-        from csigen.gan.nets import critic_forward, delay_spread_flat, flatten_csi
         from csigen.synth import ArrayPlacement, Reflector, Scenario, grid_positions, synth_dataset
 
         geometry = ArrayGeometry(1, 1, 2, 8, 1.272e9, 100e6)
@@ -464,10 +473,11 @@ class TestToyDistribution:
         fake = sample_variable(checkpoint, held_pos, seed=31337)
 
         def scores(csi_batch):
-            flat = flatten_csi(csi_batch)
-            ds_scaled = checkpoint.ds_scaler.scale(delay_spread_flat(flat, checkpoint.geometry))
             pos_scaled = checkpoint.condition_scaler.scale(held_pos)
-            return critic_forward(checkpoint.critic, flat, ds_scaled, pos_scaled)
+            return CriticPass(
+                checkpoint.critic, checkpoint.geometry, checkpoint.ds_scaler,
+                flatten_csi(csi_batch), pos_scaled,
+            ).scores
 
         assert scores(held.csi).mean() > scores(fake.csi).mean()
 
