@@ -162,7 +162,10 @@ def _training_config_from_file(path: str | Path) -> TrainingConfig:
             values[field.name] = parse(entries, field.name, default=field.default)
     if entries:
         raise cfg.ConfigError(f"unknown training config keys: {sorted(entries)}")
-    return TrainingConfig(**values)
+    try:
+        return TrainingConfig(**values)
+    except ValueError as exc:
+        raise cfg.ConfigError(str(exc)) from exc
 
 
 def cmd_train(args) -> int:

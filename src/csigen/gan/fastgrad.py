@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from csigen.core import ArrayGeometry
-from csigen.gan.mlp import MlpParams, mlp_backward, mlp_forward
+from csigen.gan.mlp import MlpParams, flat_zeros, mlp_backward, mlp_forward
 from csigen.gan.nets import (
     CriticParams,
     GRAD_NORM_FLOOR,
@@ -184,14 +184,16 @@ def critic_loss_fast(
 
     Same contract as the graph-built :func:`csigen.gan.nets.critic_loss`:
     fake samples share the real samples' conditions; returns (loss,
-    gradients in canonical parameter order, diagnostics).
+    gradients in canonical parameter order, diagnostics).  The gradients
+    are views into one flat buffer.
     """
     n = real_flat.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    grads = [np.zeros_like(a) for a in critic.arrays()]
+    grad_flat, grads = flat_zeros([a.shape for a in critic.arrays()])
     fake_flat = generator_forward(generator, pos_scaled, noise)
-    ds_fake_scaled = ds_scaler.scale(delay_spread_flat(fake_flat, geometry))
+    ds_fake = delay_spread_flat(fake_flat, geometry)
+    ds_fake_scaled = ds_scaler.scale(ds_fake)
 
     fake_pass = CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled, ds_fake_scaled)
     critic_backward(critic, geometry, ds_scaler, fake_pass, np.full((n, 1), 1.0 / n), grads)
@@ -207,8 +209,7 @@ def critic_loss_fast(
             mixed_pass = CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled)
         else:
             ds_mixed = ds_scaler.scale(
-                eps_mix * delay_spread_flat(real_flat, geometry)
-                + (1.0 - eps_mix) * delay_spread_flat(fake_flat, geometry)
+                eps_mix * delay_spread_flat(real_flat, geometry) + (1.0 - eps_mix) * ds_fake
             )
             mixed_pass = CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled, ds_mixed)
         input_grad = critic_backward(critic, geometry, ds_scaler, mixed_pass, np.ones((n, 1)))
@@ -228,7 +229,7 @@ def critic_loss_fast(
         )
         _, fusion_tangents = _mlp_jvp(critic.fusion, mixed_pass.fusion, fused_tangent)
 
-        pgrads = [np.zeros_like(a) for a in grads]
+        penalty_flat, pgrads = flat_zeros([a.shape for a in grads])
         fusion_offset = 2 * len(critic.trunk.layers)
         adj = _mlp_jvp_backward(
             critic.fusion, mixed_pass.fusion, fusion_tangents, np.ones((n, 1)), pgrads, fusion_offset
@@ -237,8 +238,8 @@ def critic_loss_fast(
         _mlp_jvp_backward(
             critic.trunk, mixed_pass.trunk, trunk_tangents, adj[:, :trunk_width], pgrads, 0
         )
-        for total, part in zip(grads, pgrads):
-            total += gp_lambda * part
+        penalty_flat *= gp_lambda
+        grad_flat += penalty_flat
         loss += gp_lambda * penalty_value
 
     diagnostics = {
@@ -260,7 +261,8 @@ def generator_loss_fast(
     """Generator objective -mean[C(G(x, n))] and its gradients with respect
     to the generator parameters, including the path through the
     delay-spread side input; same contract as the graph-built
-    :func:`csigen.gan.nets.generator_loss`."""
+    :func:`csigen.gan.nets.generator_loss`.  The gradients are views into
+    one flat buffer."""
     n = pos_scaled.shape[0]
     if n == 0:
         raise ValueError("empty batch")
@@ -271,6 +273,6 @@ def generator_loss_fast(
     adj_fake = critic_backward(
         critic, geometry, ds_scaler, critic_pass, np.full((n, 1), -1.0 / n)
     )
-    grads = [np.zeros_like(a) for a in generator.arrays()]
+    _, grads = flat_zeros([a.shape for a in generator.arrays()])
     mlp_backward(generator, gen_cache, adj_fake, grads)
     return loss, grads

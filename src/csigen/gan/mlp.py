@@ -2,6 +2,12 @@
 the cache its backward needs, the hand-written backward pass that training
 uses, and a graph-building variant for the differentiation kernel.
 
+Parameters built here (:func:`init_mlp`, :meth:`MlpParams.copy`) live in one
+contiguous float64 buffer in canonical order W0, b0, W1, b1, ...; each
+layer's weights and bias are views into it.  :func:`flat_span` recovers that
+buffer from the canonical list, so whole-network updates run as a few
+vector operations.
+
 The graph variant (:func:`mlp_vars` / :func:`mlp_apply` over
 :mod:`csigen.gan.autodiff`) is an independent second implementation; the
 test suite uses it, and central finite differences, as the reference for
@@ -10,6 +16,7 @@ test suite uses it, and central finite differences, as the reference for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +61,20 @@ class MlpParams:
     def num_parameters(self) -> int:
         return sum(l.weights.size + l.bias.size for l in self.layers)
 
+    @property
+    def activations(self) -> list[str]:
+        return [layer.activation for layer in self.layers]
+
+    @classmethod
+    def on_arrays(cls, arrays: list[np.ndarray], activations: list[str]) -> "MlpParams":
+        """Layers over the canonical list ``arrays`` [W0, b0, W1, b1, ...],
+        without copying them."""
+        pairs = zip(arrays[::2], arrays[1::2], activations)
+        return cls([DenseLayer(weights, bias, activation) for weights, bias, activation in pairs])
+
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            [DenseLayer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
+        """A copy whose arrays view one new flat buffer."""
+        return MlpParams.on_arrays(packed_copy(self.arrays()), self.activations)
 
     def arrays(self) -> list[np.ndarray]:
         """Flat list [W0, b0, W1, b1, ...]; the canonical parameter order."""
@@ -68,16 +85,67 @@ class MlpParams:
         return out
 
 
+def flat_views(buffer: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
+    """Views of consecutive segments of the 1-D ``buffer``, one per shape."""
+    views = []
+    offset = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+def flat_zeros(shapes: list[tuple]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A zeroed float64 buffer and its views with the given shapes."""
+    buffer = np.zeros(sum(math.prod(shape) for shape in shapes))
+    return buffer, flat_views(buffer, shapes)
+
+
+def packed_copy(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Copies of ``arrays`` as views into one new float64 buffer."""
+    buffer = np.concatenate([np.ravel(array) for array in arrays]).astype(np.float64, copy=False)
+    return flat_views(buffer, [array.shape for array in arrays])
+
+
+def flat_span(arrays: list[np.ndarray]) -> np.ndarray | None:
+    """The 1-D view covering ``arrays`` when they lie back to back, in order,
+    inside one contiguous float64 buffer; None when they do not."""
+    owner = arrays[0].base if arrays else None
+    if not (
+        isinstance(owner, np.ndarray)
+        and owner.ndim == 1
+        and owner.dtype == np.float64
+        and owner.flags.c_contiguous
+    ):
+        return None
+    origin = owner.__array_interface__["data"][0]
+    start = end = (arrays[0].__array_interface__["data"][0] - origin) // owner.itemsize
+    for array in arrays:
+        if (
+            array.base is not owner
+            or not array.flags.c_contiguous
+            or array.__array_interface__["data"][0] != origin + end * owner.itemsize
+        ):
+            return None
+        end += array.size
+    return owner[start:end]
+
+
 def init_mlp(widths: list[int], activations: list[str], rng: np.random.Generator) -> MlpParams:
-    """Glorot-uniform weights in +-sqrt(6 / (fan_in + fan_out)), zero biases."""
+    """Glorot-uniform weights in +-sqrt(6 / (fan_in + fan_out)), zero biases,
+    in one flat buffer."""
     if len(widths) != len(activations) + 1:
         raise ValueError("need one activation per layer")
-    layers = []
-    for fan_in, fan_out, activation in zip(widths[:-1], widths[1:], activations):
+    shapes = []
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        shapes += [(fan_out, fan_in), (fan_out,)]
+    _, arrays = flat_zeros(shapes)
+    for weights in arrays[::2]:
+        fan_out, fan_in = weights.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(DenseLayer(weights, np.zeros(fan_out), activation))
-    return MlpParams(layers)
+        weights[...] = rng.uniform(-limit, limit, size=weights.shape)
+    return MlpParams.on_arrays(arrays, activations)
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from csigen.core import ArrayGeometry
 from csigen.gan import autodiff as ad
-from csigen.gan.mlp import MlpParams, init_mlp, mlp_apply, mlp_forward, mlp_vars
+from csigen.gan.mlp import MlpParams, init_mlp, mlp_apply, mlp_forward, mlp_vars, packed_copy
 
 GENERATOR_HIDDEN = (512, 512, 1024, 2048)
 CRITIC_TRUNK = (160, 100, 50)
@@ -114,7 +114,13 @@ class CriticParams:
         return self.trunk.arrays() + self.fusion.arrays()
 
     def copy(self) -> "CriticParams":
-        return CriticParams(self.trunk.copy(), self.fusion.copy())
+        """A copy whose arrays view one new flat buffer, trunk then fusion."""
+        arrays = packed_copy(self.arrays())
+        split = 2 * len(self.trunk.layers)
+        return CriticParams(
+            MlpParams.on_arrays(arrays[:split], self.trunk.activations),
+            MlpParams.on_arrays(arrays[split:], self.fusion.activations),
+        )
 
     def num_parameters(self) -> int:
         return self.trunk.num_parameters() + self.fusion.num_parameters()
@@ -129,7 +135,7 @@ def init_critic(spec: CriticSpec, rng: np.random.Generator) -> CriticParams:
     fusion = init_mlp(
         spec.fusion_widths_full, ["relu"] * len(spec.fusion_hidden) + ["linear"], rng
     )
-    return CriticParams(trunk, fusion)
+    return CriticParams(trunk, fusion).copy()
 
 
 @dataclass(frozen=True)
@@ -252,13 +258,6 @@ def generate_csi(
     return unflatten_csi(generator_forward(params, conditions_scaled, noise), geometry)
 
 
-def _critic_activations(critic: CriticParams) -> tuple[list[str], list[str]]:
-    return (
-        [layer.activation for layer in critic.trunk.layers],
-        [layer.activation for layer in critic.fusion.layers],
-    )
-
-
 def critic_apply_var(
     trunk_vars,
     fusion_vars,
@@ -267,10 +266,9 @@ def critic_apply_var(
     ds_scaled: ad.Var,
     pos_scaled: ad.Var,
 ) -> ad.Var:
-    trunk_acts, fusion_acts = _critic_activations(critic)
-    trunk_out = mlp_apply(trunk_vars, trunk_acts, csi_flat)
+    trunk_out = mlp_apply(trunk_vars, critic.trunk.activations, csi_flat)
     fused = ad.concat([trunk_out, ds_scaled, pos_scaled], axis=1)
-    return mlp_apply(fusion_vars, fusion_acts, fused)
+    return mlp_apply(fusion_vars, critic.fusion.activations, fused)
 
 
 def _penalty_var(
@@ -415,9 +413,8 @@ def generator_loss(
     if pos_scaled.shape[0] == 0:
         raise ValueError("empty batch")
     gen_vars = mlp_vars(generator)
-    gen_acts = [layer.activation for layer in generator.layers]
     inputs = ad.Var(np.concatenate([noise, pos_scaled], axis=1))
-    fake = mlp_apply(gen_vars, gen_acts, inputs)
+    fake = mlp_apply(gen_vars, generator.activations, inputs)
     ds_scaled = ds_scaler.scale_var(delay_spread_flat_var(fake, geometry))
     trunk_vars = mlp_vars(critic.trunk)
     fusion_vars = mlp_vars(critic.fusion)

@@ -6,11 +6,19 @@ order, and the checkpoint stores the generator/critic parameters, the
 optimizer moments, the RNG state, and both input scalers, so a resumed run
 continues bit-identically.
 
+The generator's parameters live in one flat float64 buffer, the critic's in
+another (trunk then fusion); the gradients and the Adam moments share that
+layout, so :func:`adam_update` is a fixed sequence of in-place vector
+operations over whole buffers.  Periodic and final checkpoints are written
+from the live training state, without copying it.
+
 WGCK file layout: magic b"WGCK", version u16 LE, meta-JSON length u32 LE,
 meta JSON (config, geometry, scalers, layer tables, step, RNG state,
 optimizer step counts), then one float64 LE payload holding all parameter
 arrays followed by the Adam first and second moments in the same canonical
-order.
+order.  :func:`save_checkpoint` writes to a temporary file in the target
+directory and renames it over the target, so an interrupted save leaves the
+previous file intact.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +35,7 @@ import numpy as np
 
 from csigen.core import ArrayGeometry, CsiDataset
 from csigen.dataio import ConditionScaler, fit_condition_scaler
-from csigen.gan.mlp import DenseLayer, MlpParams
+from csigen.gan.mlp import MlpParams, flat_span, flat_views, flat_zeros, packed_copy
 from csigen.gan.fastgrad import (
     CriticPass,
     critic_backward,
@@ -45,6 +54,9 @@ from csigen.gan.nets import (
 )
 
 CHECKPOINT_MAGIC = b"WGCK"
+# Elements per pass of adam_update: the six operands of one block (128 KiB
+# each) stay in a core's L2 cache across the whole operation sequence.
+ADAM_BLOCK = 16384
 CHECKPOINT_VERSION = 1
 
 
@@ -70,6 +82,10 @@ class CheckpointTruncatedError(CheckpointFormatError):
 
 class CheckpointLengthError(CheckpointFormatError):
     pass
+
+
+class CheckpointMetadataError(CheckpointFormatError):
+    """The metadata block does not decode, or does not describe a checkpoint."""
 
 
 @dataclass(frozen=True)
@@ -105,10 +121,10 @@ class TrainingConfig:
             raise ValueError("generator_steps must be >= 0")
         if self.n_critic < 1 or self.batch_size < 1 or self.noise_dim < 1:
             raise ValueError("n_critic, batch_size and noise_dim must be >= 1")
-        if self.hidden_scale <= 0:
-            raise ValueError("hidden_scale must be positive")
-        if self.critic_hidden_scale is not None and self.critic_hidden_scale <= 0:
-            raise ValueError("critic_hidden_scale must be positive")
+        scales = {"hidden_scale": self.hidden_scale, "critic_hidden_scale": self.critic_scale}
+        for name, scale in scales.items():
+            if not 0 < scale < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {scale!r}")
 
     @property
     def critic_scale(self) -> float:
@@ -124,15 +140,32 @@ class TrainingConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter array, plus step count."""
+    """First/second moment estimates per parameter array, plus step count.
+
+    ``m`` and ``v`` are canonical lists viewing the flat buffers ``flat_m``
+    and ``flat_v`` (lists that do not view one buffer are packed into a new
+    one on construction); update them in place, do not rebind them.
+    """
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
 
+    def __post_init__(self) -> None:
+        if flat_span(self.m) is None:
+            self.m = packed_copy(self.m)
+        if flat_span(self.v) is None:
+            self.v = packed_copy(self.v)
+        self.flat_m, self.flat_v = flat_span(self.m), flat_span(self.v)
+        self.work: np.ndarray | None = None  # two work vectors for adam_update
+
     @classmethod
     def zeros_like(cls, arrays: list[np.ndarray]) -> "AdamState":
-        return cls([np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays])
+        shapes = [a.shape for a in arrays]
+        return cls(flat_zeros(shapes)[1], flat_zeros(shapes)[1])
+
+    def copy(self) -> "AdamState":
+        return AdamState(packed_copy(self.m), packed_copy(self.v), self.t)
 
 
 def adam_update(
@@ -141,19 +174,53 @@ def adam_update(
     state: AdamState,
     config: TrainingConfig,
 ) -> None:
-    """In-place Adam step over a canonical parameter list."""
+    """In-place Adam step over a canonical parameter list.
+
+    ``arrays`` must view one flat buffer (as parameters from ``init_mlp``,
+    ``init_critic``, ``copy()`` and ``load_checkpoint`` do); ``grads`` is
+    gathered into one when it does not.  Per element the arithmetic is
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + ((1 - b2) * g) * g
+        p -= (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps)
+
+    evaluated in that order, in place, over the flat buffers in blocks of
+    ``ADAM_BLOCK`` elements, with two work vectors kept in ``state``.
+    """
+    params, m, v = flat_span(arrays), state.flat_m, state.flat_v
+    if params is None:
+        raise ValueError("adam_update needs parameters that view one flat buffer")
+    gradient = flat_span(grads)
+    if gradient is None:
+        gradient = np.concatenate([np.ravel(g) for g in grads])
+    if not params.size == gradient.size == m.size:
+        raise ValueError("parameters, gradients and Adam moments differ in size")
+    width = min(ADAM_BLOCK, params.size)
+    if state.work is None or state.work.shape[1] < width:
+        state.work = np.empty((2, width))
+
     state.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     correction1 = 1.0 - b1**state.t
     correction2 = 1.0 - b2**state.t
-    for array, gradient, m, v in zip(arrays, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * gradient
-        v *= b2
-        v += (1.0 - b2) * gradient * gradient
-        array -= config.learning_rate * (m / correction1) / (
-            np.sqrt(v / correction2) + config.adam_eps
-        )
+    for start in range(0, params.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        p, g, mb, vb = params[block], gradient[block], m[block], v[block]
+        step, denominator = state.work[:, : p.size]
+        np.multiply(mb, b1, out=mb)
+        np.multiply(g, 1.0 - b1, out=step)
+        np.add(mb, step, out=mb)
+        np.multiply(vb, b2, out=vb)
+        np.multiply(g, 1.0 - b2, out=step)
+        np.multiply(step, g, out=step)
+        np.add(vb, step, out=vb)
+        np.divide(mb, correction1, out=step)
+        np.multiply(step, config.learning_rate, out=step)
+        np.divide(vb, correction2, out=denominator)
+        np.sqrt(denominator, out=denominator)
+        np.add(denominator, config.adam_eps, out=denominator)
+        np.divide(step, denominator, out=step)
+        np.subtract(p, step, out=p)
 
 
 @dataclass
@@ -192,6 +259,9 @@ def _geometry_dict(geometry: ArrayGeometry) -> dict:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
+    """Write ``checkpoint`` to ``path`` atomically: the bytes go to a
+    temporary file beside it, which then replaces ``path``.  The arrays are
+    written as they lie in memory, without a staging copy."""
     meta = {
         "config": checkpoint.config.to_dict(),
         "geometry": _geometry_dict(checkpoint.geometry),
@@ -213,35 +283,49 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         "adam_t": {"generator": checkpoint.gen_adam.t, "critic": checkpoint.critic_adam.t},
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    arrays = checkpoint.generator.arrays() + checkpoint.critic.arrays()
-    adam_arrays = (
-        checkpoint.gen_adam.m
+    arrays = (
+        checkpoint.generator.arrays()
+        + checkpoint.critic.arrays()
+        + checkpoint.gen_adam.m
         + checkpoint.critic_adam.m
         + checkpoint.gen_adam.v
         + checkpoint.critic_adam.v
     )
-    payload = np.concatenate([a.ravel() for a in arrays + adam_arrays]).astype("<f8")
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<H", CHECKPOINT_VERSION))
-        handle.write(struct.pack("<I", len(meta_bytes)))
-        handle.write(meta_bytes)
-        handle.write(payload.tobytes())
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as handle:
+            handle.write(CHECKPOINT_MAGIC)
+            handle.write(struct.pack("<H", CHECKPOINT_VERSION))
+            handle.write(struct.pack("<I", len(meta_bytes)))
+            handle.write(meta_bytes)
+            for array in arrays:
+                handle.write(np.ascontiguousarray(array, dtype="<f8"))
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
-def _params_from_table(table: list, values: np.ndarray, offset: int) -> tuple[MlpParams, int]:
-    layers = []
-    for out_width, in_width, activation in table:
-        w_size = out_width * in_width
-        weights = values[offset : offset + w_size].reshape(out_width, in_width).copy()
-        offset += w_size
-        bias = values[offset : offset + out_width].copy()
-        offset += out_width
-        layers.append(DenseLayer(weights, bias, activation))
-    return MlpParams(layers), offset
+def _layer_shapes(table: list) -> list[tuple[int, ...]]:
+    """Canonical array shapes of a metadata layer table [[out, in, activation], ...]."""
+    shapes = []
+    for out_width, in_width, _ in table:
+        if not (out_width >= 1 and in_width >= 1):
+            raise ValueError(f"layer widths must be positive, got {out_width!r} x {in_width!r}")
+        shapes += [(out_width, in_width), (out_width,)]
+    if not shapes:
+        raise ValueError("empty layer table")
+    return shapes
+
+
+def _params_on(table: list, arrays: list[np.ndarray]) -> MlpParams:
+    return MlpParams.on_arrays(arrays, [activation for _, _, activation in table])
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a WGCK file.  The payload is copied once into a writable float64
+    buffer; every parameter and moment array of the result views it."""
     blob = Path(path).read_bytes()
     if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointBadMagicError(f"{path}: not a WGCK checkpoint")
@@ -253,60 +337,59 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     (meta_len,) = struct.unpack_from("<I", blob, 6)
     if len(blob) < 10 + meta_len:
         raise CheckpointTruncatedError(f"{path}: file ends inside the metadata block")
-    meta = json.loads(blob[10 : 10 + meta_len].decode("utf-8"))
-    payload = np.frombuffer(blob[10 + meta_len :], dtype="<f8")
+    try:
+        meta = json.loads(blob[10 : 10 + meta_len].decode("utf-8"))
+        tables = [meta["layers"][name] for name in ("generator", "critic_trunk", "critic_fusion")]
+        gen_shapes = _layer_shapes(tables[0])
+        critic_shapes = _layer_shapes(tables[1]) + _layer_shapes(tables[2])
+        param_count = sum(math.prod(shape) for shape in gen_shapes + critic_shapes)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointMetadataError(f"{path}: unreadable metadata block: {exc!r}") from exc
 
-    tables = meta["layers"]
-    param_count = sum(
-        out * inp + out
-        for table in (tables["generator"], tables["critic_trunk"], tables["critic_fusion"])
-        for out, inp, _ in table
-    )
-    expected = 3 * param_count  # parameters + adam m + adam v
-    if payload.size < expected:
+    payload_bytes = len(blob) - 10 - meta_len
+    expected = 8 * 3 * param_count  # parameters + adam m + adam v
+    if payload_bytes < expected:
         raise CheckpointTruncatedError(
-            f"{path}: payload holds {payload.size} values, expected {expected}"
+            f"{path}: payload holds {payload_bytes} bytes, expected {expected}"
         )
-    if payload.size > expected:
+    if payload_bytes > expected:
         raise CheckpointLengthError(
-            f"{path}: payload holds {payload.size - expected} unexpected trailing values"
+            f"{path}: payload holds {payload_bytes - expected} unexpected trailing bytes"
         )
+    payload = np.frombuffer(blob, dtype="<f8", offset=10 + meta_len).astype(np.float64)
 
-    offset = 0
-    generator, offset = _params_from_table(tables["generator"], payload, offset)
-    trunk, offset = _params_from_table(tables["critic_trunk"], payload, offset)
-    fusion, offset = _params_from_table(tables["critic_fusion"], payload, offset)
-    critic = CriticParams(trunk, fusion)
-
-    def take_like(arrays: list[np.ndarray], offset: int) -> tuple[list[np.ndarray], int]:
-        out = []
-        for array in arrays:
-            out.append(payload[offset : offset + array.size].reshape(array.shape).copy())
-            offset += array.size
-        return out, offset
-
-    gen_arrays = generator.arrays()
-    critic_arrays = critic.arrays()
-    gen_m, offset = take_like(gen_arrays, offset)
-    critic_m, offset = take_like(critic_arrays, offset)
-    gen_v, offset = take_like(gen_arrays, offset)
-    critic_v, offset = take_like(critic_arrays, offset)
-
-    geometry = ArrayGeometry(**meta["geometry"])
-    return Checkpoint(
-        generator=generator,
-        critic=critic,
-        config=TrainingConfig.from_dict(meta["config"]),
-        geometry=geometry,
-        condition_scaler=ConditionScaler(
-            np.array(meta["condition_scaler"]["min"]), np.array(meta["condition_scaler"]["max"])
-        ),
-        ds_scaler=DelaySpreadScaler(meta["ds_scaler"]["min"], meta["ds_scaler"]["max"]),
-        step=meta["step"],
-        rng_state=meta["rng_state"],
-        gen_adam=AdamState(gen_m, gen_v, meta["adam_t"]["generator"]),
-        critic_adam=AdamState(critic_m, critic_v, meta["adam_t"]["critic"]),
-    )
+    try:
+        # payload order: parameters, first moments, second moments; the
+        # generator before the critic in each
+        views = iter(flat_views(payload, (gen_shapes + critic_shapes) * 3))
+        gen_params, critic_params, gen_m, critic_m, gen_v, critic_v = (
+            [next(views) for _ in shapes] for shapes in (gen_shapes, critic_shapes) * 3
+        )
+        split = 2 * len(tables[1])
+        critic = CriticParams(
+            _params_on(tables[1], critic_params[:split]),
+            _params_on(tables[2], critic_params[split:]),
+        )
+        # the RNG state train() restores on resume
+        np.random.default_rng(0).bit_generator.state = meta["rng_state"]
+        return Checkpoint(
+            generator=_params_on(tables[0], gen_params),
+            critic=critic,
+            config=TrainingConfig.from_dict(meta["config"]),
+            geometry=ArrayGeometry(**meta["geometry"]),
+            condition_scaler=ConditionScaler(
+                np.array(meta["condition_scaler"]["min"]), np.array(meta["condition_scaler"]["max"])
+            ),
+            ds_scaler=DelaySpreadScaler(meta["ds_scaler"]["min"], meta["ds_scaler"]["max"]),
+            step=meta["step"],
+            rng_state=meta["rng_state"],
+            gen_adam=AdamState(gen_m, gen_v, meta["adam_t"]["generator"]),
+            critic_adam=AdamState(critic_m, critic_v, meta["adam_t"]["critic"]),
+        )
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise CheckpointMetadataError(
+            f"{path}: metadata does not describe a checkpoint: {exc!r}"
+        ) from exc
 
 
 def _calibrate_critic_scale(
@@ -363,10 +446,8 @@ def train(
         critic = resume.critic.copy()
         cond_scaler = resume.condition_scaler
         ds_scaler = resume.ds_scaler
-        gen_adam = AdamState([m.copy() for m in resume.gen_adam.m],
-                             [v.copy() for v in resume.gen_adam.v], resume.gen_adam.t)
-        critic_adam = AdamState([m.copy() for m in resume.critic_adam.m],
-                                [v.copy() for v in resume.critic_adam.v], resume.critic_adam.t)
+        gen_adam = resume.gen_adam.copy()
+        critic_adam = resume.critic_adam.copy()
         rng = np.random.default_rng()
         rng.bit_generator.state = resume.rng_state
         start_step = resume.step
@@ -390,20 +471,19 @@ def train(
     if resume is None:
         _calibrate_critic_scale(critic, geometry, ds_scaler, real_flat, pos_scaled)
 
-    def snapshot(step: int) -> Checkpoint:
+    def live_state(step: int) -> Checkpoint:
+        """The training state as it stands, sharing its arrays (no copy)."""
         return Checkpoint(
-            generator=generator.copy(),
-            critic=critic.copy(),
+            generator=generator,
+            critic=critic,
             config=config,
             geometry=geometry,
             condition_scaler=cond_scaler,
             ds_scaler=ds_scaler,
             step=step,
             rng_state=rng.bit_generator.state,
-            gen_adam=AdamState([m.copy() for m in gen_adam.m],
-                               [v.copy() for v in gen_adam.v], gen_adam.t),
-            critic_adam=AdamState([m.copy() for m in critic_adam.m],
-                                  [v.copy() for v in critic_adam.v], critic_adam.t),
+            gen_adam=gen_adam,
+            critic_adam=critic_adam,
         )
 
     log_rows: list[dict] = []
@@ -449,9 +529,9 @@ def train(
         log_rows.append(row)
         if not (math.isfinite(closs) and math.isfinite(gloss)):
             if out_dir is not None:
-                save_checkpoint(snapshot(step), out_dir / "checkpoint_diverged.wgck")
+                save_checkpoint(live_state(step), out_dir / "checkpoint_diverged.wgck")
             raise TrainingDivergedError(f"non-finite loss at generator step {step}")
         if out_dir is not None and config.checkpoint_every and step % config.checkpoint_every == 0:
-            save_checkpoint(snapshot(step), out_dir / f"checkpoint_{step:07d}.wgck")
+            save_checkpoint(live_state(step), out_dir / f"checkpoint_{step:07d}.wgck")
 
-    return TrainResult(snapshot(start_step + config.generator_steps), log_rows)
+    return TrainResult(live_state(start_step + config.generator_steps), log_rows)

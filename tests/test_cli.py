@@ -240,6 +240,18 @@ class TestTrain:
         assert config == TrainingConfig(**values)
         assert getattr(config, field.name) == value
 
+    @pytest.mark.parametrize("field", ["hidden_scale", "critic_hidden_scale"])
+    def test_nan_scale_is_a_config_error(self, tmp_path, small_dataset, capsys, field):
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_CONFIG.replace("hidden_scale = 0.02\n", f"{field} = nan\n"))
+        code = main(
+            ["train", "--train", str(small_dataset), "--config", str(config),
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+
 
 @pytest.fixture()
 def trained_checkpoint(tmp_path, small_dataset):
@@ -288,6 +300,31 @@ class TestGenerate:
              "--positions", f"from-dataset:{small_dataset}", "--out", str(tmp_path / "g.csit")]
         )
         assert code == EXIT_DATA
+
+    def test_truncated_checkpoint(self, tmp_path, small_dataset, trained_checkpoint, capsys):
+        blob = Path(trained_checkpoint).read_bytes()
+        bad = tmp_path / "bad.wgck"
+        for cut in range(1, 16):
+            bad.write_bytes(blob[: len(blob) - cut])
+            code = main(
+                ["generate", "--checkpoint", str(bad),
+                 "--positions", f"from-dataset:{small_dataset}", "--out", str(tmp_path / "g.csit")]
+            )
+            assert code == EXIT_DATA, cut
+            assert capsys.readouterr().err.startswith("data error:"), cut
+        assert not (tmp_path / "g.csit").exists()
+
+    def test_corrupt_checkpoint_metadata(self, tmp_path, small_dataset, trained_checkpoint, capsys):
+        blob = bytearray(Path(trained_checkpoint).read_bytes())
+        blob[11] ^= 0x80  # breaks the UTF-8 of the metadata block
+        bad = tmp_path / "bad.wgck"
+        bad.write_bytes(bytes(blob))
+        code = main(
+            ["generate", "--checkpoint", str(bad),
+             "--positions", f"from-dataset:{small_dataset}", "--out", str(tmp_path / "g.csit")]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error:")
 
 
 class TestInterpolate:

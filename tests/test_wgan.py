@@ -1,14 +1,18 @@
 """Loss identities, training-loop behavior, checkpoints, and sampling."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from csigen.core import ArrayGeometry, CsiDataset
 from csigen.dataio import ConditionScaler
 from csigen.gan.fastgrad import CriticPass, critic_loss_fast, generator_loss_fast
-from csigen.gan.mlp import DenseLayer, MlpParams, mlp_forward
+from csigen.gan.mlp import DenseLayer, MlpParams, flat_span, init_mlp, mlp_forward, packed_copy
 from csigen.gan.nets import (
     CriticParams,
     CriticSpec,
@@ -27,7 +31,9 @@ from csigen.gan.train import (
     AdamState,
     Checkpoint,
     CheckpointBadMagicError,
+    CheckpointFormatError,
     CheckpointLengthError,
+    CheckpointMetadataError,
     CheckpointTruncatedError,
     CheckpointVersionError,
     TrainingConfig,
@@ -325,6 +331,88 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(toy_dataset(0), toy_config())
 
+    def test_resume_leaves_the_checkpoint_unchanged(self):
+        dataset = toy_dataset(32, seed=23)
+        checkpoint = train(dataset, toy_config(generator_steps=2)).checkpoint
+        arrays = (
+            checkpoint.generator.arrays() + checkpoint.critic.arrays()
+            + checkpoint.gen_adam.m + checkpoint.gen_adam.v
+            + checkpoint.critic_adam.m + checkpoint.critic_adam.v
+        )
+        before = [a.copy() for a in arrays]
+        steps = (checkpoint.step, checkpoint.gen_adam.t, checkpoint.critic_adam.t)
+        resumed = train(dataset, toy_config(generator_steps=2), resume=checkpoint)
+        assert resumed.checkpoint.step == 4
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+        assert (checkpoint.step, checkpoint.gen_adam.t, checkpoint.critic_adam.t) == steps
+
+
+def reference_adam(arrays, grads, m_list, v_list, t, config):
+    """Adam written out per array, in the operation order training uses."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    correction1 = 1.0 - b1**t
+    correction2 = 1.0 - b2**t
+    for array, gradient, m, v in zip(arrays, grads, m_list, v_list):
+        m *= b1
+        m += (1.0 - b1) * gradient
+        v *= b2
+        v += (1.0 - b2) * gradient * gradient
+        array -= config.learning_rate * (m / correction1) / (
+            np.sqrt(v / correction2) + config.adam_eps
+        )
+
+
+class TestFlatBuffers:
+    def test_networks_view_one_buffer_in_canonical_order(self):
+        rng = np.random.default_rng(24)
+        spec = GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.05)
+        generator = init_generator(spec, rng)
+        critic = init_critic(CriticSpec.for_geometry(GEO, hidden_scale=0.05), rng)
+        for arrays in (generator.arrays(), critic.arrays()):
+            flat = flat_span(arrays)
+            assert flat is not None and flat.size == sum(a.size for a in arrays)
+            assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+        # separately allocated arrays are not one buffer
+        assert flat_span([a.copy() for a in generator.arrays()]) is None
+        assert flat_span(generator.arrays()[1:] + generator.arrays()[:1]) is None
+
+    def test_init_draws_the_same_weights_as_per_layer_arrays(self):
+        widths, activations = [5, 7, 3], ["relu", "linear"]
+        params = init_mlp(widths, activations, np.random.default_rng(25))
+        rng = np.random.default_rng(25)
+        for layer, fan_in, fan_out in zip(params.layers, widths[:-1], widths[1:]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            expected = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+            assert np.array_equal(layer.weights, expected)
+            assert np.array_equal(layer.bias, np.zeros(fan_out))
+
+    @pytest.mark.parametrize("beta1", [0.0, 0.5])
+    def test_adam_matches_per_array_reference_bitwise(self, beta1):
+        rng = np.random.default_rng(26)
+        config = toy_config(learning_rate=3e-3, adam_beta1=beta1)
+        spec = GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.05)
+        arrays = init_generator(spec, rng).arrays()
+        state = AdamState.zeros_like(arrays)
+        ref_arrays = [a.copy() for a in arrays]
+        ref_m = [np.zeros_like(a) for a in arrays]
+        ref_v = [np.zeros_like(a) for a in arrays]
+        for step in range(1, 5):
+            grads = [rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3) for a in arrays]
+            # the training losses hand over views into one gradient buffer,
+            # the graph-built losses separate arrays
+            passed = packed_copy(grads) if step % 2 else grads
+            adam_update(arrays, passed, state, config)
+            reference_adam(ref_arrays, grads, ref_m, ref_v, step, config)
+            assert state.t == step
+            for ours, theirs in ((arrays, ref_arrays), (state.m, ref_m), (state.v, ref_v)):
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
+
+    def test_adam_rejects_parameters_outside_one_buffer(self):
+        arrays = [np.zeros((2, 3)), np.zeros(2)]
+        state = AdamState.zeros_like(arrays)
+        with pytest.raises(ValueError):
+            adam_update(arrays, [np.ones((2, 3)), np.ones(2)], state, toy_config())
+
 
 class TestCheckpointFormat:
     def make_checkpoint(self):
@@ -383,6 +471,117 @@ class TestCheckpointFormat:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CheckpointLengthError):
             load_checkpoint(path)
+
+    def test_truncated_inside_a_value(self, tmp_path):
+        path = tmp_path / "ck.wgck"
+        save_checkpoint(self.make_checkpoint(), path)
+        blob = path.read_bytes()
+        for cut in range(1, 16):
+            path.write_bytes(blob[: len(blob) - cut])
+            with pytest.raises(CheckpointTruncatedError):
+                load_checkpoint(path)
+
+    def test_undecodable_metadata(self, tmp_path):
+        path = tmp_path / "ck.wgck"
+        save_checkpoint(self.make_checkpoint(), path)
+        blob = bytearray(path.read_bytes())
+        blob[10] = 0xFF  # not UTF-8
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointMetadataError):
+            load_checkpoint(path)
+        blob[10] = ord("[")  # UTF-8, not JSON
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointMetadataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda meta: meta.pop("layers"),
+            lambda meta: meta["layers"].update(generator=5),
+            lambda meta: meta["layers"]["critic_trunk"][0].__setitem__(0, -3),
+            lambda meta: meta["layers"]["generator"][0].__setitem__(2, "tanh"),
+            lambda meta: meta["config"].update(warp_factor=9),
+            lambda meta: meta["geometry"].pop("num_taps"),
+            lambda meta: meta.update(rng_state=[1, 2]),
+        ],
+        ids=["no-layers", "table-not-a-list", "negative-width", "unknown-activation",
+             "unknown-config-key", "missing-geometry-key", "bad-rng-state"],
+    )
+    def test_metadata_schema_violations(self, tmp_path, corrupt):
+        path = tmp_path / "ck.wgck"
+        save_checkpoint(self.make_checkpoint(), path)
+        blob = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", blob, 6)
+        meta = json.loads(blob[10 : 10 + meta_len])
+        corrupt(meta)
+        meta_bytes = json.dumps(meta).encode()
+        path.write_bytes(blob[:6] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                         + blob[10 + meta_len :])
+        with pytest.raises(CheckpointMetadataError):
+            load_checkpoint(path)
+
+    def test_loaded_arrays_are_writable_and_private(self, tmp_path):
+        path = tmp_path / "ck.wgck"
+        save_checkpoint(self.make_checkpoint(), path)
+        first, second = load_checkpoint(path), load_checkpoint(path)
+        groups = lambda ck: (ck.generator.arrays(), ck.critic.arrays(), ck.gen_adam.m,
+                             ck.gen_adam.v, ck.critic_adam.m, ck.critic_adam.v)
+        for ours, theirs in zip(groups(first), groups(second)):
+            assert flat_span(ours) is not None
+            for a, b in zip(ours, theirs):
+                assert a.flags.writeable
+                assert not np.shares_memory(a, b)
+        first.generator.layers[0].weights += 1.0
+        assert not np.array_equal(first.generator.layers[0].weights,
+                                  second.generator.layers[0].weights)
+
+    def test_interrupted_save_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "ck.wgck"
+        checkpoint = self.make_checkpoint()
+        save_checkpoint(checkpoint, path)
+        previous = path.read_bytes()
+
+        class Exploding:
+            def __array__(self, *args, **kwargs):
+                raise RuntimeError("injected write failure")
+
+        checkpoint.step += 1
+        checkpoint.critic_adam.v = checkpoint.critic_adam.v + [Exploding()]
+        with pytest.raises(RuntimeError, match="injected"):
+            save_checkpoint(checkpoint, path)
+        assert path.read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.wgck"]
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=3),
+        cut=st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    def test_corrupt_header_or_metadata_loads_or_raises_a_format_error(
+        self, tmp_path, wgck_blob, flips, cut
+    ):
+        blob = bytearray(wgck_blob)
+        (meta_len,) = struct.unpack_from("<I", blob, 6)
+        for position, mask in flips:
+            blob[position % (10 + meta_len)] ^= mask
+        if cut is not None:
+            del blob[cut % len(blob):]
+        path = tmp_path / "fuzz.wgck"
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except CheckpointFormatError:
+            pass
+
+
+@pytest.fixture(scope="module")
+def wgck_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wgck") / "ck.wgck"
+    checkpoint = train(toy_dataset(16, seed=16), toy_config(generator_steps=1)).checkpoint
+    save_checkpoint(checkpoint, path)
+    return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
