@@ -51,11 +51,18 @@ def format_config(entries: dict[str, object]) -> str:
 _MISSING = object()
 
 
-def pop_int(entries: dict[str, str], key: str, default=_MISSING) -> int:
+def _pop_raw(entries: dict[str, str], key: str, default):
+    """The raw value of ``key``, removed from ``entries``; ``_MISSING`` when
+    the key is absent and has a default."""
     raw = entries.pop(key, _MISSING)
+    if raw is _MISSING and default is _MISSING:
+        raise ConfigError(f"missing required config key {key!r}")
+    return raw
+
+
+def pop_int(entries: dict[str, str], key: str, default=_MISSING) -> int:
+    raw = _pop_raw(entries, key, default)
     if raw is _MISSING:
-        if default is _MISSING:
-            raise ConfigError(f"missing required config key {key!r}")
         return default
     try:
         return int(raw)
@@ -64,10 +71,8 @@ def pop_int(entries: dict[str, str], key: str, default=_MISSING) -> int:
 
 
 def pop_float(entries: dict[str, str], key: str, default=_MISSING) -> float:
-    raw = entries.pop(key, _MISSING)
+    raw = _pop_raw(entries, key, default)
     if raw is _MISSING:
-        if default is _MISSING:
-            raise ConfigError(f"missing required config key {key!r}")
         return default
     try:
         return float(raw)
@@ -76,10 +81,8 @@ def pop_float(entries: dict[str, str], key: str, default=_MISSING) -> float:
 
 
 def pop_bool(entries: dict[str, str], key: str, default=_MISSING) -> bool:
-    raw = entries.pop(key, _MISSING)
+    raw = _pop_raw(entries, key, default)
     if raw is _MISSING:
-        if default is _MISSING:
-            raise ConfigError(f"missing required config key {key!r}")
         return default
     lowered = str(raw).strip().lower()
     if lowered in ("true", "1", "yes", "on"):
@@ -90,10 +93,8 @@ def pop_bool(entries: dict[str, str], key: str, default=_MISSING) -> bool:
 
 
 def pop_vector(entries: dict[str, str], key: str, length: int, default=_MISSING) -> np.ndarray:
-    raw = entries.pop(key, _MISSING)
+    raw = _pop_raw(entries, key, default)
     if raw is _MISSING:
-        if default is _MISSING:
-            raise ConfigError(f"missing required config key {key!r}")
         return np.asarray(default, dtype=np.float64)
     parts = [p for p in raw.replace(",", " ").split() if p]
     if len(parts) != length:

@@ -138,30 +138,11 @@ class CsiDataset:
         self.positions.flags.writeable = False
         self.power_reference = float(power_reference)
 
-    @classmethod
-    def from_datapoints(
-        cls,
-        geometry: ArrayGeometry,
-        points: list[Datapoint],
-        power_reference: float = 1.0,
-    ) -> "CsiDataset":
-        if points:
-            csi = np.stack([p.csi.values for p in points])
-            positions = np.stack([p.position for p in points])
-        else:
-            csi = np.zeros((0,) + geometry.csi_shape, dtype=np.complex128)
-            positions = np.zeros((0, 2))
-        return cls(geometry, csi, positions, power_reference)
-
     def __len__(self) -> int:
         return self.csi.shape[0]
 
     def __getitem__(self, index: int) -> Datapoint:
         return Datapoint(CsiTensor(self.csi[index]), self.positions[index])
-
-    def datapoints(self):
-        for index in range(len(self)):
-            yield self[index]
 
     def subset(self, indices: np.ndarray) -> "CsiDataset":
         """New dataset containing the given indices, in the given order."""
@@ -201,12 +182,6 @@ def total_rx_power(csi: CsiTensor | np.ndarray, b: int) -> float:
         raise IndexError(f"array index {b} out of range [0, {values.shape[0]})")
     slice_b = values[b]
     return float(np.sum(slice_b.real**2 + slice_b.imag**2))
-
-
-def tensor_power(csi: CsiTensor | np.ndarray) -> float:
-    """Squared Frobenius norm over the whole tensor (all arrays)."""
-    values = csi.values if isinstance(csi, CsiTensor) else np.asarray(csi)
-    return float(np.sum(values.real**2 + values.imag**2))
 
 
 def dataset_powers(dataset: CsiDataset, basis: str = "tensor") -> np.ndarray:

@@ -32,6 +32,9 @@ FORMAT_MAGIC = b"CSIT"
 FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<5I2d")
+# Dataset names inside the HDF5 exports read by import_hdf5.
+HDF5_CSI_KEY = "csi_freq"
+HDF5_POSITION_KEY = "positions"
 
 
 class DatasetFormatError(Exception):
@@ -240,19 +243,13 @@ def fit_condition_scaler(train: CsiDataset) -> ConditionScaler:
     return ConditionScaler(train.positions.min(axis=0), train.positions.max(axis=0))
 
 
-def import_hdf5(
-    h5_path: str | Path,
-    out_path: str | Path,
-    n_tap: int,
-    csi_key: str = "csi_freq",
-    position_key: str = "positions",
-) -> CsiDataset:
+def import_hdf5(h5_path: str | Path, out_path: str | Path, n_tap: int) -> CsiDataset:
     """Convert an HDF5 channel-sounder export into a CSIT dataset (optional
     converter; requires h5py).
 
-    Expected HDF5 layout: dataset ``csi_key`` of shape
+    Expected HDF5 layout: dataset ``csi_freq`` of shape
     (L, B, M_r, M_c, N_sub, 2) float (last axis real/imag, frequency
-    domain), dataset ``position_key`` of shape (L, 2) or (L, 3) (first two
+    domain), dataset ``positions`` of shape (L, 2) or (L, 3) (first two
     coordinates used), root attributes ``carrier_hz`` and ``bandwidth_hz``.
     Subcarriers are converted to ``n_tap`` time-domain taps.
     """
@@ -263,8 +260,8 @@ def import_hdf5(
             "the HDF5 converter requires h5py (install csigen[hdf5])"
         ) from exc
     with h5py.File(h5_path, "r") as handle:
-        raw = np.asarray(handle[csi_key])
-        positions = np.asarray(handle[position_key], dtype=np.float64)[:, :2]
+        raw = np.asarray(handle[HDF5_CSI_KEY])
+        positions = np.asarray(handle[HDF5_POSITION_KEY], dtype=np.float64)[:, :2]
         carrier = float(handle.attrs["carrier_hz"])
         bandwidth = float(handle.attrs["bandwidth_hz"])
     if raw.ndim != 6 or raw.shape[-1] != 2:

@@ -1,9 +1,4 @@
-"""Conditional Wasserstein GAN with gradient penalty for CSI generation.
-
-Training runs the losses of :mod:`csigen.gan.fastgrad`; the graph-built
-``critic_loss``, ``generator_loss`` and ``gradient_penalty`` are their
-independent reference.
-"""
+"""Conditional Wasserstein GAN with gradient penalty for CSI generation."""
 
 from csigen.gan.fastgrad import CriticPass, critic_loss_fast, generator_loss_fast
 from csigen.gan.mlp import DenseLayer, MlpParams, init_mlp, mlp_backward, mlp_forward
@@ -12,9 +7,6 @@ from csigen.gan.nets import (
     CriticSpec,
     DelaySpreadScaler,
     GeneratorSpec,
-    critic_loss,
-    generator_loss,
-    gradient_penalty,
     init_critic,
     init_generator,
 )
@@ -39,11 +31,8 @@ __all__ = [
     "MlpParams",
     "TrainingConfig",
     "TrainingDivergedError",
-    "critic_loss",
     "critic_loss_fast",
-    "generator_loss",
     "generator_loss_fast",
-    "gradient_penalty",
     "init_critic",
     "init_generator",
     "init_mlp",

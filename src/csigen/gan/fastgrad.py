@@ -2,11 +2,7 @@
 
 Straight-line numpy over the same kernels that sampling runs
 (:func:`csigen.gan.mlp.mlp_forward` / :func:`~csigen.gan.mlp.mlp_backward`
-and :func:`csigen.gan.nets.delay_spread_forward`), an order of magnitude
-faster per step than the graph-built losses in :mod:`csigen.gan.nets`.
-Those graph losses differentiate through :mod:`csigen.gan.autodiff` and are
-kept as the independent reference the tests check these gradients against,
-together with central finite differences.
+and :func:`csigen.gan.nets.delay_spread_forward`).
 
 The penalty's parameter gradient uses the directional-derivative identity:
 with u = d(penalty)/d(gradient) held constant,
@@ -182,10 +178,9 @@ def critic_loss_fast(
     """Critic objective mean[C(fake)] - mean[C(real)] + lambda * penalty and
     its gradients with respect to the critic parameters only.
 
-    Same contract as the graph-built :func:`csigen.gan.nets.critic_loss`:
-    fake samples share the real samples' conditions; returns (loss,
-    gradients in canonical parameter order, diagnostics).  The gradients
-    are views into one flat buffer.
+    Fake samples share the real samples' conditions.  Returns (loss,
+    gradients in canonical parameter order, diagnostics); the gradients are
+    views into one flat buffer.
     """
     n = real_flat.shape[0]
     if n == 0:
@@ -260,9 +255,8 @@ def generator_loss_fast(
 ) -> tuple[float, list[np.ndarray]]:
     """Generator objective -mean[C(G(x, n))] and its gradients with respect
     to the generator parameters, including the path through the
-    delay-spread side input; same contract as the graph-built
-    :func:`csigen.gan.nets.generator_loss`.  The gradients are views into
-    one flat buffer."""
+    delay-spread side input.  The gradients are views into one flat
+    buffer."""
     n = pos_scaled.shape[0]
     if n == 0:
         raise ValueError("empty batch")

@@ -1,17 +1,11 @@
 """Dense multilayer perceptrons: parameter containers, the forward pass with
-the cache its backward needs, the hand-written backward pass that training
-uses, and a graph-building variant for the differentiation kernel.
+the cache its backward needs, and the hand-written backward pass.
 
 Parameters built here (:func:`init_mlp`, :meth:`MlpParams.copy`) live in one
 contiguous float64 buffer in canonical order W0, b0, W1, b1, ...; each
 layer's weights and bias are views into it.  :func:`flat_span` recovers that
 buffer from the canonical list, so whole-network updates run as a few
 vector operations.
-
-The graph variant (:func:`mlp_vars` / :func:`mlp_apply` over
-:mod:`csigen.gan.autodiff`) is an independent second implementation; the
-test suite uses it, and central finite differences, as the reference for
-:func:`mlp_backward`.
 """
 
 from __future__ import annotations
@@ -20,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from csigen.gan import autodiff as ad
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -57,9 +49,6 @@ class MlpParams:
     @property
     def output_width(self) -> int:
         return self.layers[-1].weights.shape[0]
-
-    def num_parameters(self) -> int:
-        return sum(l.weights.size + l.bias.size for l in self.layers)
 
     @property
     def activations(self) -> list[str]:
@@ -197,21 +186,4 @@ def mlp_backward(
             grads[offset + 2 * index + 1] += adjoint.sum(axis=0)
         adjoint = adjoint @ params.layers[index].weights
     return adjoint
-
-
-def mlp_vars(params: MlpParams) -> list[tuple[ad.Var, ad.Var]]:
-    """Wrap parameters as graph leaves, one (weights, bias) pair per layer."""
-    return [(ad.Var(layer.weights), ad.Var(layer.bias)) for layer in params.layers]
-
-
-def mlp_apply(
-    param_vars: list[tuple[ad.Var, ad.Var]], activations: list[str], x: ad.Var
-) -> ad.Var:
-    """Graph-building forward pass over wrapped parameters."""
-    out = x
-    for (weights, bias), activation in zip(param_vars, activations):
-        out = ad.add(ad.matmul(out, ad.transpose(weights)), bias)
-        if activation == "relu":
-            out = ad.relu(out)
-    return out
 

@@ -1,5 +1,4 @@
-"""Generator and critic networks, the delay-spread side input, and the
-graph-built WGAN-GP losses.
+"""Generator and critic networks and the delay-spread side input.
 
 Layouts follow the dense architecture used throughout: the generator maps
 (noise, scaled position) through ReLU layers of widths (512, 512, 1024,
@@ -13,13 +12,9 @@ A CSI tensor of shape (B, M_r, M_c, N_tap) is flattened to a width
 imaginary parts.  The CSI itself is not normalized; only positions and
 delay spreads are affinely scaled into [-1, 1].
 
-The numpy forward passes here (:func:`generator_forward`,
+The forward passes here (:func:`generator_forward`,
 :func:`delay_spread_forward`) are the ones training and sampling run; the
 training losses and their gradients are in :mod:`csigen.gan.fastgrad`.
-The graph-built losses below (:func:`critic_loss`, :func:`generator_loss`,
-:func:`gradient_penalty`, over :func:`delay_spread_flat_var`) differentiate
-through :mod:`csigen.gan.autodiff` and serve as the independent reference
-the tests check the training gradients against.
 """
 
 from __future__ import annotations
@@ -29,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from csigen.core import ArrayGeometry
-from csigen.gan import autodiff as ad
-from csigen.gan.mlp import MlpParams, init_mlp, mlp_apply, mlp_forward, mlp_vars, packed_copy
+from csigen.gan.mlp import MlpParams, init_mlp, mlp_forward, packed_copy
 
 GENERATOR_HIDDEN = (512, 512, 1024, 2048)
 CRITIC_TRUNK = (160, 100, 50)
@@ -122,9 +116,6 @@ class CriticParams:
             MlpParams.on_arrays(arrays[split:], self.fusion.activations),
         )
 
-    def num_parameters(self) -> int:
-        return self.trunk.num_parameters() + self.fusion.num_parameters()
-
 
 def init_generator(spec: GeneratorSpec, rng: np.random.Generator) -> MlpParams:
     return init_mlp(spec.widths, spec.activations, rng)
@@ -151,11 +142,6 @@ class DelaySpreadScaler:
 
     def scale(self, ds):
         return 2.0 * (np.asarray(ds) - self.minimum) / (self.maximum - self.minimum) - 1.0
-
-    def scale_var(self, ds: ad.Var) -> ad.Var:
-        gain = 2.0 / (self.maximum - self.minimum)
-        offset = -2.0 * self.minimum / (self.maximum - self.minimum) - 1.0
-        return ad.add(ad.mul(ds, gain), offset)
 
     @classmethod
     def fit(cls, delay_spreads: np.ndarray) -> "DelaySpreadScaler":
@@ -193,8 +179,7 @@ def delay_spread_forward(
     """Delay spreads (seconds) from flattened CSI, shape (N, num_antennas),
     and the intermediates their derivatives need.
 
-    Includes the variance floor, as :func:`delay_spread_flat_var` does, so
-    the critic sees identical side inputs on either path.
+    Includes the variance floor ``DS_VARIANCE_FLOOR``.
     """
     cache = DelaySpreadCache()
     flat = np.asarray(flat, dtype=np.float64)
@@ -219,23 +204,6 @@ def delay_spread_flat(flat: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
     return delay_spread_forward(flat, geometry)[0]
 
 
-def delay_spread_flat_var(flat: ad.Var, geometry: ArrayGeometry) -> ad.Var:
-    """Differentiable delay spread from flattened CSI (graph version)."""
-    n = flat.shape[0]
-    n_ant, n_tap = geometry.num_antennas, geometry.num_taps
-    half = n_ant * n_tap
-    re = ad.reshape(ad.narrow(flat, 1, 0, half), (n, n_ant, n_tap))
-    im = ad.reshape(ad.narrow(flat, 1, half, half), (n, n_ant, n_tap))
-    power = ad.add(ad.square(re), ad.square(im))
-    total = ad.add(ad.vsum(power, axis=2), 1e-30)
-    taps = np.arange(1, n_tap + 1, dtype=np.float64)
-    mean = ad.div(ad.vsum(ad.mul(power, taps), axis=2), total)
-    centered = ad.sub(taps, ad.reshape(mean, (n, n_ant, 1)))
-    variance = ad.div(ad.vsum(ad.mul(power, ad.square(centered)), axis=2), total)
-    ds_taps = ad.sqrt(ad.add(variance, DS_VARIANCE_FLOOR))
-    return ad.mul(ds_taps, geometry.tap_duration)
-
-
 def generator_forward(
     params: MlpParams, conditions_scaled: np.ndarray, noise: np.ndarray
 ) -> np.ndarray:
@@ -257,171 +225,3 @@ def generate_csi(
     """Generator pass returning complex CSI tensors (N, B, M_r, M_c, N_tap)."""
     return unflatten_csi(generator_forward(params, conditions_scaled, noise), geometry)
 
-
-def critic_apply_var(
-    trunk_vars,
-    fusion_vars,
-    critic: CriticParams,
-    csi_flat: ad.Var,
-    ds_scaled: ad.Var,
-    pos_scaled: ad.Var,
-) -> ad.Var:
-    trunk_out = mlp_apply(trunk_vars, critic.trunk.activations, csi_flat)
-    fused = ad.concat([trunk_out, ds_scaled, pos_scaled], axis=1)
-    return mlp_apply(fusion_vars, critic.fusion.activations, fused)
-
-
-def _penalty_var(
-    trunk_vars,
-    fusion_vars,
-    critic: CriticParams,
-    geometry: ArrayGeometry,
-    ds_scaler: DelaySpreadScaler,
-    real_flat: np.ndarray,
-    fake_flat: np.ndarray,
-    pos_scaled: np.ndarray,
-    eps_mix: np.ndarray,
-    ds_through_csi: bool = True,
-) -> ad.Var:
-    """Graph of the per-batch mean gradient penalty (||grad C(x~)|| - 1)^2.
-
-    x~ mixes real and fake CSI per sample; the delay-spread side input is
-    recomputed from x~ (so the input gradient flows through it) unless
-    ``ds_through_csi`` is disabled, in which case the delay spreads of the
-    endpoints are mixed with the same coefficients and treated as constant.
-    """
-    eps_mix = np.asarray(eps_mix, dtype=np.float64).reshape(-1, 1)
-    mixed_value = eps_mix * real_flat + (1.0 - eps_mix) * fake_flat
-    mixed = ad.Var(mixed_value)
-    if ds_through_csi:
-        ds_scaled = ds_scaler.scale_var(delay_spread_flat_var(mixed, geometry))
-    else:
-        ds_real = delay_spread_flat(real_flat, geometry)
-        ds_fake = delay_spread_flat(fake_flat, geometry)
-        ds_scaled = ad.Var(ds_scaler.scale(eps_mix * ds_real + (1.0 - eps_mix) * ds_fake))
-    score = critic_apply_var(
-        trunk_vars, fusion_vars, critic, mixed, ds_scaled, ad.Var(pos_scaled)
-    )
-    # one backward seeded with ones gives the per-sample input gradients
-    (input_grad,) = ad.grad(ad.vsum(score), [mixed])
-    norm = ad.sqrt(ad.add(ad.vsum(ad.square(input_grad), axis=1), GRAD_NORM_FLOOR))
-    return ad.mean(ad.square(ad.sub(norm, 1.0)))
-
-
-def gradient_penalty(
-    critic: CriticParams,
-    geometry: ArrayGeometry,
-    ds_scaler: DelaySpreadScaler,
-    real_flat: np.ndarray,
-    fake_flat: np.ndarray,
-    pos_scaled: np.ndarray,
-    eps_mix: np.ndarray,
-    ds_through_csi: bool = True,
-) -> tuple[float, list[np.ndarray]]:
-    """Mean gradient penalty over a batch and its critic-parameter gradients
-    (exact double backpropagation with frozen activation patterns)."""
-    trunk_vars = mlp_vars(critic.trunk)
-    fusion_vars = mlp_vars(critic.fusion)
-    penalty = _penalty_var(
-        trunk_vars,
-        fusion_vars,
-        critic,
-        geometry,
-        ds_scaler,
-        real_flat,
-        fake_flat,
-        pos_scaled,
-        eps_mix,
-        ds_through_csi,
-    )
-    param_vars = [v for pair in trunk_vars + fusion_vars for v in pair]
-    grads = ad.grad(penalty, param_vars)
-    return float(penalty.value), [g.value for g in grads]
-
-
-def critic_loss(
-    critic: CriticParams,
-    generator: MlpParams,
-    geometry: ArrayGeometry,
-    ds_scaler: DelaySpreadScaler,
-    real_flat: np.ndarray,
-    pos_scaled: np.ndarray,
-    ds_real_scaled: np.ndarray,
-    noise: np.ndarray,
-    eps_mix: np.ndarray,
-    gp_lambda: float,
-    ds_through_csi: bool = True,
-) -> tuple[float, list[np.ndarray], dict]:
-    """Critic objective mean[C(fake)] - mean[C(real)] + lambda * penalty and
-    its gradients with respect to the critic parameters only.
-
-    Fake samples share the real samples' conditions.  Returns
-    (loss, gradients in canonical parameter order, diagnostics).
-    """
-    if real_flat.shape[0] == 0:
-        raise ValueError("empty batch")
-    fake_flat = generator_forward(generator, pos_scaled, noise)
-    ds_fake_scaled = ds_scaler.scale(delay_spread_flat(fake_flat, geometry))
-
-    trunk_vars = mlp_vars(critic.trunk)
-    fusion_vars = mlp_vars(critic.fusion)
-    score_real = critic_apply_var(
-        trunk_vars, fusion_vars, critic, ad.Var(real_flat), ad.Var(ds_real_scaled), ad.Var(pos_scaled)
-    )
-    score_fake = critic_apply_var(
-        trunk_vars, fusion_vars, critic, ad.Var(fake_flat), ad.Var(ds_fake_scaled), ad.Var(pos_scaled)
-    )
-    loss = ad.sub(ad.mean(score_fake), ad.mean(score_real))
-    if gp_lambda != 0.0:
-        penalty = _penalty_var(
-            trunk_vars,
-            fusion_vars,
-            critic,
-            geometry,
-            ds_scaler,
-            real_flat,
-            fake_flat,
-            pos_scaled,
-            eps_mix,
-            ds_through_csi,
-        )
-        loss = ad.add(loss, ad.mul(penalty, gp_lambda))
-        penalty_value = float(penalty.value)
-    else:
-        penalty_value = 0.0
-    param_vars = [v for pair in trunk_vars + fusion_vars for v in pair]
-    grads = ad.grad(loss, param_vars)
-    diagnostics = {
-        "real_score": float(score_real.value.mean()),
-        "fake_score": float(score_fake.value.mean()),
-        "penalty": penalty_value,
-    }
-    return float(loss.value), [g.value for g in grads], diagnostics
-
-
-def generator_loss(
-    critic: CriticParams,
-    generator: MlpParams,
-    geometry: ArrayGeometry,
-    ds_scaler: DelaySpreadScaler,
-    pos_scaled: np.ndarray,
-    noise: np.ndarray,
-) -> tuple[float, list[np.ndarray]]:
-    """Generator objective -mean[C(G(x, n))] and its gradients with respect
-    to the generator parameters, including the path through the
-    delay-spread side input."""
-    if pos_scaled.shape[0] == 0:
-        raise ValueError("empty batch")
-    gen_vars = mlp_vars(generator)
-    inputs = ad.Var(np.concatenate([noise, pos_scaled], axis=1))
-    fake = mlp_apply(gen_vars, generator.activations, inputs)
-    ds_scaled = ds_scaler.scale_var(delay_spread_flat_var(fake, geometry))
-    trunk_vars = mlp_vars(critic.trunk)
-    fusion_vars = mlp_vars(critic.fusion)
-    score = critic_apply_var(
-        trunk_vars, fusion_vars, critic, fake, ds_scaled, ad.Var(pos_scaled)
-    )
-    loss = ad.mul(ad.mean(score), -1.0)
-    param_vars = [v for pair in gen_vars for v in pair]
-    grads = ad.grad(loss, param_vars)
-    return float(loss.value), [g.value for g in grads]

@@ -117,14 +117,24 @@ class TrainingConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.generator_steps < 0:
-            raise ValueError("generator_steps must be >= 0")
+        if self.generator_steps < 0 or self.checkpoint_every < 0:
+            raise ValueError("generator_steps and checkpoint_every must be >= 0")
         if self.n_critic < 1 or self.batch_size < 1 or self.noise_dim < 1:
             raise ValueError("n_critic, batch_size and noise_dim must be >= 1")
-        scales = {"hidden_scale": self.hidden_scale, "critic_hidden_scale": self.critic_scale}
-        for name, scale in scales.items():
-            if not 0 < scale < math.inf:  # also rejects NaN
-                raise ValueError(f"{name} must be positive and finite, got {scale!r}")
+        positive = {
+            "hidden_scale": self.hidden_scale,
+            "critic_hidden_scale": self.critic_scale,
+            "learning_rate": self.learning_rate,
+            "adam_eps": self.adam_eps,
+        }
+        for name, value in positive.items():
+            if not 0 < value < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0 <= self.gp_lambda < math.inf:
+            raise ValueError(f"gp_lambda must be >= 0 and finite, got {self.gp_lambda!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
 
     @property
     def critic_scale(self) -> float:
@@ -142,9 +152,8 @@ class TrainingConfig:
 class AdamState:
     """First/second moment estimates per parameter array, plus step count.
 
-    ``m`` and ``v`` are canonical lists viewing the flat buffers ``flat_m``
-    and ``flat_v`` (lists that do not view one buffer are packed into a new
-    one on construction); update them in place, do not rebind them.
+    ``m`` and ``v`` are canonical lists that must each view one flat buffer,
+    ``flat_m`` and ``flat_v``; update them in place, do not rebind them.
     """
 
     m: list[np.ndarray]
@@ -152,11 +161,9 @@ class AdamState:
     t: int = 0
 
     def __post_init__(self) -> None:
-        if flat_span(self.m) is None:
-            self.m = packed_copy(self.m)
-        if flat_span(self.v) is None:
-            self.v = packed_copy(self.v)
         self.flat_m, self.flat_v = flat_span(self.m), flat_span(self.v)
+        if self.flat_m is None or self.flat_v is None:
+            raise ValueError("Adam moments must each view one flat buffer")
         self.work: np.ndarray | None = None  # two work vectors for adam_update
 
     @classmethod
@@ -176,9 +183,10 @@ def adam_update(
 ) -> None:
     """In-place Adam step over a canonical parameter list.
 
-    ``arrays`` must view one flat buffer (as parameters from ``init_mlp``,
-    ``init_critic``, ``copy()`` and ``load_checkpoint`` do); ``grads`` is
-    gathered into one when it does not.  Per element the arithmetic is
+    ``arrays`` and ``grads`` must each view one flat buffer, as parameters
+    from ``init_mlp``, ``init_critic``, ``copy()`` and ``load_checkpoint``
+    and the gradients of the training losses do.  Per element the
+    arithmetic is
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + ((1 - b2) * g) * g
@@ -187,12 +195,9 @@ def adam_update(
     evaluated in that order, in place, over the flat buffers in blocks of
     ``ADAM_BLOCK`` elements, with two work vectors kept in ``state``.
     """
-    params, m, v = flat_span(arrays), state.flat_m, state.flat_v
-    if params is None:
-        raise ValueError("adam_update needs parameters that view one flat buffer")
-    gradient = flat_span(grads)
-    if gradient is None:
-        gradient = np.concatenate([np.ravel(g) for g in grads])
+    params, gradient, m, v = flat_span(arrays), flat_span(grads), state.flat_m, state.flat_v
+    if params is None or gradient is None:
+        raise ValueError("adam_update needs parameters and gradients that each view one buffer")
     if not params.size == gradient.size == m.size:
         raise ValueError("parameters, gradients and Adam moments differ in size")
     width = min(ADAM_BLOCK, params.size)
@@ -311,8 +316,10 @@ def _layer_shapes(table: list) -> list[tuple[int, ...]]:
     """Canonical array shapes of a metadata layer table [[out, in, activation], ...]."""
     shapes = []
     for out_width, in_width, _ in table:
-        if not (out_width >= 1 and in_width >= 1):
-            raise ValueError(f"layer widths must be positive, got {out_width!r} x {in_width!r}")
+        if not all(isinstance(width, int) and width >= 1 for width in (out_width, in_width)):
+            raise ValueError(
+                f"layer widths must be positive integers, got {out_width!r} x {in_width!r}"
+            )
         shapes += [(out_width, in_width), (out_width,)]
     if not shapes:
         raise ValueError("empty layer table")
@@ -324,39 +331,46 @@ def _params_on(table: list, arrays: list[np.ndarray]) -> MlpParams:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a WGCK file.  The payload is copied once into a writable float64
-    buffer; every parameter and moment array of the result views it."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointBadMagicError(f"{path}: not a WGCK checkpoint")
-    if len(blob) < 10:
-        raise CheckpointTruncatedError(f"{path}: file ends inside the header")
-    (version,) = struct.unpack_from("<H", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(f"{path}: version {version}, expected {CHECKPOINT_VERSION}")
-    (meta_len,) = struct.unpack_from("<I", blob, 6)
-    if len(blob) < 10 + meta_len:
-        raise CheckpointTruncatedError(f"{path}: file ends inside the metadata block")
-    try:
-        meta = json.loads(blob[10 : 10 + meta_len].decode("utf-8"))
-        tables = [meta["layers"][name] for name in ("generator", "critic_trunk", "critic_fusion")]
-        gen_shapes = _layer_shapes(tables[0])
-        critic_shapes = _layer_shapes(tables[1]) + _layer_shapes(tables[2])
-        param_count = sum(math.prod(shape) for shape in gen_shapes + critic_shapes)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CheckpointMetadataError(f"{path}: unreadable metadata block: {exc!r}") from exc
+    """Read a WGCK file.  The payload is read once, straight into a writable
+    float64 buffer; every parameter and moment array of the result views it."""
+    with open(path, "rb") as handle:
+        file_bytes = os.fstat(handle.fileno()).st_size
+        header = handle.read(10)
+        if len(header) < 4 or header[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointBadMagicError(f"{path}: not a WGCK checkpoint")
+        if len(header) < 10:
+            raise CheckpointTruncatedError(f"{path}: file ends inside the header")
+        version, meta_len = struct.unpack_from("<HI", header, 4)
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: version {version}, expected {CHECKPOINT_VERSION}"
+            )
+        if file_bytes < 10 + meta_len:
+            raise CheckpointTruncatedError(f"{path}: file ends inside the metadata block")
+        try:
+            meta = json.loads(handle.read(meta_len).decode("utf-8"))
+            layers = meta["layers"]
+            tables = [layers[name] for name in ("generator", "critic_trunk", "critic_fusion")]
+            gen_shapes = _layer_shapes(tables[0])
+            critic_shapes = _layer_shapes(tables[1]) + _layer_shapes(tables[2])
+            param_count = sum(math.prod(shape) for shape in gen_shapes + critic_shapes)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointMetadataError(f"{path}: unreadable metadata block: {exc!r}") from exc
 
-    payload_bytes = len(blob) - 10 - meta_len
-    expected = 8 * 3 * param_count  # parameters + adam m + adam v
-    if payload_bytes < expected:
-        raise CheckpointTruncatedError(
-            f"{path}: payload holds {payload_bytes} bytes, expected {expected}"
-        )
-    if payload_bytes > expected:
-        raise CheckpointLengthError(
-            f"{path}: payload holds {payload_bytes - expected} unexpected trailing bytes"
-        )
-    payload = np.frombuffer(blob, dtype="<f8", offset=10 + meta_len).astype(np.float64)
+        payload_bytes = file_bytes - 10 - meta_len
+        expected = 8 * 3 * param_count  # parameters + adam m + adam v
+        if payload_bytes < expected:
+            raise CheckpointTruncatedError(
+                f"{path}: payload holds {payload_bytes} bytes, expected {expected}"
+            )
+        if payload_bytes > expected:
+            raise CheckpointLengthError(
+                f"{path}: payload holds {payload_bytes - expected} unexpected trailing bytes"
+            )
+        payload = np.empty(3 * param_count, dtype="<f8")
+        if handle.readinto(payload) != expected:
+            raise CheckpointTruncatedError(f"{path}: file shrank while being read")
+    payload = payload.astype(np.float64, copy=False)  # a copy only on big-endian hosts
 
     try:
         # payload order: parameters, first moments, second moments; the
@@ -438,9 +452,12 @@ def train(
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    if resume is not None and resume.geometry != geometry:
+        raise ValueError("checkpoint geometry does not match the training dataset")
+    real_flat = flatten_csi(dataset.csi)
+    ds_real = delay_spread_flat(real_flat, geometry)
+
     if resume is not None:
-        if resume.geometry != geometry:
-            raise ValueError("checkpoint geometry does not match the training dataset")
         config = resume.config
         generator = resume.generator.copy()
         critic = resume.critic.copy()
@@ -460,14 +477,13 @@ def train(
         generator = init_generator(gen_spec, rng)
         critic = init_critic(critic_spec, rng)
         cond_scaler = fit_condition_scaler(dataset)
-        ds_scaler = DelaySpreadScaler.fit(delay_spread_flat(flatten_csi(dataset.csi), geometry))
+        ds_scaler = DelaySpreadScaler.fit(ds_real)
         gen_adam = AdamState.zeros_like(generator.arrays())
         critic_adam = AdamState.zeros_like(critic.arrays())
         start_step = 0
 
-    real_flat = flatten_csi(dataset.csi)
     pos_scaled = cond_scaler.scale(dataset.positions)
-    ds_real_scaled = ds_scaler.scale(delay_spread_flat(real_flat, geometry))
+    ds_real_scaled = ds_scaler.scale(ds_real)
     if resume is None:
         _calibrate_critic_scale(critic, geometry, ds_scaler, real_flat, pos_scaled)
 

@@ -18,6 +18,10 @@ from scipy.spatial import Delaunay, QhullError, cKDTree
 from csigen.core import CsiDataset, CsiTensor
 
 MIN_TRIANGLE_AREA = 1e-9  # m^2
+# Stopping rule of the phase-aligned blend: relative objective decrease,
+# and the iteration cap.
+BLEND_TOLERANCE = 1e-10
+BLEND_MAX_ITERATIONS = 100
 
 
 class TriangulationError(ValueError):
@@ -74,12 +78,7 @@ def _blend_objective(tensors: np.ndarray, weights: np.ndarray, phases: np.ndarra
 
 
 def phase_aligned_blend(
-    h1: np.ndarray,
-    h2: np.ndarray,
-    h3: np.ndarray,
-    coords: BarycentricCoords,
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, coords: BarycentricCoords
 ) -> BlendResult:
     """Weighted phase-aligned average of three CSI tensors.
 
@@ -90,8 +89,9 @@ def phase_aligned_blend(
     - phi update (H fixed):   phi_i = arg <h_i, H>, <a, b> = sum a conj(b)
 
     The inner product runs over the whole tensor, so each vertex gets one
-    global phase.  Stops when the objective decreases by less than ``tol``
-    (relative) or after ``max_iter`` iterations.
+    global phase.  Stops when the objective decreases by less than
+    ``BLEND_TOLERANCE`` (relative) or after ``BLEND_MAX_ITERATIONS``
+    iterations.
     """
     tensors = np.stack([np.asarray(h, dtype=np.complex128).ravel() for h in (h1, h2, h3)])
     shape = np.asarray(h1).shape
@@ -112,14 +112,14 @@ def phase_aligned_blend(
     objective = _blend_objective(tensors, weights, phases, h)
     objectives = [objective]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(BLEND_MAX_ITERATIONS):
         inner = tensors @ h.conj()  # <h_i, H>
         phases = np.angle(inner)
         h = (weights * np.exp(-1j * phases)) @ tensors
         previous = objective
         objective = _blend_objective(tensors, weights, phases, h)
         objectives.append(objective)
-        if previous - objective < tol * max(previous, 1e-300):
+        if previous - objective < BLEND_TOLERANCE * max(previous, 1e-300):
             converged = True
             break
     return BlendResult(h.reshape(shape), phases, objectives, converged, zero_input=False)
@@ -176,11 +176,7 @@ class Interpolant:
                 f"triangulation contains a degenerate triangle (min area {areas.min():.3e} m^2)"
             )
 
-    def triangles(self) -> np.ndarray:
-        """Triangle list as dataset indices, shape (n_triangles, 3)."""
-        return self.vertex_indices[self.triangulation.simplices]
-
-    def query(self, x: np.ndarray, tol: float = 1e-10, max_iter: int = 100) -> InterpQuery:
+    def query(self, x: np.ndarray) -> InterpQuery:
         """Interpolate at one position, reporting the triangle and whether
         the outside-hull fallback fired."""
         x = np.asarray(x, dtype=np.float64)
@@ -201,8 +197,6 @@ class Interpolant:
             self.train.csi[dataset_rows[1]],
             self.train.csi[dataset_rows[2]],
             coords,
-            tol=tol,
-            max_iter=max_iter,
         )
         return InterpQuery(blend.csi, fallback_used=False, simplex=simplex, coords=coords.weights)
 

@@ -25,13 +25,7 @@ from csigen.dataio import (
 )
 from csigen.gan.fastgrad import critic_loss_fast, generator_loss_fast
 from csigen.gan.mlp import init_mlp, mlp_backward, mlp_forward
-from csigen.gan.nets import (
-    CriticSpec,
-    DelaySpreadScaler,
-    delay_spread_flat,
-    gradient_penalty,
-    init_critic,
-)
+from csigen.gan.nets import CriticSpec, DelaySpreadScaler, delay_spread_flat, init_critic
 from csigen.gan.sample import sample_fixed, sample_variable
 from csigen.gan.train import (
     CheckpointBadMagicError,
@@ -71,6 +65,7 @@ from csigen.synth import (
     synth_csi,
     synth_dataset,
 )
+from graph_reference import gradient_penalty
 
 
 def central_difference(func, array, h=1e-5):

@@ -232,13 +232,38 @@ class TestTrain:
         elif isinstance(default, int):
             value = default + 3
         else:
-            value = default * 2.0 + 0.5
+            # inside every float field's range: (0, 1) stays in [0, 1)
+            value = (default + 0.5) / 2.0
         values = {"generator_steps": 1, field.name: value}
         path = tmp_path / "train.cfg"
         path.write_text("".join(f"{key} = {val!r}\n" for key, val in values.items()))
         config = _training_config_from_file(path)
         assert config == TrainingConfig(**values)
         assert getattr(config, field.name) == value
+
+    @pytest.mark.parametrize("key, value", [
+        (key, value)
+        for key, values in {
+            "learning_rate": ["0", "-1e-4", "nan", "inf"],
+            "adam_beta1": ["-0.1", "1.0", "nan"],
+            "adam_beta2": ["1.0", "2.3", "nan"],
+            "adam_eps": ["0", "nan", "inf"],
+            "gp_lambda": ["-1", "nan", "inf"],
+            "checkpoint_every": ["-1"],
+        }.items()
+        for value in values
+    ])
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, small_dataset, capsys, key, value):
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_CONFIG.replace(f"{key} = 1e-4\n", "") + f"{key} = {value}\n")
+        code = main(
+            ["train", "--train", str(small_dataset), "--config", str(config),
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "run" / "checkpoint_diverged.wgck").exists()
 
     @pytest.mark.parametrize("field", ["hidden_scale", "critic_hidden_scale"])
     def test_nan_scale_is_a_config_error(self, tmp_path, small_dataset, capsys, field):

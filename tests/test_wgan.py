@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,8 @@ from csigen.gan.nets import (
     CriticSpec,
     DelaySpreadScaler,
     GeneratorSpec,
-    critic_loss,
     delay_spread_flat,
     flatten_csi,
-    generator_loss,
     init_critic,
     init_generator,
     unflatten_csi,
@@ -43,6 +42,7 @@ from csigen.gan.train import (
     save_checkpoint,
     train,
 )
+from graph_reference import critic_loss, generator_loss
 
 # Each loss identity holds for the routine that trains and for the graph-built
 # reference alike.
@@ -193,7 +193,8 @@ class TestCriticLoss:
                     critic, generator, GEO, ds_scaler, real_flat[idx], pos[idx], ds_real[idx],
                     noise, eps, gp_lambda=10.0,
                 )
-                adam_update(critic.arrays(), grads, state, adam_cfg)
+                # the graph reference returns separate arrays; Adam takes one buffer
+                adam_update(critic.arrays(), packed_copy(grads), state, adam_cfg)
                 losses.append(loss)
             assert np.mean(losses[-10:]) < np.mean(losses[:10]), loss_fn.__name__
 
@@ -398,10 +399,17 @@ class TestFlatBuffers:
         ref_v = [np.zeros_like(a) for a in arrays]
         for step in range(1, 5):
             grads = [rng.standard_normal(a.shape) * 10.0 ** rng.integers(-6, 3) for a in arrays]
-            # the training losses hand over views into one gradient buffer,
-            # the graph-built losses separate arrays
-            passed = packed_copy(grads) if step % 2 else grads
-            adam_update(arrays, passed, state, config)
+            if step % 2 == 0:
+                # gradients outside one buffer are rejected before any update
+                before = [a.copy() for a in arrays + state.m + state.v]
+                with pytest.raises(ValueError):
+                    adam_update(arrays, grads, state, config)
+                assert state.t == step - 1
+                assert all(
+                    a.tobytes() == b.tobytes() for a, b in zip(arrays + state.m + state.v, before)
+                )
+            # the training losses hand over views into one gradient buffer
+            adam_update(arrays, packed_copy(grads), state, config)
             reference_adam(ref_arrays, grads, ref_m, ref_v, step, config)
             assert state.t == step
             for ours, theirs in ((arrays, ref_arrays), (state.m, ref_m), (state.v, ref_v)):
@@ -412,6 +420,15 @@ class TestFlatBuffers:
         state = AdamState.zeros_like(arrays)
         with pytest.raises(ValueError):
             adam_update(arrays, [np.ones((2, 3)), np.ones(2)], state, toy_config())
+
+    def test_adam_state_rejects_moments_outside_one_buffer(self):
+        separate = [np.zeros((2, 3)), np.zeros(2)]
+        packed = packed_copy(separate)
+        with pytest.raises(ValueError):
+            AdamState(separate, packed_copy(separate))
+        with pytest.raises(ValueError):
+            AdamState(packed, [a.copy() for a in separate])
+        assert AdamState(packed, packed_copy(separate)).flat_m.size == 8
 
 
 class TestCheckpointFormat:
@@ -535,6 +552,22 @@ class TestCheckpointFormat:
         first.generator.layers[0].weights += 1.0
         assert not np.array_equal(first.generator.layers[0].weights,
                                   second.generator.layers[0].weights)
+
+    def test_load_holds_one_copy_of_the_payload(self, tmp_path):
+        config = toy_config(generator_steps=0, hidden_scale=0.25)
+        path = tmp_path / "ck.wgck"
+        save_checkpoint(train(toy_dataset(16, seed=16), config).checkpoint, path)
+        size = path.stat().st_size
+        assert size > 1_000_000
+        # tracemalloc also sees numpy's array buffers
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size, f"peak {peak} B while loading a {size} B file"
 
     def test_interrupted_save_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "ck.wgck"
