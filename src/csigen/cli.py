@@ -176,9 +176,11 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     resume = load_checkpoint(args.resume) if args.resume else None
     config = resume.config if resume is not None else _training_config_from_file(args.config)
-    resolved = dict(config.to_dict())
-    resolved["resumed_from"] = args.resume or ""
-    _write_resolved_config(out_dir / "resolved_config.cfg", resolved)
+    # loads back with --config: an unset critic_hidden_scale (None) is left
+    # out, and the checkpoint a run resumed from is a comment
+    resolved = {key: value for key, value in config.to_dict().items() if value is not None}
+    resumed = f"# resumed_from = {args.resume}\n" if args.resume else ""
+    (out_dir / "resolved_config.cfg").write_text(resumed + cfg.format_config(resolved))
     result = train(dataset, config, out_dir=out_dir, resume=resume)
     save_checkpoint(result.checkpoint, out_dir / "checkpoint_final.wgck")
     log_path = out_dir / "training_log.csv"

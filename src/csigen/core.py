@@ -76,9 +76,6 @@ class CsiTensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    def matches(self, geometry: ArrayGeometry) -> bool:
-        return self.values.shape == geometry.csi_shape
-
 
 @dataclass(frozen=True)
 class Datapoint:
@@ -103,9 +100,11 @@ class CsiDataset:
 
     Backed by stacked arrays: ``csi`` with shape (L, B, M_r, M_c, N_tap)
     complex128 and ``positions`` with shape (L, 2) float64.  Index order is
-    the measurement-trajectory order.  ``power_reference`` is the linear
-    power used as the 0 dB reference for reports (1.0 until
-    :func:`normalize_dataset_power` sets it).
+    the measurement-trajectory order.  ``power_reference`` is a linear
+    power stored with the dataset (1.0 until :func:`normalize_dataset_power`
+    sets it); evaluation reports do not read it, they take their 0 dB
+    reference from the maximum per-array power pooled over the datasets
+    they compare.
     """
 
     def __init__(
@@ -153,6 +152,55 @@ class CsiDataset:
 
     def with_power_reference(self, power_reference: float) -> "CsiDataset":
         return CsiDataset(self.geometry, self.csi, self.positions, power_reference)
+
+
+@dataclass(frozen=True)
+class MinMaxScaler:
+    """Affine map of values from fitted bounds onto [-1, 1], per component.
+
+    ``minimum`` and ``maximum`` are finite and of equal shape: scalars scale
+    every value alike (delay spreads), vectors scale the last axis
+    component-wise (2-D positions).  Values outside the bounds map outside
+    [-1, 1] without clamping.
+    """
+
+    minimum: np.ndarray
+    maximum: np.ndarray
+
+    def __post_init__(self) -> None:
+        minimum = np.asarray(self.minimum, dtype=np.float64)
+        maximum = np.asarray(self.maximum, dtype=np.float64)
+        if minimum.shape != maximum.shape:
+            raise ValueError(f"scaler bounds differ in shape: {minimum.shape} vs {maximum.shape}")
+        if not (np.all(np.isfinite(minimum)) and np.all(np.isfinite(maximum))):
+            raise ValueError("scaler bounds must be finite")
+        if not np.all(minimum < maximum):
+            raise ValueError(
+                f"degenerate extent: min {minimum} must be strictly below max {maximum}"
+            )
+        object.__setattr__(self, "minimum", minimum)
+        object.__setattr__(self, "maximum", maximum)
+
+    @classmethod
+    def fit(cls, values: np.ndarray) -> "MinMaxScaler":
+        """Bounds from the extremes of ``values`` along axis 0."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim == 0 or values.shape[0] == 0:
+            raise ValueError("cannot fit a scaler on no values")
+        return cls(values.min(axis=0), values.max(axis=0))
+
+    @property
+    def gain(self) -> np.ndarray:
+        """Derivative of :meth:`scale`: 2 / (max - min)."""
+        return 2.0 / (self.maximum - self.minimum)
+
+    def scale(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=np.float64)
+        return 2.0 * (values - self.minimum) / (self.maximum - self.minimum) - 1.0
+
+    def unscale(self, scaled: np.ndarray) -> np.ndarray:
+        scaled = np.asarray(scaled, dtype=np.float64)
+        return (scaled + 1.0) / 2.0 * (self.maximum - self.minimum) + self.minimum
 
 
 def freq_to_time(freq_csi: np.ndarray, n_tap: int) -> np.ndarray:

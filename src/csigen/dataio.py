@@ -1,5 +1,4 @@
-"""Dataset persistence ("CSIT" binary format), train/test splitting, and
-position scaling for conditional-model inputs.
+"""Dataset persistence ("CSIT" binary format) and train/test splitting.
 
 CSIT file layout (all integers little-endian):
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -203,44 +202,6 @@ def split_train_test(dataset: CsiDataset, spec: SplitSpec) -> tuple[CsiDataset, 
     )
     train_idx = train_idx[distances > spec.hole_diameter / 2.0]
     return dataset.subset(train_idx), dataset.subset(test_idx)
-
-
-@dataclass(frozen=True)
-class ConditionScaler:
-    """Affine map of 2-D positions from a fitted bounding box onto [-1, 1]^2.
-
-    Positions outside the fitted box map outside [-1, 1] without clamping.
-    """
-
-    minimum: np.ndarray  # (2,)
-    maximum: np.ndarray  # (2,)
-
-    def __post_init__(self) -> None:
-        minimum = np.asarray(self.minimum, dtype=np.float64)
-        maximum = np.asarray(self.maximum, dtype=np.float64)
-        if minimum.shape != (2,) or maximum.shape != (2,):
-            raise ValueError("scaler bounds must be 2-vectors")
-        if not np.all(minimum < maximum):
-            raise ValueError(
-                f"degenerate extent: min {minimum} must be strictly below max {maximum}"
-            )
-        object.__setattr__(self, "minimum", minimum)
-        object.__setattr__(self, "maximum", maximum)
-
-    def scale(self, position: np.ndarray) -> np.ndarray:
-        position = np.asarray(position, dtype=np.float64)
-        return 2.0 * (position - self.minimum) / (self.maximum - self.minimum) - 1.0
-
-    def unscale(self, scaled: np.ndarray) -> np.ndarray:
-        scaled = np.asarray(scaled, dtype=np.float64)
-        return (scaled + 1.0) / 2.0 * (self.maximum - self.minimum) + self.minimum
-
-
-def fit_condition_scaler(train: CsiDataset) -> ConditionScaler:
-    """Fit the position scaler on the training positions' bounding box."""
-    if len(train) == 0:
-        raise ValueError("cannot fit a condition scaler on an empty dataset")
-    return ConditionScaler(train.positions.min(axis=0), train.positions.max(axis=0))
 
 
 def import_hdf5(h5_path: str | Path, out_path: str | Path, n_tap: int) -> CsiDataset:

@@ -2,14 +2,7 @@
 
 from csigen.gan.fastgrad import CriticPass, critic_loss_fast, generator_loss_fast
 from csigen.gan.mlp import DenseLayer, MlpParams, init_mlp, mlp_backward, mlp_forward
-from csigen.gan.nets import (
-    CriticParams,
-    CriticSpec,
-    DelaySpreadScaler,
-    GeneratorSpec,
-    init_critic,
-    init_generator,
-)
+from csigen.gan.nets import CriticParams, init_critic, init_generator
 from csigen.gan.train import (
     Checkpoint,
     TrainingConfig,
@@ -24,10 +17,7 @@ __all__ = [
     "Checkpoint",
     "CriticParams",
     "CriticPass",
-    "CriticSpec",
-    "DelaySpreadScaler",
     "DenseLayer",
-    "GeneratorSpec",
     "MlpParams",
     "TrainingConfig",
     "TrainingDivergedError",

@@ -10,22 +10,23 @@ with u = d(penalty)/d(gradient) held constant,
     d(penalty)/d(theta) = d/d(theta) [ u . grad_x C(x) ]
 
 and u . grad_x C equals the forward-mode derivative of C along u, so one
-JVP pass through the frozen activation masks followed by one backward
-sweep over that pass yields exact double backpropagation for the
-piecewise-linear critic (biases receive exactly zero penalty gradient).
+JVP pass through the frozen activation masks followed by one
+:func:`~csigen.gan.mlp.mlp_backward` sweep over that pass (the tangents
+standing in for the layer inputs) yields exact double backpropagation for
+the piecewise-linear critic.  The biases' tangent is zero, so their penalty
+gradient is exactly 0; the sweep's bias slots are zeroed before the merge.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from csigen.core import ArrayGeometry
+from csigen.core import ArrayGeometry, MinMaxScaler
 from csigen.gan.mlp import MlpParams, flat_zeros, mlp_backward, mlp_forward
 from csigen.gan.nets import (
     CriticParams,
     GRAD_NORM_FLOOR,
     DelaySpreadCache,
-    DelaySpreadScaler,
     delay_spread_flat,
     delay_spread_forward,
     generator_forward,
@@ -73,10 +74,10 @@ def _ds_jvp(direction: np.ndarray, cache: DelaySpreadCache, geometry: ArrayGeome
     return d_ds_taps * geometry.tap_duration
 
 
-def _mlp_jvp(params: MlpParams, cache: tuple, direction: np.ndarray) -> tuple[np.ndarray, list]:
+def _mlp_jvp(params: MlpParams, cache: tuple, direction: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Forward-mode pass through the frozen masks of a :func:`mlp_forward`
-    cache; returns the output perturbation and the per-layer input
-    perturbations."""
+    cache.  Returns the output perturbation and a cache of the same form,
+    holding the per-layer input perturbations, for :func:`mlp_backward`."""
     _, masks = cache
     tangents = []
     tangent = direction
@@ -85,26 +86,7 @@ def _mlp_jvp(params: MlpParams, cache: tuple, direction: np.ndarray) -> tuple[np
         tangent = tangent @ layer.weights.T
         if mask is not None:
             tangent = tangent * mask
-    return tangent, tangents
-
-
-def _mlp_jvp_backward(
-    params: MlpParams,
-    cache: tuple,
-    tangents: list,
-    adjoint: np.ndarray,
-    grads: list[np.ndarray],
-    offset: int,
-) -> np.ndarray:
-    """Backward sweep over a JVP pass: parameter gradients of a scalar that
-    is linear in the JVP output.  Biases drop out (their tangent is zero)."""
-    _, masks = cache
-    for index in range(len(params.layers) - 1, -1, -1):
-        if masks[index] is not None:
-            adjoint = adjoint * masks[index]
-        grads[offset + 2 * index] += adjoint.T @ tangents[index]
-        adjoint = adjoint @ params.layers[index].weights
-    return adjoint
+    return tangent, (tangents, masks)
 
 
 class CriticPass:
@@ -122,7 +104,7 @@ class CriticPass:
         self,
         critic: CriticParams,
         geometry: ArrayGeometry,
-        ds_scaler: DelaySpreadScaler,
+        ds_scaler: MinMaxScaler,
         csi_flat: np.ndarray,
         pos_scaled: np.ndarray,
         ds_scaled: np.ndarray | None = None,
@@ -140,7 +122,7 @@ class CriticPass:
 def critic_backward(
     critic: CriticParams,
     geometry: ArrayGeometry,
-    ds_scaler: DelaySpreadScaler,
+    ds_scaler: MinMaxScaler,
     forward: CriticPass,
     seed: np.ndarray,
     grads: list[np.ndarray] | None = None,
@@ -157,8 +139,8 @@ def critic_backward(
     input_grad = mlp_backward(critic.trunk, forward.trunk, adj_fused[:, :trunk_width], grads)
     if forward.ds_cache is not None:
         adj_ds_scaled = adj_fused[:, trunk_width : trunk_width + geometry.num_antennas]
-        ds_gain = 2.0 / (ds_scaler.maximum - ds_scaler.minimum)
-        input_grad = input_grad + _ds_vjp(adj_ds_scaled * ds_gain, forward.ds_cache, geometry)
+        adj_ds = adj_ds_scaled * ds_scaler.gain
+        input_grad = input_grad + _ds_vjp(adj_ds, forward.ds_cache, geometry)
     return input_grad
 
 
@@ -166,7 +148,7 @@ def critic_loss_fast(
     critic: CriticParams,
     generator: MlpParams,
     geometry: ArrayGeometry,
-    ds_scaler: DelaySpreadScaler,
+    ds_scaler: MinMaxScaler,
     real_flat: np.ndarray,
     pos_scaled: np.ndarray,
     ds_real_scaled: np.ndarray,
@@ -213,26 +195,25 @@ def critic_loss_fast(
         u = (2.0 / n) * ((norm - 1.0) / norm)[:, None] * input_grad
 
         # JVP along u through the frozen masks, then one backward sweep
-        trunk_tangent_out, trunk_tangents = _mlp_jvp(critic.trunk, mixed_pass.trunk, u)
+        trunk_tangent_out, trunk_jvp = _mlp_jvp(critic.trunk, mixed_pass.trunk, u)
         if mixed_pass.ds_cache is not None:
-            ds_gain = 2.0 / (ds_scaler.maximum - ds_scaler.minimum)
-            ds_tangent = _ds_jvp(u, mixed_pass.ds_cache, geometry) * ds_gain
+            ds_tangent = _ds_jvp(u, mixed_pass.ds_cache, geometry) * ds_scaler.gain
         else:
             ds_tangent = np.zeros((n, geometry.num_antennas))
         fused_tangent = np.concatenate(
             [trunk_tangent_out, ds_tangent, np.zeros((n, 2))], axis=1
         )
-        _, fusion_tangents = _mlp_jvp(critic.fusion, mixed_pass.fusion, fused_tangent)
+        _, fusion_jvp = _mlp_jvp(critic.fusion, mixed_pass.fusion, fused_tangent)
 
+        # backward over the JVP pass: its layer inputs are the tangents
         penalty_flat, pgrads = flat_zeros([a.shape for a in grads])
         fusion_offset = 2 * len(critic.trunk.layers)
-        adj = _mlp_jvp_backward(
-            critic.fusion, mixed_pass.fusion, fusion_tangents, np.ones((n, 1)), pgrads, fusion_offset
-        )
+        adj = mlp_backward(critic.fusion, fusion_jvp, np.ones((n, 1)), pgrads, fusion_offset)
         trunk_width = critic.trunk.output_width
-        _mlp_jvp_backward(
-            critic.trunk, mixed_pass.trunk, trunk_tangents, adj[:, :trunk_width], pgrads, 0
-        )
+        mlp_backward(critic.trunk, trunk_jvp, adj[:, :trunk_width], pgrads)
+        # the biases' tangent is zero, so their penalty gradient is exactly 0
+        for bias_grad in pgrads[1::2]:
+            bias_grad[...] = 0.0
         penalty_flat *= gp_lambda
         grad_flat += penalty_flat
         loss += gp_lambda * penalty_value
@@ -249,7 +230,7 @@ def generator_loss_fast(
     critic: CriticParams,
     generator: MlpParams,
     geometry: ArrayGeometry,
-    ds_scaler: DelaySpreadScaler,
+    ds_scaler: MinMaxScaler,
     pos_scaled: np.ndarray,
     noise: np.ndarray,
 ) -> tuple[float, list[np.ndarray]]:

@@ -170,7 +170,9 @@ def mlp_backward(
     grads: list[np.ndarray] | None = None,
     offset: int = 0,
 ) -> np.ndarray:
-    """Exact reverse-mode pass from the cache of :func:`mlp_forward`.
+    """Exact reverse-mode pass from the cache of :func:`mlp_forward` (or
+    from a forward-mode pass's cache of the same form, whose tangents stand
+    in for the layer inputs).
 
     Adds the parameter gradients to ``grads[offset:]`` (canonical order
     W0, b0, W1, b1, ...) when a list is given, and skips their GEMMs when

@@ -10,7 +10,8 @@ scores realness through (20, 10, 1) layers.
 A CSI tensor of shape (B, M_r, M_c, N_tap) is flattened to a width
 2*B*M_r*M_c*N_tap real vector: all real parts in C order, then all
 imaginary parts.  The CSI itself is not normalized; only positions and
-delay spreads are affinely scaled into [-1, 1].
+delay spreads are affinely scaled into [-1, 1], each by a
+:class:`csigen.core.MinMaxScaler`.
 
 The forward passes here (:func:`generator_forward`,
 :func:`delay_spread_forward`) are the ones training and sampling run; the
@@ -43,60 +44,8 @@ def _scaled(width: int, scale: float) -> int:
     return max(8, int(round(width * scale)))
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    noise_dim: int
-    condition_dim: int
-    hidden_widths: tuple[int, ...]
-    output_width: int
-
-    @classmethod
-    def for_geometry(
-        cls, geometry: ArrayGeometry, noise_dim: int = 128, hidden_scale: float = 1.0
-    ) -> "GeneratorSpec":
-        hidden = tuple(_scaled(w, hidden_scale) for w in GENERATOR_HIDDEN)
-        return cls(
-            noise_dim=noise_dim,
-            condition_dim=2,
-            hidden_widths=hidden,
-            output_width=2 * geometry.num_antennas * geometry.num_taps,
-        )
-
-    @property
-    def widths(self) -> list[int]:
-        return [self.noise_dim + self.condition_dim, *self.hidden_widths, self.output_width]
-
-    @property
-    def activations(self) -> list[str]:
-        return ["relu"] * len(self.hidden_widths) + ["linear"]
-
-
-@dataclass(frozen=True)
-class CriticSpec:
-    csi_width: int
-    ds_width: int
-    condition_dim: int
-    trunk_widths: tuple[int, ...]
-    fusion_hidden: tuple[int, ...]
-
-    @classmethod
-    def for_geometry(cls, geometry: ArrayGeometry, hidden_scale: float = 1.0) -> "CriticSpec":
-        return cls(
-            csi_width=2 * geometry.num_antennas * geometry.num_taps,
-            ds_width=geometry.num_antennas,
-            condition_dim=2,
-            trunk_widths=tuple(_scaled(w, hidden_scale) for w in CRITIC_TRUNK),
-            fusion_hidden=tuple(_scaled(w, hidden_scale) for w in CRITIC_FUSION_HIDDEN),
-        )
-
-    @property
-    def trunk_widths_full(self) -> list[int]:
-        return [self.csi_width, *self.trunk_widths]
-
-    @property
-    def fusion_widths_full(self) -> list[int]:
-        fusion_input = self.trunk_widths[-1] + self.ds_width + self.condition_dim
-        return [fusion_input, *self.fusion_hidden, 1]
+def _csi_width(geometry: ArrayGeometry) -> int:
+    return 2 * geometry.num_antennas * geometry.num_taps
 
 
 @dataclass
@@ -117,38 +66,30 @@ class CriticParams:
         )
 
 
-def init_generator(spec: GeneratorSpec, rng: np.random.Generator) -> MlpParams:
-    return init_mlp(spec.widths, spec.activations, rng)
+def init_generator(
+    geometry: ArrayGeometry, noise_dim: int, hidden_scale: float, rng: np.random.Generator
+) -> MlpParams:
+    """Generator for ``geometry``: (noise, scaled position) in, flattened CSI
+    out, ReLU hidden layers ``GENERATOR_HIDDEN`` times ``hidden_scale``."""
+    hidden = [_scaled(width, hidden_scale) for width in GENERATOR_HIDDEN]
+    widths = [noise_dim + 2, *hidden, _csi_width(geometry)]
+    return init_mlp(widths, ["relu"] * len(hidden) + ["linear"], rng)
 
 
-def init_critic(spec: CriticSpec, rng: np.random.Generator) -> CriticParams:
-    trunk = init_mlp(spec.trunk_widths_full, ["relu"] * len(spec.trunk_widths), rng)
-    fusion = init_mlp(
-        spec.fusion_widths_full, ["relu"] * len(spec.fusion_hidden) + ["linear"], rng
+def init_critic(
+    geometry: ArrayGeometry, hidden_scale: float, rng: np.random.Generator
+) -> CriticParams:
+    """Critic for ``geometry`` with ``CRITIC_TRUNK`` and
+    ``CRITIC_FUSION_HIDDEN`` widths times ``hidden_scale``; the trunk's
+    weights are drawn before the fusion's."""
+    trunk = [_scaled(width, hidden_scale) for width in CRITIC_TRUNK]
+    fusion = [_scaled(width, hidden_scale) for width in CRITIC_FUSION_HIDDEN]
+    trunk_params = init_mlp([_csi_width(geometry), *trunk], ["relu"] * len(trunk), rng)
+    fusion_input = trunk[-1] + geometry.num_antennas + 2
+    fusion_params = init_mlp(
+        [fusion_input, *fusion, 1], ["relu"] * len(fusion) + ["linear"], rng
     )
-    return CriticParams(trunk, fusion).copy()
-
-
-@dataclass(frozen=True)
-class DelaySpreadScaler:
-    """Affine map of delay spreads (seconds) onto [-1, 1], fitted min/max."""
-
-    minimum: float
-    maximum: float
-
-    def __post_init__(self) -> None:
-        if not self.minimum < self.maximum:
-            raise ValueError("degenerate delay-spread extent")
-
-    def scale(self, ds):
-        return 2.0 * (np.asarray(ds) - self.minimum) / (self.maximum - self.minimum) - 1.0
-
-    @classmethod
-    def fit(cls, delay_spreads: np.ndarray) -> "DelaySpreadScaler":
-        values = np.asarray(delay_spreads, dtype=np.float64).ravel()
-        if values.size == 0:
-            raise ValueError("cannot fit a delay-spread scaler on no values")
-        return cls(float(values.min()), float(values.max()))
+    return CriticParams(trunk_params, fusion_params).copy()
 
 
 def flatten_csi(csi: np.ndarray) -> np.ndarray:

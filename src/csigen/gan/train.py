@@ -33,8 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from csigen.core import ArrayGeometry, CsiDataset
-from csigen.dataio import ConditionScaler, fit_condition_scaler
+from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.gan.mlp import MlpParams, flat_span, flat_views, flat_zeros, packed_copy
 from csigen.gan.fastgrad import (
     CriticPass,
@@ -44,9 +43,6 @@ from csigen.gan.fastgrad import (
 )
 from csigen.gan.nets import (
     CriticParams,
-    CriticSpec,
-    DelaySpreadScaler,
-    GeneratorSpec,
     delay_spread_flat,
     flatten_csi,
     init_critic,
@@ -234,8 +230,8 @@ class Checkpoint:
     critic: CriticParams
     config: TrainingConfig
     geometry: ArrayGeometry
-    condition_scaler: ConditionScaler
-    ds_scaler: DelaySpreadScaler
+    condition_scaler: MinMaxScaler  # bounds of shape (2,)
+    ds_scaler: MinMaxScaler  # scalar bounds
     step: int
     rng_state: dict
     gen_adam: AdamState
@@ -263,6 +259,17 @@ def _geometry_dict(geometry: ArrayGeometry) -> dict:
     }
 
 
+def _scaler_dict(scaler: MinMaxScaler) -> dict:
+    return {"min": scaler.minimum.tolist(), "max": scaler.maximum.tolist()}
+
+
+def _scaler_from(entry: dict, shape: tuple) -> MinMaxScaler:
+    scaler = MinMaxScaler(entry["min"], entry["max"])
+    if scaler.minimum.shape != shape:
+        raise ValueError(f"scaler bounds of shape {scaler.minimum.shape}, expected {shape}")
+    return scaler
+
+
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     """Write ``checkpoint`` to ``path`` atomically: the bytes go to a
     temporary file beside it, which then replaces ``path``.  The arrays are
@@ -270,14 +277,8 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     meta = {
         "config": checkpoint.config.to_dict(),
         "geometry": _geometry_dict(checkpoint.geometry),
-        "condition_scaler": {
-            "min": list(checkpoint.condition_scaler.minimum),
-            "max": list(checkpoint.condition_scaler.maximum),
-        },
-        "ds_scaler": {
-            "min": checkpoint.ds_scaler.minimum,
-            "max": checkpoint.ds_scaler.maximum,
-        },
+        "condition_scaler": _scaler_dict(checkpoint.condition_scaler),
+        "ds_scaler": _scaler_dict(checkpoint.ds_scaler),
         "step": checkpoint.step,
         "rng_state": checkpoint.rng_state,
         "layers": {
@@ -391,10 +392,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             critic=critic,
             config=TrainingConfig.from_dict(meta["config"]),
             geometry=ArrayGeometry(**meta["geometry"]),
-            condition_scaler=ConditionScaler(
-                np.array(meta["condition_scaler"]["min"]), np.array(meta["condition_scaler"]["max"])
-            ),
-            ds_scaler=DelaySpreadScaler(meta["ds_scaler"]["min"], meta["ds_scaler"]["max"]),
+            condition_scaler=_scaler_from(meta["condition_scaler"], (2,)),
+            ds_scaler=_scaler_from(meta["ds_scaler"], ()),
             step=meta["step"],
             rng_state=meta["rng_state"],
             gen_adam=AdamState(gen_m, gen_v, meta["adam_t"]["generator"]),
@@ -409,7 +408,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 def _calibrate_critic_scale(
     critic: CriticParams,
     geometry: ArrayGeometry,
-    ds_scaler: DelaySpreadScaler,
+    ds_scaler: MinMaxScaler,
     real_flat: np.ndarray,
     pos_scaled: np.ndarray,
 ) -> None:
@@ -470,14 +469,10 @@ def train(
         start_step = resume.step
     else:
         rng = np.random.default_rng(config.seed)
-        gen_spec = GeneratorSpec.for_geometry(
-            geometry, noise_dim=config.noise_dim, hidden_scale=config.hidden_scale
-        )
-        critic_spec = CriticSpec.for_geometry(geometry, hidden_scale=config.critic_scale)
-        generator = init_generator(gen_spec, rng)
-        critic = init_critic(critic_spec, rng)
-        cond_scaler = fit_condition_scaler(dataset)
-        ds_scaler = DelaySpreadScaler.fit(ds_real)
+        generator = init_generator(geometry, config.noise_dim, config.hidden_scale, rng)
+        critic = init_critic(geometry, config.critic_scale, rng)
+        cond_scaler = MinMaxScaler.fit(dataset.positions)
+        ds_scaler = MinMaxScaler.fit(ds_real.ravel())
         gen_adam = AdamState.zeros_like(generator.arrays())
         critic_adam = AdamState.zeros_like(critic.arrays())
         start_step = 0

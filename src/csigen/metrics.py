@@ -134,26 +134,36 @@ def array_correlation(csi: CsiTensor | np.ndarray, b: int) -> CorrelationMatrix:
 
 
 def _polish_spectrum_minimum(diagonal_sums: np.ndarray, omega: float) -> float:
-    """Refine a unit-circle phase toward the nearest minimum of the MUSIC
+    """Descend from a unit-circle phase to the nearest minimum of the MUSIC
     pseudo-spectrum f(w) = sum_k tau_k e^{jkw}.
 
     The rooted polynomial carries a near-double root whose radial split is
-    ill-conditioned; a few Newton steps on f'(w) pin the phase to machine
+    ill-conditioned; Newton steps on f'(w) pin the phase to machine
     precision, which keeps the estimate stable under rescaling of the
-    correlation matrix.
+    correlation matrix.  Where f is not convex or the Newton step exceeds
+    0.5 rad, the step is 0.5 rad downhill instead, and a step that raises f
+    by more than rounding is halved until it does not.
     """
     m = (diagonal_sums.size + 1) // 2
     k = np.arange(-(m - 1), m, dtype=np.float64)
     tau = diagonal_sums
-    for _ in range(12):
+
+    def spectrum(w: float) -> float:
+        return float(np.real(np.sum(tau * np.exp(1j * k * w))))
+
+    rounding = 1e-14 * float(np.abs(tau).sum())
+    for _ in range(64):
         phases = np.exp(1j * k * omega)
+        value = float(np.real(np.sum(tau * phases)))
         slope = float(np.real(np.sum(tau * (1j * k) * phases)))
         curvature = float(np.real(np.sum(tau * (1j * k) ** 2 * phases)))
-        if curvature <= 0.0:
+        if not (math.isfinite(slope) and math.isfinite(curvature)):
             break
-        step = slope / curvature
-        if not np.isfinite(step) or abs(step) > 0.5:
-            break
+        step = slope / curvature if curvature > 0.0 else math.inf
+        if not abs(step) <= 0.5:
+            step = math.copysign(0.5, slope)
+        while abs(step) >= 1e-13 and spectrum(omega - step) > value + rounding:
+            step *= 0.5
         omega -= step
         if abs(step) < 1e-13:
             break

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from csigen.core import ArrayGeometry
+from csigen.core import ArrayGeometry, MinMaxScaler
 from csigen.gan.mlp import MlpParams
 from csigen.gan.nets import (
     DS_VARIANCE_FLOOR,
     GRAD_NORM_FLOOR,
     CriticParams,
-    DelaySpreadScaler,
     delay_spread_flat,
     generator_forward,
 )
@@ -293,8 +292,8 @@ def mlp_apply(param_vars: list[tuple[Var, Var]], activations: list[str], x: Var)
     return out
 
 
-def scale_var(scaler: DelaySpreadScaler, ds: Var) -> Var:
-    """:meth:`DelaySpreadScaler.scale` on a graph node."""
+def scale_var(scaler: MinMaxScaler, ds: Var) -> Var:
+    """:meth:`MinMaxScaler.scale` on a graph node."""
     gain = 2.0 / (scaler.maximum - scaler.minimum)
     offset = -2.0 * scaler.minimum / (scaler.maximum - scaler.minimum) - 1.0
     return add(mul(ds, gain), offset)
@@ -336,7 +335,7 @@ def _penalty_var(
     fusion_vars,
     critic: CriticParams,
     geometry: ArrayGeometry,
-    ds_scaler: DelaySpreadScaler,
+    ds_scaler: MinMaxScaler,
     real_flat: np.ndarray,
     fake_flat: np.ndarray,
     pos_scaled: np.ndarray,
@@ -369,7 +368,7 @@ def _penalty_var(
 def gradient_penalty(
     critic: CriticParams,
     geometry: ArrayGeometry,
-    ds_scaler: DelaySpreadScaler,
+    ds_scaler: MinMaxScaler,
     real_flat: np.ndarray,
     fake_flat: np.ndarray,
     pos_scaled: np.ndarray,
@@ -393,7 +392,7 @@ def critic_loss(
     critic: CriticParams,
     generator: MlpParams,
     geometry: ArrayGeometry,
-    ds_scaler: DelaySpreadScaler,
+    ds_scaler: MinMaxScaler,
     real_flat: np.ndarray,
     pos_scaled: np.ndarray,
     ds_real_scaled: np.ndarray,
@@ -446,7 +445,7 @@ def generator_loss(
     critic: CriticParams,
     generator: MlpParams,
     geometry: ArrayGeometry,
-    ds_scaler: DelaySpreadScaler,
+    ds_scaler: MinMaxScaler,
     pos_scaled: np.ndarray,
     noise: np.ndarray,
 ) -> tuple[float, list[np.ndarray]]:

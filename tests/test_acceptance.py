@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from csigen.core import ArrayGeometry, CsiDataset
+from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.dataio import (
     BadMagicError,
     LengthMismatchError,
@@ -25,7 +25,7 @@ from csigen.dataio import (
 )
 from csigen.gan.fastgrad import critic_loss_fast, generator_loss_fast
 from csigen.gan.mlp import init_mlp, mlp_backward, mlp_forward
-from csigen.gan.nets import CriticSpec, DelaySpreadScaler, delay_spread_flat, init_critic
+from csigen.gan.nets import CriticParams, delay_spread_flat
 from csigen.gan.sample import sample_fixed, sample_variable
 from csigen.gan.train import (
     CheckpointBadMagicError,
@@ -100,14 +100,11 @@ def assert_matches_central_differences(value, arrays, grads, tolerance=1e-3, fla
 
 
 def small_critic(geometry, rng):
-    spec = CriticSpec(
-        csi_width=2 * geometry.num_antennas * geometry.num_taps,
-        ds_width=geometry.num_antennas,
-        condition_dim=2,
-        trunk_widths=(6, 5),
-        fusion_hidden=(4,),
-    )
-    critic = init_critic(spec, rng)
+    # widths below init_critic's floor of 8: trunk (6, 5), fusion (4,)
+    csi_width = 2 * geometry.num_antennas * geometry.num_taps
+    trunk = init_mlp([csi_width, 6, 5], ["relu", "relu"], rng)
+    fusion = init_mlp([5 + geometry.num_antennas + 2, 4, 1], ["relu", "linear"], rng)
+    critic = CriticParams(trunk, fusion).copy()
     for mats in (critic.trunk, critic.fusion):
         for layer in mats.layers:
             layer.bias += rng.uniform(-0.2, 0.2, size=layer.bias.shape)
@@ -142,7 +139,7 @@ def test_criterion_1_gradient_correctness():
 
     # gradient-penalty double backpropagation on small critics
     geometry = ArrayGeometry(1, 1, 2, 3, 1.272e9, 50e6)
-    scaler = DelaySpreadScaler(0.0, geometry.num_taps * geometry.tap_duration)
+    scaler = MinMaxScaler(0.0, geometry.num_taps * geometry.tap_duration)
     csi_width = 2 * geometry.num_antennas * geometry.num_taps
     for trial in range(5):
         critic = small_critic(geometry, rng)

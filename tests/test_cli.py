@@ -208,6 +208,35 @@ class TestTrain:
         checkpoint = load_checkpoint(second / "checkpoint_final.wgck")
         assert checkpoint.step == 6
 
+    @pytest.mark.parametrize("extra", ["", "critic_hidden_scale = 0.03\n"],
+                             ids=["critic-scale-unset", "critic-scale-set"])
+    def test_resolved_config_loads_back(self, tmp_path, small_dataset, extra):
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_CONFIG + extra)
+        expected = _training_config_from_file(config)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(
+            ["train", "--train", str(small_dataset), "--config", str(config),
+             "--out", str(first)]
+        ) == EXIT_OK
+        assert main(
+            ["train", "--train", str(small_dataset),
+             "--resume", str(first / "checkpoint_final.wgck"), "--out", str(second)]
+        ) == EXIT_OK
+        for run_dir in (first, second):
+            assert _training_config_from_file(run_dir / "resolved_config.cfg") == expected
+        resolved = (second / "resolved_config.cfg").read_text()
+        assert f"# resumed_from = {first / 'checkpoint_final.wgck'}" in resolved
+        # and a fresh run from the resolved config writes the same checkpoint
+        again = tmp_path / "again"
+        assert main(
+            ["train", "--train", str(small_dataset),
+             "--config", str(first / "resolved_config.cfg"), "--out", str(again)]
+        ) == EXIT_OK
+        assert (again / "checkpoint_final.wgck").read_bytes() == (
+            first / "checkpoint_final.wgck"
+        ).read_bytes()
+
     def test_unknown_config_key(self, tmp_path, small_dataset, capsys):
         config = tmp_path / "train.cfg"
         config.write_text(TRAIN_CONFIG + "\nwarp_factor = 9\n")

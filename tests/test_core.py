@@ -6,6 +6,7 @@ from csigen.core import (
     CsiDataset,
     CsiTensor,
     Datapoint,
+    MinMaxScaler,
     dataset_powers,
     freq_to_time,
     normalize_dataset_power,
@@ -182,3 +183,45 @@ class TestTypes:
         dataset = CsiDataset(geo, np.zeros((3, 1, 1, 1, 4), dtype=complex), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             dataset.csi[0, 0, 0, 0, 0] = 1.0
+
+
+class TestMinMaxScaler:
+    def test_scalar_bounds_scale_every_value_alike(self):
+        scaler = MinMaxScaler(2.0, 6.0)
+        values = np.array([[2.0, 4.0], [6.0, 10.0]])
+        assert np.array_equal(scaler.scale(values), [[-1.0, 0.0], [1.0, 3.0]])
+        assert np.array_equal(scaler.unscale(scaler.scale(values)), values)
+        assert scaler.gain == 0.5
+
+    def test_vector_bounds_scale_the_last_axis(self):
+        scaler = MinMaxScaler([0.0, -1.0], [4.0, 1.0])
+        assert np.array_equal(scaler.scale([[2.0, 1.0], [0.0, 0.0]]), [[0.0, 1.0], [-1.0, 0.0]])
+        assert np.array_equal(scaler.gain, [0.5, 1.0])
+
+    def test_fit_reduces_over_axis_0(self):
+        values = np.array([[1.0, 5.0], [3.0, -2.0], [2.0, 0.0]])
+        scaler = MinMaxScaler.fit(values)
+        assert np.array_equal(scaler.minimum, [1.0, -2.0])
+        assert np.array_equal(scaler.maximum, [3.0, 5.0])
+        flat = MinMaxScaler.fit(values.ravel())
+        assert flat.minimum.shape == () and (flat.minimum, flat.maximum) == (-2.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "minimum, maximum",
+        [
+            ([0.0, 0.0], 1.0),  # shapes differ
+            (0.0, np.nan),
+            (-np.inf, 1.0),
+            (1.0, 1.0),  # degenerate
+            ([0.0, 2.0], [1.0, 1.0]),  # inverted in one component
+        ],
+    )
+    def test_rejects_bounds(self, minimum, maximum):
+        with pytest.raises(ValueError):
+            MinMaxScaler(minimum, maximum)
+
+    def test_fit_on_no_values(self):
+        with pytest.raises(ValueError):
+            MinMaxScaler.fit(np.zeros((0, 2)))
+        with pytest.raises(ValueError):
+            MinMaxScaler.fit(np.zeros(0))

@@ -4,16 +4,14 @@ import struct
 import numpy as np
 import pytest
 
-from csigen.core import ArrayGeometry, CsiDataset
+from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.dataio import (
     BadMagicError,
-    ConditionScaler,
     EmptySplitError,
     LengthMismatchError,
     SplitSpec,
     TruncatedPayloadError,
     VersionMismatchError,
-    fit_condition_scaler,
     import_hdf5,
     load_dataset,
     save_dataset,
@@ -182,43 +180,45 @@ class TestSplit:
 
 
 class TestConditionScaler:
+    """A :class:`MinMaxScaler` on 2-D positions, as training fits it."""
+
     def test_midpoint_maps_to_origin(self):
-        scaler = ConditionScaler(np.array([0.0, 0.0]), np.array([10.0, 20.0]))
+        scaler = MinMaxScaler(np.array([0.0, 0.0]), np.array([10.0, 20.0]))
         assert np.allclose(scaler.scale(np.array([5.0, 10.0])), [0.0, 0.0])
 
     def test_corner_maps_to_minus_one(self):
-        scaler = ConditionScaler(np.array([0.0, 0.0]), np.array([10.0, 20.0]))
+        scaler = MinMaxScaler(np.array([0.0, 0.0]), np.array([10.0, 20.0]))
         assert np.allclose(scaler.scale(np.array([0.0, 0.0])), [-1.0, -1.0])
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
-        scaler = ConditionScaler(np.array([-3.0, 1.0]), np.array([4.0, 9.0]))
+        scaler = MinMaxScaler(np.array([-3.0, 1.0]), np.array([4.0, 9.0]))
         points = rng.uniform([-3, 1], [4, 9], size=(100, 2))
         back = scaler.unscale(scaler.scale(points))
         assert np.max(np.abs(back - points)) < 1e-9
 
     def test_fit_on_training_set(self):
         dataset = random_dataset(50, seed=21)
-        scaler = fit_condition_scaler(dataset)
+        scaler = MinMaxScaler.fit(dataset.positions)
         scaled = scaler.scale(dataset.positions)
         assert scaled.min() >= -1.0 - 1e-12 and scaled.max() <= 1.0 + 1e-12
         assert scaled[:, 0].min() == pytest.approx(-1.0)
         assert scaled[:, 1].max() == pytest.approx(1.0)
 
     def test_outside_box_not_clamped(self):
-        scaler = ConditionScaler(np.array([0.0, 0.0]), np.array([2.0, 2.0]))
+        scaler = MinMaxScaler(np.array([0.0, 0.0]), np.array([2.0, 2.0]))
         assert scaler.scale(np.array([4.0, 1.0]))[0] == pytest.approx(3.0)
 
     def test_degenerate_extent(self):
         with pytest.raises(ValueError):
-            ConditionScaler(np.array([1.0, 0.0]), np.array([1.0, 5.0]))
+            MinMaxScaler(np.array([1.0, 0.0]), np.array([1.0, 5.0]))
         flat = line_dataset(5)  # all y equal
         with pytest.raises(ValueError):
-            fit_condition_scaler(flat)
+            MinMaxScaler.fit(flat.positions)
 
     def test_fit_empty(self):
         with pytest.raises(ValueError):
-            fit_condition_scaler(line_dataset(0))
+            MinMaxScaler.fit(line_dataset(0).positions)
 
 
 class TestHdf5Converter:

@@ -237,6 +237,54 @@ class TestRootMusic:
         assert np.minimum(gaps, 2.0 - gaps).min() <= 1e-3
 
 
+def noisy_correlation(seed):
+    """Four columns of 32 snapshots with unequal column gains and no
+    dominant source: a pseudo-spectrum with shallow, non-convex stretches."""
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32))) * rng.uniform(
+        0.2, 2, size=(4, 1)
+    )
+    entries = x @ x.conj().T
+    return CorrelationMatrix((entries + entries.conj().T) / 2.0, 0)
+
+
+SCAN_STEP = 2.0 * math.pi / 4096
+
+
+def gap_to_scanned_minimum(corr, azimuth):
+    """Circular distance (rad) from the phase pi*sin(azimuth) to the nearest
+    local minimum of a brute-force MUSIC scan ||a||^2 - |v^H a|^2 over the
+    phase w of the steering vector a = exp(j w n), v the principal
+    eigenvector."""
+    m = corr.entries.shape[0]
+    _, vectors = np.linalg.eigh(corr.entries)
+    phases = np.arange(4096) * SCAN_STEP - math.pi
+    steering = np.exp(1j * np.outer(phases, np.arange(m)))
+    spectrum = m - np.abs(steering @ vectors[:, -1].conj()) ** 2
+    minima = phases[(spectrum <= np.roll(spectrum, 1)) & (spectrum <= np.roll(spectrum, -1))]
+    gaps = (math.pi * math.sin(azimuth) - minima) % (2.0 * math.pi)
+    return np.minimum(gaps, 2.0 * math.pi - gaps).min()
+
+
+class TestRootMusicPolish:
+    def test_descent_leaves_a_non_convex_start_for_the_minimum(self):
+        # the unguarded Newton polish stopped at phase 1.4630, where the
+        # slope is -0.0995; the only scanned minimum is at 1.9695
+        corr = noisy_correlation(238)
+        phase = math.pi * math.sin(root_music_azimuth(corr))
+        assert phase == pytest.approx(1.9695, abs=1e-3)
+        assert gap_to_scanned_minimum(corr, root_music_azimuth(corr)) <= SCAN_STEP
+
+    def test_seed_sweep_ends_at_scanned_minima(self):
+        off = [
+            seed
+            for seed in range(600)
+            if gap_to_scanned_minimum(corr := noisy_correlation(seed), root_music_azimuth(corr))
+            > SCAN_STEP
+        ]
+        assert off == []
+
+
 class TestHistogramDensity:
     def test_all_in_one_bin(self):
         density = histogram_density(np.full(20, 0.35), np.linspace(0, 1, 11))

@@ -5,15 +5,9 @@ oracle."""
 import numpy as np
 import pytest
 
-from csigen.core import ArrayGeometry
+from csigen.core import ArrayGeometry, MinMaxScaler
 from csigen.gan.mlp import DenseLayer, MlpParams, init_mlp, mlp_backward, mlp_forward
-from csigen.gan.nets import (
-    CriticParams,
-    CriticSpec,
-    DelaySpreadScaler,
-    delay_spread_flat,
-    init_critic,
-)
+from csigen.gan.nets import CriticParams, delay_spread_flat
 import graph_reference as ad
 from graph_reference import delay_spread_flat_var, gradient_penalty, mlp_apply, mlp_vars
 
@@ -236,14 +230,11 @@ GEO_SMALL = ArrayGeometry(1, 1, 2, 3, 1.272e9, 50e6)
 
 
 def small_critic(rng, geometry=GEO_SMALL):
-    spec = CriticSpec(
-        csi_width=2 * geometry.num_antennas * geometry.num_taps,
-        ds_width=geometry.num_antennas,
-        condition_dim=2,
-        trunk_widths=(6, 5),
-        fusion_hidden=(4,),
-    )
-    critic = init_critic(spec, rng)
+    # widths below init_critic's floor of 8: trunk (6, 5), fusion (4,)
+    csi_width = 2 * geometry.num_antennas * geometry.num_taps
+    trunk = init_mlp([csi_width, 6, 5], ["relu", "relu"], rng)
+    fusion = init_mlp([5 + geometry.num_antennas + 2, 4, 1], ["relu", "linear"], rng)
+    critic = CriticParams(trunk, fusion).copy()
     for params in (critic.trunk, critic.fusion):
         for layer in params.layers:
             layer.bias += rng.uniform(-0.2, 0.2, size=layer.bias.shape)
@@ -273,7 +264,7 @@ class TestDelaySpreadPath:
 
 class TestGradientPenalty:
     def scaler(self):
-        return DelaySpreadScaler(0.0, 10 * GEO_SMALL.tap_duration)
+        return MinMaxScaler(0.0, 10 * GEO_SMALL.tap_duration)
 
     def test_linear_critic_penalty_is_norm_residual(self):
         # critic = fixed linear functional of the CSI input only

@@ -10,15 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from csigen.core import ArrayGeometry, CsiDataset
-from csigen.dataio import ConditionScaler
+from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.gan.fastgrad import CriticPass, critic_loss_fast, generator_loss_fast
 from csigen.gan.mlp import DenseLayer, MlpParams, flat_span, init_mlp, mlp_forward, packed_copy
 from csigen.gan.nets import (
     CriticParams,
-    CriticSpec,
-    DelaySpreadScaler,
-    GeneratorSpec,
     delay_spread_flat,
     flatten_csi,
     init_critic,
@@ -76,29 +72,34 @@ def toy_config(**overrides):
 
 def scaler_pair():
     return (
-        ConditionScaler(np.array([0.0, 0.0]), np.array([10.0, 10.0])),
-        DelaySpreadScaler(0.0, GEO.num_taps * GEO.tap_duration),
+        MinMaxScaler(np.array([0.0, 0.0]), np.array([10.0, 10.0])),
+        MinMaxScaler(0.0, GEO.num_taps * GEO.tap_duration),
     )
 
 
 class TestSpecs:
+    @staticmethod
+    def widths(params):
+        """[input width, then each layer's output width] of an MLP."""
+        return [params.input_width] + [layer.weights.shape[0] for layer in params.layers]
+
     def test_generator_widths_match_reference_architecture(self):
         geometry = ArrayGeometry(4, 2, 4, 48, 1.272e9, 50e6)
-        spec = GeneratorSpec.for_geometry(geometry)
-        assert spec.widths == [130, 512, 512, 1024, 2048, 3072]
-        assert spec.activations == ["relu", "relu", "relu", "relu", "linear"]
+        generator = init_generator(geometry, 128, 1.0, np.random.default_rng(0))
+        assert self.widths(generator) == [130, 512, 512, 1024, 2048, 3072]
+        assert generator.activations == ["relu", "relu", "relu", "relu", "linear"]
 
     def test_critic_widths_match_reference_architecture(self):
         geometry = ArrayGeometry(4, 2, 4, 48, 1.272e9, 50e6)
-        spec = CriticSpec.for_geometry(geometry)
-        assert spec.trunk_widths_full == [3072, 160, 100, 50]
-        assert spec.fusion_widths_full == [50 + 32 + 2, 20, 10, 1]
+        critic = init_critic(geometry, 1.0, np.random.default_rng(0))
+        assert self.widths(critic.trunk) == [3072, 160, 100, 50]
+        assert self.widths(critic.fusion) == [50 + 32 + 2, 20, 10, 1]
+        assert critic.trunk.activations == ["relu", "relu", "relu"]
+        assert critic.fusion.activations == ["relu", "relu", "linear"]
 
     def test_hidden_scale_shrinks_only_hidden(self):
-        spec = GeneratorSpec.for_geometry(GEO, noise_dim=16, hidden_scale=0.25)
-        assert spec.widths[0] == 18
-        assert spec.widths[-1] == CSI_WIDTH
-        assert spec.hidden_widths == (128, 128, 256, 512)
+        generator = init_generator(GEO, 16, 0.25, np.random.default_rng(0))
+        assert self.widths(generator) == [18, 128, 128, 256, 512, CSI_WIDTH]
 
     def test_flatten_round_trip(self):
         rng = np.random.default_rng(1)
@@ -111,10 +112,8 @@ class TestSpecs:
 class TestCriticLoss:
     def test_identical_batches_zero_loss_without_penalty(self):
         rng = np.random.default_rng(2)
-        critic = init_critic(CriticSpec.for_geometry(GEO, hidden_scale=0.05), rng)
-        generator = init_generator(
-            GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.05), rng
-        )
+        critic = init_critic(GEO, 0.05, rng)
+        generator = init_generator(GEO, 6, 0.05, rng)
         _, ds_scaler = scaler_pair()
         batch = toy_dataset(8, seed=3)
         real_flat = flatten_csi(batch.csi)
@@ -138,9 +137,7 @@ class TestCriticLoss:
         fusion_w = np.zeros((1, 1 + GEO.num_antennas + 2))
         fusion_w[0, 0] = 1.0
         critic = CriticParams(trunk, MlpParams([DenseLayer(fusion_w, np.zeros(1), "linear")]))
-        generator = init_generator(
-            GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.05), rng
-        )
+        generator = init_generator(GEO, 6, 0.05, rng)
         _, ds_scaler = scaler_pair()
         real_flat = rng.standard_normal((16, CSI_WIDTH))
         pos = rng.uniform(-1, 1, (16, 2))
@@ -157,10 +154,8 @@ class TestCriticLoss:
 
     def test_empty_batch_rejected(self):
         rng = np.random.default_rng(5)
-        critic = init_critic(CriticSpec.for_geometry(GEO, hidden_scale=0.05), rng)
-        generator = init_generator(
-            GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.05), rng
-        )
+        critic = init_critic(GEO, 0.05, rng)
+        generator = init_generator(GEO, 6, 0.05, rng)
         _, ds_scaler = scaler_pair()
         for loss_fn in CRITIC_LOSSES:
             with pytest.raises(ValueError):
@@ -174,10 +169,8 @@ class TestCriticLoss:
         for loss_fn in CRITIC_LOSSES:
             rng = np.random.default_rng(6)
             dataset = toy_dataset(64, seed=7)
-            critic = init_critic(CriticSpec.for_geometry(GEO, hidden_scale=0.1), rng)
-            generator = init_generator(
-                GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.1), rng
-            )
+            critic = init_critic(GEO, 0.1, rng)
+            generator = init_generator(GEO, 6, 0.1, rng)
             cond_scaler, ds_scaler = scaler_pair()
             real_flat = flatten_csi(dataset.csi)
             pos = cond_scaler.scale(dataset.positions)
@@ -207,9 +200,7 @@ class TestGeneratorLoss:
             [DenseLayer(np.zeros((1, 4 + GEO.num_antennas + 2)), np.array([3.0]), "linear")]
         )
         critic = CriticParams(trunk, fusion)
-        generator = init_generator(
-            GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.05), rng
-        )
+        generator = init_generator(GEO, 6, 0.05, rng)
         _, ds_scaler = scaler_pair()
         pos, noise = rng.uniform(-1, 1, (8, 2)), rng.standard_normal((8, 6))
         for loss_fn in GENERATOR_LOSSES:
@@ -245,10 +236,8 @@ class TestGeneratorLoss:
 
     def test_seeded_reproducibility(self):
         rng = np.random.default_rng(10)
-        critic = init_critic(CriticSpec.for_geometry(GEO, hidden_scale=0.05), rng)
-        generator = init_generator(
-            GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.05), rng
-        )
+        critic = init_critic(GEO, 0.05, rng)
+        generator = init_generator(GEO, 6, 0.05, rng)
         _, ds_scaler = scaler_pair()
         pos = rng.uniform(-1, 1, (8, 2))
         noise = rng.standard_normal((8, 6))
@@ -279,12 +268,11 @@ class TestTrain:
             assert all(math.isfinite(row[key]) for row in result.log_rows)
 
     def test_checkpoint_records_training_scalers(self):
-        from csigen.dataio import fit_condition_scaler
         from csigen.metrics import dataset_delay_spreads
 
         dataset = toy_dataset(32, seed=18)
         checkpoint = train(dataset, toy_config(generator_steps=1)).checkpoint
-        fitted = fit_condition_scaler(dataset)
+        fitted = MinMaxScaler.fit(dataset.positions)
         assert np.array_equal(checkpoint.condition_scaler.minimum, fitted.minimum)
         assert np.array_equal(checkpoint.condition_scaler.maximum, fitted.maximum)
         spreads = dataset_delay_spreads(dataset)
@@ -366,9 +354,8 @@ def reference_adam(arrays, grads, m_list, v_list, t, config):
 class TestFlatBuffers:
     def test_networks_view_one_buffer_in_canonical_order(self):
         rng = np.random.default_rng(24)
-        spec = GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.05)
-        generator = init_generator(spec, rng)
-        critic = init_critic(CriticSpec.for_geometry(GEO, hidden_scale=0.05), rng)
+        generator = init_generator(GEO, 6, 0.05, rng)
+        critic = init_critic(GEO, 0.05, rng)
         for arrays in (generator.arrays(), critic.arrays()):
             flat = flat_span(arrays)
             assert flat is not None and flat.size == sum(a.size for a in arrays)
@@ -391,8 +378,7 @@ class TestFlatBuffers:
     def test_adam_matches_per_array_reference_bitwise(self, beta1):
         rng = np.random.default_rng(26)
         config = toy_config(learning_rate=3e-3, adam_beta1=beta1)
-        spec = GeneratorSpec.for_geometry(GEO, noise_dim=6, hidden_scale=0.05)
-        arrays = init_generator(spec, rng).arrays()
+        arrays = init_generator(GEO, 6, 0.05, rng).arrays()
         state = AdamState.zeros_like(arrays)
         ref_arrays = [a.copy() for a in arrays]
         ref_m = [np.zeros_like(a) for a in arrays]
@@ -521,9 +507,13 @@ class TestCheckpointFormat:
             lambda meta: meta["config"].update(warp_factor=9),
             lambda meta: meta["geometry"].pop("num_taps"),
             lambda meta: meta.update(rng_state=[1, 2]),
+            lambda meta: meta.update(condition_scaler={"min": 0.0, "max": 1.0}),
+            lambda meta: meta.update(ds_scaler={"min": [0.0, 0.0], "max": [1.0, 1.0]}),
+            lambda meta: meta["ds_scaler"].update(min=meta["ds_scaler"]["max"]),
         ],
         ids=["no-layers", "table-not-a-list", "negative-width", "unknown-activation",
-             "unknown-config-key", "missing-geometry-key", "bad-rng-state"],
+             "unknown-config-key", "missing-geometry-key", "bad-rng-state",
+             "scalar-condition-bounds", "vector-ds-bounds", "degenerate-ds-bounds"],
     )
     def test_metadata_schema_violations(self, tmp_path, corrupt):
         path = tmp_path / "ck.wgck"
@@ -735,11 +725,11 @@ class TestSampling:
 
     def test_untrained_generator_output_finite_and_shaped(self):
         rng = np.random.default_rng(20)
-        generator = init_generator(GeneratorSpec.for_geometry(GEO, noise_dim=6), rng)
+        generator = init_generator(GEO, 6, 1.0, rng)
         cond_scaler, ds_scaler = scaler_pair()
         checkpoint = Checkpoint(
             generator=generator,
-            critic=init_critic(CriticSpec.for_geometry(GEO), rng),
+            critic=init_critic(GEO, 1.0, rng),
             config=toy_config(),
             geometry=GEO,
             condition_scaler=cond_scaler,
@@ -747,7 +737,7 @@ class TestSampling:
             step=0,
             rng_state=np.random.default_rng(0).bit_generator.state,
             gen_adam=AdamState.zeros_like(generator.arrays()),
-            critic_adam=AdamState.zeros_like(init_critic(CriticSpec.for_geometry(GEO), rng).arrays()),
+            critic_adam=AdamState.zeros_like(init_critic(GEO, 1.0, rng).arrays()),
         )
         positions = np.random.default_rng(21).uniform(0, 10, (100, 2))
         out = sample_fixed(checkpoint, positions, seed=0)
