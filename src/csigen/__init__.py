@@ -9,20 +9,14 @@ Jensen-Shannon-distance statistics.
 from csigen.core import (
     ArrayGeometry,
     CsiDataset,
-    CsiTensor,
-    Datapoint,
     freq_to_time,
-    normalize_dataset_power,
     total_rx_power,
 )
 
 __all__ = [
     "ArrayGeometry",
     "CsiDataset",
-    "CsiTensor",
-    "Datapoint",
     "freq_to_time",
-    "normalize_dataset_power",
     "total_rx_power",
 ]
 

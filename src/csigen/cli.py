@@ -130,14 +130,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_split(args) -> int:
+    try:
+        spec = SplitSpec(
+            hole_center=np.array([float(v) for v in args.hole_center.split(",")]),
+            stride=args.stride,
+            test_offset=args.test_offset,
+            train_offset=args.train_offset,
+            hole_diameter=args.hole_diameter,
+        )
+    except ValueError as exc:
+        raise cfg.ConfigError(f"bad split arguments: {exc}") from exc
     dataset = load_dataset(args.dataset)
-    spec = SplitSpec(
-        hole_center=np.array([float(v) for v in args.hole_center.split(",")]),
-        stride=args.stride,
-        test_offset=args.test_offset,
-        train_offset=args.train_offset,
-        hole_diameter=args.hole_diameter,
-    )
     train_set, test_set = split_train_test(dataset, spec)
     save_dataset(train_set, args.out_train, provenance={"command": "split", "role": "train"})
     save_dataset(test_set, args.out_test, provenance={"command": "split", "role": "test"})
@@ -169,8 +172,9 @@ def _training_config_from_file(path: str | Path) -> TrainingConfig:
 
 
 def cmd_train(args) -> int:
-    if not args.resume and not args.config:
-        raise cfg.ConfigError("train requires --config (or --resume)")
+    if bool(args.resume) == bool(args.config):
+        # a resumed run takes its config from the checkpoint
+        raise cfg.ConfigError("train takes exactly one of --config and --resume")
     dataset = load_dataset(args.train)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -383,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the generative model")
     p.add_argument("--train", required=True)
     p.add_argument("--config", help="key-value training config file")
-    p.add_argument("--resume", help="checkpoint to continue from (config comes from it)")
+    p.add_argument("--resume", help="checkpoint to continue from, with its stored config")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

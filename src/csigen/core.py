@@ -1,9 +1,12 @@
-"""Core CSI container types and shared numeric conventions.
+"""Array geometry, the CSI dataset container and shared numeric conventions.
 
-Channel state information (CSI) is stored as a complex tensor of time-domain
-tap coefficients indexed [array b][row m_r][col m_c][tap t].  All array
-indices in this package are 0-based.  Internal computation is float64 /
-complex128 throughout; file payloads are float32 (see :mod:`csigen.dataio`).
+One channel state information (CSI) measurement is a plain complex ndarray
+of time-domain tap coefficients with shape ``geometry.csi_shape``, indexed
+[array b][row m_r][col m_c][tap t].  :class:`CsiDataset` is the one
+container: it stacks position-labelled measurements and validates them.
+All array indices in this package are 0-based.  Internal computation is
+float64 / complex128 throughout; file payloads are float32 (see
+:mod:`csigen.dataio`).
 """
 
 from __future__ import annotations
@@ -55,65 +58,17 @@ class ArrayGeometry:
         return self.num_arrays * self.rows_per_array * self.cols_per_array
 
 
-@dataclass(frozen=True)
-class CsiTensor:
-    """Complex tap coefficients of one channel measurement, shape
-    (num_arrays, rows, cols, num_taps)."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.ndim != 4:
-            raise ValueError(f"CSI tensor must be 4-dimensional, got shape {values.shape}")
-        if not np.all(np.isfinite(values.view(np.float64))):
-            raise ValueError("CSI tensor contains non-finite entries")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
-
-@dataclass(frozen=True)
-class Datapoint:
-    """One (CSI tensor, 2-D transmitter position) measurement pair."""
-
-    csi: CsiTensor
-    position: np.ndarray  # (2,) meters
-
-    def __post_init__(self) -> None:
-        position = np.asarray(self.position, dtype=np.float64)
-        if position.shape != (2,):
-            raise ValueError(f"position must be a 2-vector, got shape {position.shape}")
-        if not np.all(np.isfinite(position)):
-            raise ValueError("position components must be finite")
-        position = position.copy()
-        position.flags.writeable = False
-        object.__setattr__(self, "position", position)
-
-
 class CsiDataset:
     """Ordered collection of position-labelled CSI tensors sharing one geometry.
 
-    Backed by stacked arrays: ``csi`` with shape (L, B, M_r, M_c, N_tap)
-    complex128 and ``positions`` with shape (L, 2) float64.  Index order is
-    the measurement-trajectory order.  ``power_reference`` is a linear
-    power stored with the dataset (1.0 until :func:`normalize_dataset_power`
-    sets it); evaluation reports do not read it, they take their 0 dB
-    reference from the maximum per-array power pooled over the datasets
-    they compare.
+    Backed by stacked read-only arrays: ``csi`` with shape
+    (L, B, M_r, M_c, N_tap) complex128 and ``positions`` with shape (L, 2)
+    float64.  Index order is the measurement-trajectory order; datapoint
+    ``i`` is the pair (``csi[i]``, ``positions[i]``).  Construction rejects
+    wrong shapes and non-finite CSI or positions.
     """
 
-    def __init__(
-        self,
-        geometry: ArrayGeometry,
-        csi: np.ndarray,
-        positions: np.ndarray,
-        power_reference: float = 1.0,
-    ) -> None:
+    def __init__(self, geometry: ArrayGeometry, csi: np.ndarray, positions: np.ndarray) -> None:
         csi = np.asarray(csi, dtype=np.complex128)
         positions = np.asarray(positions, dtype=np.float64)
         if csi.ndim != 5 or csi.shape[1:] != geometry.csi_shape:
@@ -128,30 +83,19 @@ class CsiDataset:
             raise ValueError("dataset CSI contains non-finite entries")
         if not np.all(np.isfinite(positions)):
             raise ValueError("dataset positions contain non-finite entries")
-        if not (power_reference > 0.0 and np.isfinite(power_reference)):
-            raise ValueError(f"power_reference must be positive, got {power_reference!r}")
         self.geometry = geometry
         self.csi = csi.copy()
         self.positions = positions.copy()
         self.csi.flags.writeable = False
         self.positions.flags.writeable = False
-        self.power_reference = float(power_reference)
 
     def __len__(self) -> int:
         return self.csi.shape[0]
 
-    def __getitem__(self, index: int) -> Datapoint:
-        return Datapoint(CsiTensor(self.csi[index]), self.positions[index])
-
     def subset(self, indices: np.ndarray) -> "CsiDataset":
         """New dataset containing the given indices, in the given order."""
         indices = np.asarray(indices, dtype=np.intp)
-        return CsiDataset(
-            self.geometry, self.csi[indices], self.positions[indices], self.power_reference
-        )
-
-    def with_power_reference(self, power_reference: float) -> "CsiDataset":
-        return CsiDataset(self.geometry, self.csi, self.positions, power_reference)
+        return CsiDataset(self.geometry, self.csi[indices], self.positions[indices])
 
 
 @dataclass(frozen=True)
@@ -222,13 +166,13 @@ def freq_to_time(freq_csi: np.ndarray, n_tap: int) -> np.ndarray:
     return np.ascontiguousarray(time[..., :n_tap])
 
 
-def total_rx_power(csi: CsiTensor | np.ndarray, b: int) -> float:
-    """Total received power over all antennas and taps of array ``b``
-    (squared Frobenius norm of the array's slice)."""
-    values = csi.values if isinstance(csi, CsiTensor) else np.asarray(csi)
-    if not (0 <= b < values.shape[0]):
-        raise IndexError(f"array index {b} out of range [0, {values.shape[0]})")
-    slice_b = values[b]
+def total_rx_power(csi: np.ndarray, b: int) -> float:
+    """Total received power over all antennas and taps of array ``b`` of one
+    CSI tensor (squared Frobenius norm of the array's slice)."""
+    csi = np.asarray(csi)
+    if not (0 <= b < csi.shape[0]):
+        raise IndexError(f"array index {b} out of range [0, {csi.shape[0]})")
+    slice_b = csi[b]
     return float(np.sum(slice_b.real**2 + slice_b.imag**2))
 
 
@@ -244,23 +188,6 @@ def dataset_powers(dataset: CsiDataset, basis: str = "tensor") -> np.ndarray:
     if basis == "array":
         return mags.sum(axis=(2, 3, 4))
     raise ValueError(f"unknown power basis {basis!r} (expected 'tensor' or 'array')")
-
-
-def normalize_dataset_power(dataset: CsiDataset, basis: str = "tensor") -> CsiDataset:
-    """Set the dataset's 0 dB reference to its maximum received power.
-
-    CSI values are left untouched; only ``power_reference`` is set, so that
-    downstream dB values 10*log10(power / reference) peak at exactly 0 dB.
-    ``basis`` selects whether the maximum is taken over whole-tensor powers
-    (default) or over per-array powers.
-    """
-    if len(dataset) == 0:
-        raise ValueError("cannot normalize an empty dataset")
-    powers = dataset_powers(dataset, basis=basis)
-    reference = float(powers.max())
-    if reference <= 0.0:
-        raise ValueError("cannot normalize an all-zero dataset")
-    return dataset.with_power_reference(reference)
 
 
 def power_db(power, reference: float = 1.0) -> np.ndarray:

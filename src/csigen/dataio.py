@@ -11,9 +11,10 @@ CSIT file layout (all integers little-endian):
     records       L x [position: 2 x f32][csi: B*M_r*M_c*N_tap x (re f32, im f32)]
 
 CSI payload order is tap-fastest, then column, row, array (C order of the
-(B, M_r, M_c, N_tap) tensor) with real/imag interleaved per entry.  A JSON
-sidecar ``<path>.meta.json`` carries the power reference and free-form
-provenance strings; a missing sidecar loads with defaults.
+(B, M_r, M_c, N_tap) tensor) with real/imag interleaved per entry.  Every
+payload value is finite.  :func:`save_dataset` also writes a JSON sidecar
+``<path>.meta.json`` holding free-form provenance only; loading never reads
+it, so a missing or corrupt sidecar does not affect the dataset.
 """
 
 from __future__ import annotations
@@ -56,12 +57,17 @@ class LengthMismatchError(DatasetFormatError):
     """File holds more payload bytes than the header declares."""
 
 
+class NonFinitePayloadError(DatasetFormatError):
+    """Payload decodes to a NaN or infinite position or CSI value."""
+
+
 class EmptySplitError(ValueError):
     """Split parameters cannot produce a non-empty train/test pair."""
 
 
 def save_dataset(dataset: CsiDataset, path: str | Path, provenance: dict | None = None) -> None:
-    """Write a dataset to ``path`` in CSIT format plus a JSON sidecar.
+    """Write a dataset to ``path`` in CSIT format plus a JSON provenance
+    sidecar.
 
     The payload is float32; loading back reproduces values exactly at that
     precision.
@@ -89,7 +95,6 @@ def save_dataset(dataset: CsiDataset, path: str | Path, provenance: dict | None 
     meta = {
         "format": "CSIT",
         "version": FORMAT_VERSION,
-        "power_reference": dataset.power_reference,
         "provenance": dict(provenance or {}),
     }
     with open(str(path) + ".meta.json", "w") as handle:
@@ -98,9 +103,10 @@ def save_dataset(dataset: CsiDataset, path: str | Path, provenance: dict | None 
 
 
 def load_dataset(path: str | Path) -> CsiDataset:
-    """Read a CSIT dataset.  Raises a distinct :class:`DatasetFormatError`
-    subclass for each corruption mode (bad magic, version mismatch,
-    truncation, length disagreement)."""
+    """Read a CSIT dataset; the provenance sidecar is not read.  Raises a
+    distinct :class:`DatasetFormatError` subclass for each corruption mode
+    (bad magic, version mismatch, truncation, length disagreement,
+    non-finite payload values)."""
     path = Path(path)
     blob = path.read_bytes()
     if len(blob) < 4 or blob[:4] != FORMAT_MAGIC:
@@ -143,13 +149,11 @@ def load_dataset(path: str | Path) -> CsiDataset:
     positions = records[:, 0:2].astype(np.float64)
     csi = (records[:, 2::2].astype(np.float64) + 1j * records[:, 3::2].astype(np.float64))
     csi = csi.reshape((count,) + geometry.csi_shape)
-
-    power_reference = 1.0
-    meta_path = Path(str(path) + ".meta.json")
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        power_reference = float(meta.get("power_reference", 1.0))
-    return CsiDataset(geometry, csi, positions, power_reference)
+    # the shapes follow the header, so finiteness is all the dataset can reject
+    try:
+        return CsiDataset(geometry, csi, positions)
+    except ValueError as exc:
+        raise NonFinitePayloadError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -166,8 +170,8 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         center = np.asarray(self.hole_center, dtype=np.float64)
-        if center.shape != (2,):
-            raise ValueError("hole_center must be a 2-vector")
+        if center.shape != (2,) or not np.all(np.isfinite(center)):
+            raise ValueError("hole_center must be a finite 2-vector")
         object.__setattr__(self, "hole_center", center)
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
@@ -177,7 +181,7 @@ class SplitSpec:
             raise ValueError("train_offset must lie in [0, stride)")
         if self.test_offset == self.train_offset:
             raise ValueError("test_offset and train_offset must differ")
-        if self.hole_diameter < 0:
+        if not self.hole_diameter >= 0:
             raise ValueError("hole_diameter must be >= 0")
 
 

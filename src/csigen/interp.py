@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
 
-from csigen.core import CsiDataset, CsiTensor
+from csigen.core import CsiDataset
 
 MIN_TRIANGLE_AREA = 1e-9  # m^2
 # Stopping rule of the phase-aligned blend: relative objective decrease,
@@ -203,12 +203,6 @@ class Interpolant:
 
 def build_interpolant(train: CsiDataset, fallback: str = "nearest-neighbor") -> Interpolant:
     return Interpolant(train, fallback=fallback)
-
-
-def interpolate_at(interp: Interpolant, x: np.ndarray) -> CsiTensor:
-    """CSI at one query position (see :meth:`Interpolant.query` for the
-    fallback- and triangle-annotated variant)."""
-    return CsiTensor(interp.query(x).csi)
 
 
 def interpolate_dataset(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from csigen.core import ArrayGeometry, CsiDataset, CsiTensor
+from csigen.core import CsiDataset
 
 # Natural logarithm throughout, so the Jensen-Shannon distance is bounded by
 # sqrt(ln 2).
@@ -28,19 +28,6 @@ class AmbiguousAngleError(ValueError):
     root maps to an azimuth and it no longer raises this; the class stays
     for callers that catch it.
     """
-
-
-@dataclass(frozen=True)
-class DelaySpreadMap:
-    """Per-antenna RMS delay spreads in seconds, with per-array means.
-
-    ``zero_power`` flags antennas whose taps were all zero; their delay
-    spread is reported as 0 by convention instead of failing.
-    """
-
-    values: np.ndarray  # (B, M_r, M_c) seconds
-    array_means: np.ndarray  # (B,) seconds
-    zero_power: np.ndarray  # (B, M_r, M_c) bool
 
 
 @dataclass(frozen=True)
@@ -102,17 +89,6 @@ def delay_spread_taps(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(zero, 0.0, spread), zero
 
 
-def rms_delay_spread(csi: CsiTensor | np.ndarray, geometry: ArrayGeometry) -> DelaySpreadMap:
-    """Per-antenna RMS delay spread of one CSI tensor, in seconds, plus the
-    mean over the antennas of each array."""
-    values = csi.values if isinstance(csi, CsiTensor) else np.asarray(csi)
-    if values.shape != geometry.csi_shape:
-        raise ValueError(f"CSI shape {values.shape} does not match geometry {geometry.csi_shape}")
-    spread_taps, zero = delay_spread_taps(values)
-    seconds = spread_taps * geometry.tap_duration
-    return DelaySpreadMap(seconds, seconds.mean(axis=(1, 2)), zero)
-
-
 def dataset_delay_spreads(dataset: CsiDataset) -> np.ndarray:
     """Per-antenna delay spreads for every datapoint, shape (L, B, M_r, M_c),
     in seconds."""
@@ -120,13 +96,13 @@ def dataset_delay_spreads(dataset: CsiDataset) -> np.ndarray:
     return spread_taps * dataset.geometry.tap_duration
 
 
-def array_correlation(csi: CsiTensor | np.ndarray, b: int) -> CorrelationMatrix:
-    """Correlation matrix across the columns of array ``b``, summed over all
-    rows and taps."""
-    values = csi.values if isinstance(csi, CsiTensor) else np.asarray(csi)
-    if not (0 <= b < values.shape[0]):
-        raise IndexError(f"array index {b} out of range [0, {values.shape[0]})")
-    slice_b = values[b]
+def array_correlation(csi: np.ndarray, b: int) -> CorrelationMatrix:
+    """Correlation matrix across the columns of array ``b`` of one CSI
+    tensor, summed over all rows and taps."""
+    csi = np.asarray(csi)
+    if not (0 <= b < csi.shape[0]):
+        raise IndexError(f"array index {b} out of range [0, {csi.shape[0]})")
+    slice_b = csi[b]
     entries = np.einsum("rit,rjt->ij", slice_b, slice_b.conj())
     # enforce exact Hermitian symmetry against floating-point asymmetry
     entries = (entries + entries.conj().T) / 2.0

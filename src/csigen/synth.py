@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from csigen.core import ArrayGeometry, CsiDataset, CsiTensor
+from csigen.core import ArrayGeometry, CsiDataset
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -233,8 +233,9 @@ def _fractional_delay_pulse(delay_taps: float, num_taps: int) -> tuple[int, np.n
     return int(full[keep][0]), pulse[keep]
 
 
-def csi_from_paths(geometry: ArrayGeometry, paths_per_array: list[list[PathSpec]]) -> CsiTensor:
-    """Assemble a noiseless CSI tensor from explicit per-array path lists."""
+def csi_from_paths(geometry: ArrayGeometry, paths_per_array: list[list[PathSpec]]) -> np.ndarray:
+    """Assemble a noiseless CSI tensor of shape ``geometry.csi_shape`` from
+    explicit per-array path lists."""
     if len(paths_per_array) != geometry.num_arrays:
         raise ValueError("need one path list per array")
     values = np.zeros(geometry.csi_shape, dtype=np.complex128)
@@ -256,15 +257,15 @@ def csi_from_paths(geometry: ArrayGeometry, paths_per_array: list[list[PathSpec]
             values[b, :, :, start : start + pulse.size] += (
                 path.gain * steer[:, :, None] * pulse[None, None, :]
             )
-    return CsiTensor(values)
+    return values
 
 
 def synth_csi(
     scenario: Scenario,
     ue_position: np.ndarray,
     rng: np.random.Generator | None = None,
-) -> CsiTensor:
-    """CSI tensor at one transmitter position.
+) -> np.ndarray:
+    """CSI tensor at one transmitter position, shape ``geometry.csi_shape``.
 
     Deterministic given (scenario, position, rng state); with rng=None a
     fresh generator seeded from the scenario seed is used.
@@ -283,7 +284,7 @@ def synth_csi(
     sigma = math.sqrt(scenario.noise_power / 2.0)
     shape = scenario.geometry.csi_shape
     noise = sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return CsiTensor(clean.values + noise)
+    return clean + noise
 
 
 def synth_dataset(scenario: Scenario, positions: np.ndarray) -> CsiDataset:
@@ -297,7 +298,7 @@ def synth_dataset(scenario: Scenario, positions: np.ndarray) -> CsiDataset:
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=scenario.seed, spawn_key=(index,))
         )
-        csi[index] = synth_csi(scenario, position, rng=rng).values
+        csi[index] = synth_csi(scenario, position, rng=rng)
     return CsiDataset(scenario.geometry, csi, positions)
 
 

@@ -147,6 +147,26 @@ class TestSplit:
         assert "warning" in capsys.readouterr().err.lower()
         assert len(load_dataset(tmp_path / "train.csit")) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["--hole-center", "abc,1"],
+        ["--hole-center", "1,2,3"],
+        ["--hole-center", "nan,1"],
+        ["--hole-center", "6,6", "--stride", "0"],
+        ["--hole-center", "6,6", "--test-offset", "2"],
+        ["--hole-center", "6,6", "--hole-diameter", "-1"],
+        ["--hole-center", "6,6", "--hole-diameter", "nan"],
+    ], ids=["center-text", "center-3d", "center-nan", "stride-0", "offsets-equal",
+            "diameter-negative", "diameter-nan"])
+    def test_bad_arguments_are_config_errors(self, tmp_path, small_dataset, capsys, argv):
+        code = main(
+            ["split", "--dataset", str(small_dataset), *argv,
+             "--out-train", str(tmp_path / "train.csit"),
+             "--out-test", str(tmp_path / "test.csit")]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "train.csit").exists()
+
     def test_missing_dataset(self, tmp_path):
         code = main(
             ["split", "--dataset", str(tmp_path / "nope.csit"), "--hole-center", "0,0",
@@ -207,6 +227,25 @@ class TestTrain:
         ) == EXIT_OK
         checkpoint = load_checkpoint(second / "checkpoint_final.wgck")
         assert checkpoint.step == 6
+
+    def test_resume_with_config_is_a_config_error(self, tmp_path, small_dataset, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_CONFIG)
+        first = tmp_path / "first"
+        assert main(
+            ["train", "--train", str(small_dataset), "--config", str(config),
+             "--out", str(first)]
+        ) == EXIT_OK
+        capsys.readouterr()
+        second = tmp_path / "second"
+        code = main(
+            ["train", "--train", str(small_dataset), "--config", str(config),
+             "--resume", str(first / "checkpoint_final.wgck"), "--out", str(second)]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--resume" in err
+        assert not second.exists()
 
     @pytest.mark.parametrize("extra", ["", "critic_hidden_scale = 0.03\n"],
                              ids=["critic-scale-unset", "critic-scale-set"])

@@ -4,12 +4,9 @@ import pytest
 from csigen.core import (
     ArrayGeometry,
     CsiDataset,
-    CsiTensor,
-    Datapoint,
     MinMaxScaler,
     dataset_powers,
     freq_to_time,
-    normalize_dataset_power,
     power_db,
     total_rx_power,
 )
@@ -66,21 +63,21 @@ class TestFreqToTime:
 
 class TestTotalRxPower:
     def test_zero_tensor(self):
-        csi = CsiTensor(np.zeros(GEO.csi_shape, dtype=complex))
+        csi = np.zeros(GEO.csi_shape, dtype=complex)
         assert total_rx_power(csi, 0) == 0.0
 
     def test_single_unit_entry(self):
         values = np.zeros(GEO.csi_shape, dtype=complex)
         values[1, 0, 2, 5] = 1j
-        assert total_rx_power(CsiTensor(values), 1) == pytest.approx(1.0)
-        assert total_rx_power(CsiTensor(values), 0) == 0.0
+        assert total_rx_power(values, 1) == pytest.approx(1.0)
+        assert total_rx_power(values, 0) == 0.0
 
     def test_all_unit_magnitude_counts_entries(self):
         values = np.exp(1j * 0.3) * np.ones(GEO.csi_shape)
-        assert total_rx_power(CsiTensor(values), 0) == pytest.approx(2 * 4 * 48)
+        assert total_rx_power(values, 0) == pytest.approx(2 * 4 * 48)
 
     def test_index_out_of_range(self):
-        csi = CsiTensor(np.zeros(GEO.csi_shape, dtype=complex))
+        csi = np.zeros(GEO.csi_shape, dtype=complex)
         with pytest.raises(IndexError):
             total_rx_power(csi, 2)
         with pytest.raises(IndexError):
@@ -110,42 +107,27 @@ def _dataset_with_powers(powers):
     return CsiDataset(geo, csi, positions)
 
 
-class TestNormalizeDatasetPower:
-    def test_two_point_reference(self):
-        normalized = normalize_dataset_power(_dataset_with_powers([2.0, 8.0]))
-        assert normalized.power_reference == pytest.approx(8.0)
-        db = power_db(dataset_powers(normalized), normalized.power_reference)
-        assert db[1] == pytest.approx(0.0, abs=1e-12)
-        assert db[0] == pytest.approx(10 * np.log10(0.25), abs=1e-6)
-
-    def test_single_point_is_zero_db(self):
-        normalized = normalize_dataset_power(_dataset_with_powers([3.7]))
-        db = power_db(dataset_powers(normalized), normalized.power_reference)
-        assert db[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_max_zero_and_order_preserved(self):
-        rng = np.random.default_rng(11)
-        powers = rng.uniform(0.1, 50.0, size=100)
-        normalized = normalize_dataset_power(_dataset_with_powers(powers))
-        db = power_db(dataset_powers(normalized), normalized.power_reference)
-        assert db.max() == pytest.approx(0.0, abs=1e-9)
-        assert np.array_equal(np.argsort(db), np.argsort(powers))
-        assert np.argmax(db) == np.argmax(powers)
-
-    def test_per_array_basis(self):
+class TestDatasetPowers:
+    def test_tensor_and_array_bases(self):
         geo = ArrayGeometry(2, 1, 1, 2, 1e9, 50e6)
         csi = np.zeros((1, 2, 1, 1, 2), dtype=complex)
         csi[0, 0, 0, 0, 0] = 1.0
         csi[0, 1, 0, 0, 0] = 3.0
         dataset = CsiDataset(geo, csi, np.zeros((1, 2)))
-        assert normalize_dataset_power(dataset, basis="tensor").power_reference == pytest.approx(10.0)
-        assert normalize_dataset_power(dataset, basis="array").power_reference == pytest.approx(9.0)
+        assert np.allclose(dataset_powers(dataset, basis="tensor"), [10.0], rtol=1e-15)
+        assert np.allclose(dataset_powers(dataset, basis="array"), [[1.0, 9.0]], rtol=1e-15)
+        with pytest.raises(ValueError):
+            dataset_powers(dataset, basis="antenna")
 
-    def test_empty_and_all_zero_errors(self):
-        with pytest.raises(ValueError):
-            normalize_dataset_power(_dataset_with_powers([]))
-        with pytest.raises(ValueError):
-            normalize_dataset_power(_dataset_with_powers([0.0, 0.0]))
+    def test_max_is_zero_db_and_order_preserved(self):
+        rng = np.random.default_rng(11)
+        powers = rng.uniform(0.1, 50.0, size=100)
+        linear = dataset_powers(_dataset_with_powers(powers))
+        db = power_db(linear, linear.max())
+        assert db.max() == pytest.approx(0.0, abs=1e-9)
+        assert np.array_equal(np.argsort(db), np.argsort(powers))
+        assert power_db([2.0, 8.0], 8.0)[0] == pytest.approx(10 * np.log10(0.25), abs=1e-12)
+        assert power_db(0.0) == -np.inf
 
 
 class TestTypes:
@@ -161,15 +143,20 @@ class TestTypes:
         assert GEO.tap_duration == pytest.approx(20e-9)
 
     def test_csi_tensor_rejects_nan(self):
-        values = np.zeros((1, 1, 1, 4), dtype=complex)
-        values[0, 0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            CsiTensor(values)
+        geo = ArrayGeometry(1, 1, 1, 4, 1e9, 50e6)
+        for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+            csi = np.zeros((2, 1, 1, 1, 4), dtype=complex)
+            csi[1, 0, 0, 0, 3] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                CsiDataset(geo, csi, np.zeros((2, 2)))
 
     def test_datapoint_rejects_nonfinite_position(self):
-        csi = CsiTensor(np.zeros((1, 1, 1, 4), dtype=complex))
-        with pytest.raises(ValueError):
-            Datapoint(csi, np.array([np.inf, 0.0]))
+        geo = ArrayGeometry(1, 1, 1, 4, 1e9, 50e6)
+        for bad in (np.inf, -np.inf, np.nan):
+            positions = np.zeros((2, 2))
+            positions[1, 0] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                CsiDataset(geo, np.zeros((2, 1, 1, 1, 4), dtype=complex), positions)
 
     def test_dataset_shape_checks(self):
         geo = ArrayGeometry(1, 1, 1, 4, 1e9, 50e6)

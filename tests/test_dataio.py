@@ -3,12 +3,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.dataio import (
     BadMagicError,
+    DatasetFormatError,
     EmptySplitError,
     LengthMismatchError,
+    NonFinitePayloadError,
     SplitSpec,
     TruncatedPayloadError,
     VersionMismatchError,
@@ -19,6 +23,7 @@ from csigen.dataio import (
 )
 
 GEO = ArrayGeometry(2, 2, 4, 16, 1.272e9, 50e6)
+HEADER_BYTES = 42  # magic, version, 5 x u32, 2 x f64
 
 
 def random_dataset(n, seed=0, geometry=GEO):
@@ -57,20 +62,43 @@ class TestFileFormat:
         save_dataset(load_dataset(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_sidecar_carries_power_reference(self, tmp_path):
-        dataset = random_dataset(4).with_power_reference(42.5)
-        path = tmp_path / "ds.csit"
-        save_dataset(dataset, path)
-        meta = json.loads((tmp_path / "ds.csit.meta.json").read_text())
-        assert meta["power_reference"] == 42.5
-        assert load_dataset(path).power_reference == 42.5
-
-    def test_missing_sidecar_defaults(self, tmp_path):
+    def test_loads_without_sidecar(self, tmp_path):
         dataset = random_dataset(2)
         path = tmp_path / "ds.csit"
+        save_dataset(dataset, path, provenance={"command": "synth"})
+        sidecar = tmp_path / "ds.csit.meta.json"
+        meta = json.loads(sidecar.read_text())
+        assert meta == {"format": "CSIT", "version": 1, "provenance": {"command": "synth"}}
+        sidecar.unlink()
+        loaded = load_dataset(path)
+        assert np.array_equal(loaded.csi, dataset.csi.astype(np.complex64))
+        assert np.array_equal(loaded.positions, dataset.positions.astype(np.float32))
+
+    def test_corrupt_sidecar_is_not_read(self, tmp_path):
+        dataset = random_dataset(3)
+        path = tmp_path / "ds.csit"
         save_dataset(dataset, path)
-        (tmp_path / "ds.csit.meta.json").unlink()
-        assert load_dataset(path).power_reference == 1.0
+        expected = load_dataset(path)
+        (tmp_path / "ds.csit.meta.json").write_text('{"power_reference": ')
+        loaded = load_dataset(path)
+        assert np.array_equal(loaded.csi, expected.csi)
+        assert np.array_equal(loaded.positions, expected.positions)
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(0, np.nan), (1, np.inf), (2, -np.inf), (513, np.nan)],
+        ids=["x-nan", "y-inf", "first-re-inf", "last-im-nan"],
+    )
+    def test_non_finite_payload(self, tmp_path, offset, value):
+        path = tmp_path / "ds.csit"
+        save_dataset(random_dataset(3), path)
+        blob = bytearray(path.read_bytes())
+        record_floats = 2 + 2 * GEO.num_antennas * GEO.num_taps
+        assert offset < record_floats
+        struct.pack_into("<f", blob, HEADER_BYTES + 4 * (record_floats + offset), value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(NonFinitePayloadError):
+            load_dataset(path)
 
     def test_bad_magic(self, tmp_path):
         dataset = random_dataset(2)
@@ -115,6 +143,34 @@ class TestFileFormat:
         path = tmp_path / "empty.csit"
         save_dataset(dataset, path)
         assert len(load_dataset(path)) == 0
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=3),
+        cut=st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    def test_corrupt_file_loads_or_raises_a_format_error(self, tmp_path, csit_blob, flips, cut):
+        blob = bytearray(csit_blob)
+        for position, mask in flips:
+            blob[position % len(blob)] ^= mask
+        if cut is not None:
+            del blob[cut % len(blob):]
+        path = tmp_path / "fuzz.csit"
+        path.write_bytes(bytes(blob))
+        try:
+            load_dataset(path)
+        except DatasetFormatError:
+            pass
+
+
+@pytest.fixture(scope="module")
+def csit_blob(tmp_path_factory):
+    """A 6-point CSIT file on a small geometry, so that most flips land in
+    positions and CSI values."""
+    path = tmp_path_factory.mktemp("csit") / "ds.csit"
+    save_dataset(random_dataset(6, seed=4, geometry=ArrayGeometry(1, 1, 2, 4, 1.272e9, 50e6)), path)
+    return path.read_bytes()
 
 
 class TestSplit:

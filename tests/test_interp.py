@@ -11,7 +11,6 @@ from csigen.interp import (
     TriangulationError,
     barycentric,
     build_interpolant,
-    interpolate_at,
     interpolate_dataset,
     phase_aligned_blend,
     phase_aligned_nmse,
@@ -184,8 +183,8 @@ class TestInterpolateAt:
         dataset = dataset_at(rng.uniform(0, 5, size=(40, 2)), seed=3)
         interp = build_interpolant(dataset)
         for index in (0, 7, 25):
-            estimate = interpolate_at(interp, dataset.positions[index])
-            assert phase_aligned_nmse(estimate.values, dataset.csi[index]) < 1e-18
+            estimate = interp.query(dataset.positions[index]).csi
+            assert phase_aligned_nmse(estimate, dataset.csi[index]) < 1e-18
 
     def test_outside_hull_nearest_neighbor(self):
         dataset = dataset_at([[0, 0], [1, 0], [0, 1], [1, 1]])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from csigen.core import ArrayGeometry, CsiTensor
+from csigen.core import ArrayGeometry, CsiDataset
 from csigen.metrics import (
     CorrelationMatrix,
     Density,
@@ -18,7 +18,6 @@ from csigen.metrics import (
     js_distance,
     kl_divergence,
     pooled_edges,
-    rms_delay_spread,
     root_music_azimuth,
 )
 
@@ -29,7 +28,14 @@ def single_antenna_csi(taps, geometry=GEO):
     values = np.zeros(geometry.csi_shape, dtype=complex)
     values[0, 0, 0, : len(taps)] = taps
     values[0, :, :, : len(taps)] = taps  # same profile on every antenna
-    return CsiTensor(values)
+    return values
+
+
+def delay_spreads(csi, geometry=GEO):
+    """Per-antenna delay spreads in seconds of one CSI tensor, through the
+    dataset route the evaluation report uses."""
+    dataset = CsiDataset(geometry, csi[None], np.zeros((1, 2)))
+    return dataset_delay_spreads(dataset)[0]
 
 
 def brute_force_ds_taps(profile):
@@ -47,18 +53,18 @@ class TestRmsDelaySpread:
         for tap in (0, 7, 47):
             profile = np.zeros(48, dtype=complex)
             profile[tap] = 2.3 - 1j
-            result = rms_delay_spread(single_antenna_csi(profile), GEO)
-            assert np.all(result.values == 0.0)
-            assert np.all(~result.zero_power)
+            spread, zero = delay_spread_taps(single_antenna_csi(profile))
+            assert np.all(spread == 0.0)
+            assert np.all(~zero)
+            assert np.all(delay_spreads(single_antenna_csi(profile)) == 0.0)
 
     def test_two_equal_taps_spacing_two(self):
         profile = np.zeros(48, dtype=complex)
         profile[1] = 1.0  # tap index t=2 in 1-based terms
         profile[3] = 1.0
-        result = rms_delay_spread(single_antenna_csi(profile), GEO)
+        spreads = delay_spreads(single_antenna_csi(profile))
         # spacing 2 taps -> spread of 1 tap -> 20 ns at 50 MHz
-        assert result.values[0, 0, 0] == pytest.approx(20e-9, abs=1e-12 * 20e-9)
-        assert result.array_means[0] == pytest.approx(20e-9, rel=1e-12)
+        assert spreads[0, 0, 0] == pytest.approx(20e-9, abs=1e-12 * 20e-9)
 
     def test_uniform_power_delay_profile(self):
         profile = np.ones(48, dtype=complex)
@@ -77,35 +83,28 @@ class TestRmsDelaySpread:
     def test_zero_antenna_flagged_not_crashing(self):
         values = np.zeros(GEO.csi_shape, dtype=complex)
         values[0, 0, 1, 3] = 1.0  # one live antenna, rest silent
-        result = rms_delay_spread(CsiTensor(values), GEO)
-        assert result.values[0, 0, 0] == 0.0
-        assert result.zero_power[0, 0, 0]
-        assert not result.zero_power[0, 0, 1]
-
-    def test_array_mean_is_antenna_mean(self):
-        rng = np.random.default_rng(23)
-        values = rng.standard_normal(GEO.csi_shape) + 1j * rng.standard_normal(GEO.csi_shape)
-        result = rms_delay_spread(CsiTensor(values), GEO)
-        assert result.array_means[0] == pytest.approx(result.values[0].mean(), rel=1e-12)
+        spread, zero = delay_spread_taps(values)
+        assert spread[0, 0, 0] == 0.0
+        assert zero[0, 0, 0]
+        assert not zero[0, 0, 1]
+        assert delay_spreads(values)[0, 0, 0] == 0.0
 
     def test_invariance_under_phase_and_scale(self):
         rng = np.random.default_rng(29)
         values = rng.standard_normal(GEO.csi_shape) + 1j * rng.standard_normal(GEO.csi_shape)
-        base = rms_delay_spread(CsiTensor(values), GEO).values
-        rotated = rms_delay_spread(CsiTensor(values * np.exp(1j * 0.77)), GEO).values
-        scaled = rms_delay_spread(CsiTensor(values * 13.5), GEO).values
+        base = delay_spreads(values)
+        rotated = delay_spreads(values * np.exp(1j * 0.77))
+        scaled = delay_spreads(values * 13.5)
         assert np.allclose(rotated, base, rtol=1e-10)
         assert np.allclose(scaled, base, rtol=1e-10)
 
     def test_dataset_delay_spreads_shape(self):
-        from csigen.core import CsiDataset
-
         rng = np.random.default_rng(31)
         csi = rng.standard_normal((5,) + GEO.csi_shape) + 1j * rng.standard_normal((5,) + GEO.csi_shape)
         ds = dataset_delay_spreads(CsiDataset(GEO, csi, np.zeros((5, 2))))
         assert ds.shape == (5, 1, 2, 4)
-        single = rms_delay_spread(CsiTensor(csi[2]), GEO)
-        assert np.allclose(ds[2], single.values, rtol=1e-12)
+        single, _ = delay_spread_taps(csi[2])
+        assert np.allclose(ds[2], single * GEO.tap_duration, rtol=1e-12)
 
 
 def steering_csi(azimuth_rad, geometry=GEO, amplitude=1.0, taps=None):
@@ -119,12 +118,12 @@ def steering_csi(azimuth_rad, geometry=GEO, amplitude=1.0, taps=None):
     else:
         profile[: len(taps)] = taps
     values[0] = amplitude * steer[None, :, None] * profile[None, None, :]
-    return CsiTensor(values)
+    return values
 
 
 class TestArrayCorrelation:
     def test_zero_tensor(self):
-        corr = array_correlation(CsiTensor(np.zeros(GEO.csi_shape, dtype=complex)), 0)
+        corr = array_correlation(np.zeros(GEO.csi_shape, dtype=complex), 0)
         assert np.all(corr.entries == 0.0)
 
     def test_rank_one_structure(self):
@@ -136,13 +135,13 @@ class TestArrayCorrelation:
     def test_hermitian_on_random_input(self):
         rng = np.random.default_rng(37)
         values = rng.standard_normal(GEO.csi_shape) + 1j * rng.standard_normal(GEO.csi_shape)
-        corr = array_correlation(CsiTensor(values), 0)
+        corr = array_correlation(values, 0)
         assert np.max(np.abs(corr.entries - corr.entries.conj().T)) < 1e-12 * np.abs(corr.entries).max()
 
     def test_definition_matches_direct_sum(self):
         rng = np.random.default_rng(41)
         values = rng.standard_normal(GEO.csi_shape) + 1j * rng.standard_normal(GEO.csi_shape)
-        corr = array_correlation(CsiTensor(values), 0)
+        corr = array_correlation(values, 0)
         direct = np.zeros((4, 4), dtype=complex)
         for c1 in range(4):
             for c2 in range(4):
@@ -155,13 +154,13 @@ class TestArrayCorrelation:
         rng = np.random.default_rng(43)
         for _ in range(10):
             values = rng.standard_normal(GEO.csi_shape) + 1j * rng.standard_normal(GEO.csi_shape)
-            corr = array_correlation(CsiTensor(values), 0)
+            corr = array_correlation(values, 0)
             eigenvalues = np.linalg.eigvalsh(corr.entries)
             assert eigenvalues.min() >= -1e-9 * np.real(np.trace(corr.entries))
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            array_correlation(CsiTensor(np.zeros(GEO.csi_shape, dtype=complex)), 1)
+            array_correlation(np.zeros(GEO.csi_shape, dtype=complex), 1)
 
 
 class TestRootMusic:

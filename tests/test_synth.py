@@ -37,18 +37,18 @@ class TestCsiFromPaths:
         for k in (0, 3, 40):
             path = PathSpec(0.0, 0.0, k * GEO.tap_duration, 1.0)
             csi = csi_from_paths(GEO, [[path]])
-            profile = np.abs(csi.values[0, 0, 0]) ** 2
+            profile = np.abs(csi[0, 0, 0]) ** 2
             assert np.argmax(profile) == k
-            spread, _ = delay_spread_taps(csi.values[0, 0, 0])
+            spread, _ = delay_spread_taps(csi[0, 0, 0])
             assert spread < 0.05
 
     def test_fractional_delay_peak_and_leakage(self):
         path = PathSpec(0.0, 0.0, 8.4 * GEO.tap_duration, 1.0)
         csi = csi_from_paths(GEO, [[path]])
-        profile = np.abs(csi.values[0, 0, 0]) ** 2
+        profile = np.abs(csi[0, 0, 0]) ** 2
         assert np.argmax(profile) == 8
         assert profile.sum() == pytest.approx(1.0, rel=1e-12)  # unit-energy pulse
-        spread, _ = delay_spread_taps(csi.values[0, 0, 0])
+        spread, _ = delay_spread_taps(csi[0, 0, 0])
         assert spread < 1.0
 
     def test_two_equal_paths_delay_spread(self):
@@ -57,7 +57,7 @@ class TestCsiFromPaths:
             PathSpec(0.0, 0.0, 3 * GEO.tap_duration, 1.0),
         ]
         csi = csi_from_paths(GEO, [paths])
-        spread, _ = delay_spread_taps(csi.values[0, 0, 0])
+        spread, _ = delay_spread_taps(csi[0, 0, 0])
         assert spread == pytest.approx(1.0, rel=0.02)
 
     def test_doubling_gains_quadruples_power(self):
@@ -204,8 +204,8 @@ class TestObstacles:
         # and a near-single-path delay spread instead of the two-path mix
         shadowed = synth_csi(self.wall_scenario(0.0), np.array([0.0, 10.0]))
         lit = synth_csi(self.wall_scenario(0.0), np.array([-20.0, 10.0]))
-        ds_shadow, _ = delay_spread_taps(shadowed.values[0, 0, 0])
-        ds_lit, _ = delay_spread_taps(lit.values[0, 0, 0])
+        ds_shadow, _ = delay_spread_taps(shadowed[0, 0, 0])
+        ds_lit, _ = delay_spread_taps(lit[0, 0, 0])
         assert ds_shadow < 1.0 < ds_lit
         assert total_rx_power(shadowed, 0) < total_rx_power(lit, 0)
 
