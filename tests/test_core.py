@@ -119,15 +119,25 @@ class TestDatasetPowers:
         with pytest.raises(ValueError):
             dataset_powers(dataset, basis="antenna")
 
-    def test_max_is_zero_db_and_order_preserved(self):
+
+class TestNormalizeDatasetPower:
+    """Dataset powers in dB below the dataset maximum, the 0 dB reference of reports."""
+
+    def test_two_point_reference(self):
+        linear = dataset_powers(_dataset_with_powers([2.0, 8.0]))
+        db = power_db(linear, linear.max())
+        assert db[1] == pytest.approx(0.0, abs=1e-12)
+        assert db[0] == pytest.approx(10 * np.log10(0.25), abs=1e-12)
+        assert power_db(0.0) == -np.inf
+
+    def test_max_zero_and_order_preserved(self):
         rng = np.random.default_rng(11)
         powers = rng.uniform(0.1, 50.0, size=100)
         linear = dataset_powers(_dataset_with_powers(powers))
         db = power_db(linear, linear.max())
         assert db.max() == pytest.approx(0.0, abs=1e-9)
         assert np.array_equal(np.argsort(db), np.argsort(powers))
-        assert power_db([2.0, 8.0], 8.0)[0] == pytest.approx(10 * np.log10(0.25), abs=1e-12)
-        assert power_db(0.0) == -np.inf
+        assert np.argmax(db) == np.argmax(powers)
 
 
 class TestTypes:
