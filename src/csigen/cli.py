@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from csigen import config as cfg
+from csigen.atomic import atomic_write
 from csigen.core import CsiDataset, dataset_powers, power_db
 from csigen.dataio import (
     DatasetFormatError,
@@ -41,7 +41,6 @@ from csigen.gan.train import (
 from csigen.gan.sample import sample_fixed, sample_variable
 from csigen.interp import OutsideHullError, TriangulationError, build_interpolant, interpolate_dataset
 from csigen.metrics import (
-    NoSignalError,
     array_correlation,
     dataset_delay_spreads,
     gaussian_fit_samples,
@@ -101,7 +100,8 @@ def _parse_positions(spec: str, fallback_bounds=None) -> np.ndarray:
 
 
 def _write_resolved_config(path: Path, entries: dict) -> None:
-    path.write_text(cfg.format_config(entries))
+    with atomic_write(path, "w") as handle:
+        handle.write(cfg.format_config(entries))
 
 
 def cmd_synth(args) -> int:
@@ -264,26 +264,28 @@ def _write_points_csv(
     path: Path, dataset: CsiDataset, power_reference: float, spreads: np.ndarray
 ) -> None:
     """One row per datapoint; ``spreads`` are the dataset's per-antenna delay
-    spreads from :func:`dataset_delay_spreads`."""
+    spreads from :func:`dataset_delay_spreads`.  A NaN azimuth marks a
+    correlation that root-MUSIC cannot resolve."""
     geometry = dataset.geometry
     num_arrays = geometry.num_arrays
     header = ["x1", "x2"]
     for b in range(num_arrays):
         header += [f"power_db_b{b}", f"mean_ds_ns_b{b}", f"aoa_rad_b{b}"]
-    powers = dataset_powers(dataset, basis="array")
-    with open(path, "w", newline="") as handle:
+    db = power_db(dataset_powers(dataset, basis="array"), power_reference)
+    per_array = (len(dataset), num_arrays, geometry.rows_per_array * geometry.cols_per_array)
+    mean_ds_ns = spreads.reshape(per_array).mean(axis=-1) * 1e9
+    azimuths = [root_music_azimuth(array_correlation(dataset.csi, b)) for b in range(num_arrays)]
+    with atomic_write(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for index in range(len(dataset)):
             row = [repr(float(v)) for v in dataset.positions[index]]
             for b in range(num_arrays):
-                db = power_db(powers[index, b], power_reference)
-                mean_ds_ns = spreads[index, b].mean() * 1e9
-                try:
-                    azimuth = root_music_azimuth(array_correlation(dataset.csi[index], b))
-                except (NoSignalError, ValueError):
-                    azimuth = math.nan
-                row += [repr(float(db)), repr(float(mean_ds_ns)), repr(float(azimuth))]
+                row += [
+                    repr(float(db[index, b])),
+                    repr(float(mean_ds_ns[index, b])),
+                    repr(float(azimuths[b][index])),
+                ]
             writer.writerow(row)
 
 
@@ -317,7 +319,7 @@ def cmd_evaluate(args) -> int:
         _write_points_csv(out_dir / f"points_{label}.csv", dataset, pooled_max, spread)
 
     edges = pooled_edges([pool for _, pool in ds_pools], n_bins=args.bins)
-    with open(out_dir / "ds_histograms.csv", "w", newline="") as handle:
+    with atomic_write(out_dir / "ds_histograms.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["bin_left_ns", "bin_right_ns"] + [label for label, _ in ds_pools])
         densities = [histogram_density(pool, edges) for _, pool in ds_pools]
@@ -328,7 +330,7 @@ def cmd_evaluate(args) -> int:
             )
 
     labels, matrix = jsd_matrix(ds_pools, n_bins=args.bins)
-    with open(out_dir / "jsd_matrix.csv", "w", newline="") as handle:
+    with atomic_write(out_dir / "jsd_matrix.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["label"] + labels)
         for label, row in zip(labels, matrix):

@@ -14,7 +14,8 @@ CSI payload order is tap-fastest, then column, row, array (C order of the
 (B, M_r, M_c, N_tap) tensor) with real/imag interleaved per entry.  Every
 payload value is finite.  :func:`save_dataset` also writes a JSON sidecar
 ``<path>.meta.json`` holding free-form provenance only; loading never reads
-it, so a missing or corrupt sidecar does not affect the dataset.
+it, so a missing or corrupt sidecar does not affect the dataset.  Both files
+are written atomically (see :mod:`csigen.atomic`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from csigen.atomic import atomic_write
 from csigen.core import ArrayGeometry, CsiDataset, freq_to_time
 
 FORMAT_MAGIC = b"CSIT"
@@ -89,7 +91,7 @@ def save_dataset(dataset: CsiDataset, path: str | Path, provenance: dict | None 
     flat = dataset.csi.reshape(len(dataset), entries)
     records[:, 2::2] = flat.real
     records[:, 3::2] = flat.imag
-    with open(path, "wb") as handle:
+    with atomic_write(path) as handle:
         handle.write(header)
         handle.write(records.tobytes())
     meta = {
@@ -97,7 +99,7 @@ def save_dataset(dataset: CsiDataset, path: str | Path, provenance: dict | None 
         "version": FORMAT_VERSION,
         "provenance": dict(provenance or {}),
     }
-    with open(str(path) + ".meta.json", "w") as handle:
+    with atomic_write(str(path) + ".meta.json", "w") as handle:
         json.dump(meta, handle, indent=2)
         handle.write("\n")
 
@@ -146,14 +148,17 @@ def load_dataset(path: str | Path) -> CsiDataset:
             f"after {count} declared records"
         )
     records = np.frombuffer(payload, dtype="<f4").reshape(count, record_floats)
+    # checked on the float32 values, before the complex product below could
+    # turn an infinite imaginary part into a NaN with a RuntimeWarning
+    non_finite = np.argwhere(~np.isfinite(records))
+    if non_finite.size:
+        record, slot = non_finite[0]
+        kind = "position" if slot < 2 else "CSI"
+        raise NonFinitePayloadError(f"{path}: record {record} holds a non-finite {kind} value")
     positions = records[:, 0:2].astype(np.float64)
     csi = (records[:, 2::2].astype(np.float64) + 1j * records[:, 3::2].astype(np.float64))
     csi = csi.reshape((count,) + geometry.csi_shape)
-    # the shapes follow the header, so finiteness is all the dataset can reject
-    try:
-        return CsiDataset(geometry, csi, positions)
-    except ValueError as exc:
-        raise NonFinitePayloadError(f"{path}: {exc}") from exc
+    return CsiDataset(geometry, csi, positions)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from csigen.atomic import atomic_write
 from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.gan.mlp import MlpParams, flat_span, flat_views, flat_zeros, packed_copy
 from csigen.gan.fastgrad import (
@@ -297,20 +298,13 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         + checkpoint.gen_adam.v
         + checkpoint.critic_adam.v
     )
-    path = Path(path)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(temporary, "wb") as handle:
-            handle.write(CHECKPOINT_MAGIC)
-            handle.write(struct.pack("<H", CHECKPOINT_VERSION))
-            handle.write(struct.pack("<I", len(meta_bytes)))
-            handle.write(meta_bytes)
-            for array in arrays:
-                handle.write(np.ascontiguousarray(array, dtype="<f8"))
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as handle:
+        handle.write(CHECKPOINT_MAGIC)
+        handle.write(struct.pack("<H", CHECKPOINT_VERSION))
+        handle.write(struct.pack("<I", len(meta_bytes)))
+        handle.write(meta_bytes)
+        for array in arrays:
+            handle.write(np.ascontiguousarray(array, dtype="<f8"))
 
 
 def _layer_shapes(table: list) -> list[tuple[int, ...]]:

@@ -7,6 +7,15 @@ reflector.  Each path deposits a Hann-windowed fractional-delay sinc pulse
 into the tap-delay line; element phases follow the half-wavelength UPA
 steering model with phase increment pi*sin(azimuth) along columns and
 pi*sin(elevation) along rows.
+
+:func:`synth_dataset` works on blocks of ``SYNTH_BLOCK_ROWS`` positions,
+one path at a time; :func:`synth_csi`, :func:`enumerate_paths` and
+:func:`csi_from_paths` run the same kernels on a batch of one.  Row i of a
+dataset is bit-identical to :func:`synth_csi` at that position with the
+index-i noise stream, whatever the block size.  The position-dependent
+``atan2`` and ``sin`` are scalar :mod:`math` calls, because numpy's array
+versions round some inputs differently and every output byte depends on
+them.
 """
 
 from __future__ import annotations
@@ -23,6 +32,11 @@ SPEED_OF_LIGHT = 299_792_458.0
 # Half-width of the Hann-windowed sinc pulse used for fractional delays, in
 # taps.  Keeps spectral leakage bounded so delay-spread targets are testable.
 SINC_HALF_WIDTH = 8
+
+# Positions per block in synth_dataset.  The per-path temporaries of a
+# block are (rows, M_r, M_c, N_tap) complex arrays, about 2 MB for the
+# 2x4-element, 16-tap arrays at this size.  Results do not depend on it.
+SYNTH_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -92,17 +106,24 @@ class Obstacle:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "end", end)
 
-    def blocks(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """Proper segment intersection test between leg a-b and the wall."""
+    def blocks(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Proper segment intersection test between leg a-b and the wall.
+
+        ``a`` and ``b`` are 2-vectors or broadcastable stacks of them
+        (..., 2); the result holds one flag per leg."""
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
 
         def orient(p, q, r):
-            return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+            return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (q[..., 1] - p[..., 1]) * (
+                r[..., 0] - p[..., 0]
+            )
 
         d1 = orient(self.start, self.end, a)
         d2 = orient(self.start, self.end, b)
         d3 = orient(a, b, self.start)
         d4 = orient(a, b, self.end)
-        return (d1 * d2 < 0.0) and (d3 * d4 < 0.0)
+        return (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
 
 
 @dataclass(frozen=True)
@@ -141,26 +162,99 @@ class Scenario:
         if not (x0 < x1 and y0 < y1):
             raise ValueError("bounds must span a non-empty region")
 
-    def contains(self, point: np.ndarray) -> bool:
+    def contains(self, point: np.ndarray) -> bool | np.ndarray:
+        """Whether ``point`` lies inside the bounds: a bool for one
+        2-vector, one flag per row for a stack (..., 2)."""
+        point = np.asarray(point, dtype=np.float64)
         (x0, y0), (x1, y1) = self.bounds
-        return bool(x0 <= point[0] <= x1 and y0 <= point[1] <= y1)
+        x, y = point[..., 0], point[..., 1]
+        inside = (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
+        return bool(inside) if inside.ndim == 0 else inside
 
 
-def _arrival(placement: ArrayPlacement, source: np.ndarray) -> tuple[float, float]:
-    """(azimuth, distance) of a wave arriving at the array from ``source``.
+def _arrivals(placement: ArrayPlacement, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(azimuth, distance) of waves arriving at the array from each row of
+    ``sources`` (rows, 2).
 
     Azimuth is the signed angle from the broadside direction,
     counterclockwise positive.
     """
-    offset = np.asarray(source, dtype=np.float64) - placement.position
-    distance = float(np.hypot(offset[0], offset[1]))
-    if distance < 1e-9:
+    offset = sources - placement.position
+    distance = np.hypot(offset[:, 0], offset[:, 1])
+    if np.any(distance < 1e-9):
         raise ValueError("source position coincides with an array position")
-    heading = math.atan2(offset[1], offset[0])
+    # math.atan2 row by row: np.arctan2 rounds differently on some inputs,
+    # and the heading feeds every output byte
+    heading = np.array([math.atan2(y, x) for x, y in offset.tolist()], dtype=np.float64)
     azimuth = heading - placement.broadside
     # wrap to (-pi, pi]
     azimuth = (azimuth + math.pi) % (2 * math.pi) - math.pi
     return azimuth, distance
+
+
+def _shadowing(scenario: Scenario, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of the transmission coefficients of the obstacles each leg
+    a-b crosses, one factor per leg."""
+    factor = np.ones(np.broadcast_shapes(a.shape, b.shape)[:-1])
+    for obstacle in scenario.obstacles:
+        factor = np.where(obstacle.blocks(a, b), factor * obstacle.transmission, factor)
+    return factor
+
+
+def _textbook_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex a * b by the textbook formula, as numpy multiplies two
+    complex scalars; its vectorised array multiply fuses the products and
+    rounds some results differently."""
+    product = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    product.real = a.real * b.real - a.imag * b.imag
+    product.imag = a.real * b.imag + a.imag * b.real
+    return product
+
+
+def _path_rows(
+    scenario: Scenario, b: int, ue: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The paths to array ``b`` from every transmitter position in ``ue``
+    (rows, 2), one path at a time: the LoS path, then one bounce per
+    reflector in front of the array.  Each entry is (azimuth, delay, gain,
+    present) with one value per position; ``present`` is False where the
+    LoS arrival falls behind the array."""
+    placement = scenario.placements[b]
+    carrier = scenario.geometry.carrier_frequency
+    offset = scenario.delay_offset_taps * scenario.geometry.tap_duration
+    rows = len(ue)
+
+    paths = []
+    azimuth, distance = _arrivals(placement, ue)
+    flight = distance / SPEED_OF_LIGHT
+    # arrivals outside the front hemisphere fall into the array's back null
+    # and contribute nothing
+    gain = (
+        _shadowing(scenario, ue, placement.position)
+        * np.exp(-2j * math.pi * carrier * flight)
+        / distance
+    )
+    paths.append((azimuth, flight + offset, gain, np.abs(azimuth) < math.pi / 2))
+
+    for reflector in scenario.reflectors:
+        leg = ue - reflector.position
+        # the dot product np.linalg.norm takes, so hops round as it rounds them
+        hop = np.sqrt(np.vecdot(leg, leg))
+        if np.any(hop < 1e-9):
+            raise ValueError("transmitter position coincides with a reflector")
+        bounce = reflector.position[None, :]
+        (azimuth,), (to_array,) = _arrivals(placement, bounce)
+        if abs(azimuth) >= math.pi / 2:
+            continue
+        total = hop + to_array
+        flight = total / SPEED_OF_LIGHT
+        blocked = _shadowing(scenario, ue, reflector.position) * _shadowing(
+            scenario, bounce, placement.position
+        )
+        phase = np.exp(-2j * math.pi * carrier * flight)
+        gain = _textbook_product(blocked * reflector.gain, phase) / total
+        paths.append((np.full(rows, azimuth), flight + offset, gain, np.ones(rows, dtype=bool)))
+    return paths
 
 
 def enumerate_paths(scenario: Scenario, b: int, ue_position: np.ndarray) -> list[PathSpec]:
@@ -171,66 +265,62 @@ def enumerate_paths(scenario: Scenario, b: int, ue_position: np.ndarray) -> list
     exp(-2j pi f_c tau) of the physical delay; the recorded PathSpec delay
     additionally includes the scenario's fixed alignment offset.
     """
-    placement = scenario.placements[b]
-    carrier = scenario.geometry.carrier_frequency
-    offset = scenario.delay_offset_taps * scenario.geometry.tap_duration
-    ue = np.asarray(ue_position, dtype=np.float64)
-
-    def shadowing(a: np.ndarray, b_point: np.ndarray) -> float:
-        factor = 1.0
-        for obstacle in scenario.obstacles:
-            if obstacle.blocks(a, b_point):
-                factor *= obstacle.transmission
-        return factor
-
-    paths = []
-    azimuth, distance = _arrival(placement, ue)
-    flight = distance / SPEED_OF_LIGHT
-    # arrivals outside the front hemisphere fall into the array's back null
-    # and contribute nothing
-    if abs(azimuth) < math.pi / 2:
-        gain = (
-            shadowing(ue, placement.position) * np.exp(-2j * math.pi * carrier * flight) / distance
-        )
-        paths.append(PathSpec(azimuth, 0.0, flight + offset, complex(gain)))
-
-    for reflector in scenario.reflectors:
-        hop = float(np.linalg.norm(ue - reflector.position))
-        if hop < 1e-9:
-            raise ValueError("transmitter position coincides with a reflector")
-        azimuth, to_array = _arrival(placement, reflector.position)
-        if abs(azimuth) >= math.pi / 2:
-            continue
-        total = hop + to_array
-        flight = total / SPEED_OF_LIGHT
-        blocked = shadowing(ue, reflector.position) * shadowing(
-            reflector.position, placement.position
-        )
-        gain = blocked * reflector.gain * np.exp(-2j * math.pi * carrier * flight) / total
-        paths.append(PathSpec(azimuth, 0.0, flight + offset, complex(gain)))
-    return paths
+    ue = np.asarray(ue_position, dtype=np.float64).reshape(1, 2)
+    return [
+        PathSpec(float(azimuth[0]), 0.0, float(delay[0]), complex(gain[0]))
+        for azimuth, delay, gain, present in _path_rows(scenario, b, ue)
+        if present[0]
+    ]
 
 
-def _fractional_delay_pulse(delay_taps: float, num_taps: int) -> tuple[int, np.ndarray]:
-    """Unit-energy windowed-sinc pulse centered at a fractional tap position.
+def _fractional_delay_pulses(delay_taps: np.ndarray, num_taps: int) -> np.ndarray:
+    """Unit-energy windowed-sinc pulses centered at fractional tap
+    positions, one per row, on the observed taps: shape (rows, num_taps).
 
-    The pulse is normalized over its full +-SINC_HALF_WIDTH extent (so its
+    Each pulse is normalized over its full +-SINC_HALF_WIDTH extent (so its
     energy is independent of the fractional delay), then clipped to the
     observed tap range [0, num_taps).
     """
-    full = np.arange(
-        math.ceil(delay_taps - SINC_HALF_WIDTH),
-        math.floor(delay_taps + SINC_HALF_WIDTH) + 1,
-        dtype=np.float64,
-    )
-    u = full - delay_taps
+    first = np.ceil(delay_taps - SINC_HALF_WIDTH)
+    taps = first[:, None] + np.arange(2 * SINC_HALF_WIDTH + 1, dtype=np.float64)
+    # a pulse spans 2 * SINC_HALF_WIDTH + 1 taps at an integer delay, one
+    # fewer otherwise; the zero at the end leaves the energy sum unchanged
+    support = taps <= np.floor(delay_taps + SINC_HALF_WIDTH)[:, None]
+    u = taps - delay_taps[:, None]
     window = 0.5 * (1.0 + np.cos(math.pi * u / SINC_HALF_WIDTH))
-    pulse = np.sinc(u) * window
-    pulse /= math.sqrt(float(np.sum(pulse**2)))
-    keep = (full >= 0) & (full <= num_taps - 1)
-    if not np.any(keep):
-        return 0, np.zeros(0)
-    return int(full[keep][0]), pulse[keep]
+    pulse = np.where(support, np.sinc(u) * window, 0.0)
+    pulse /= np.sqrt(np.sum(pulse**2, axis=1, keepdims=True))
+    pulses = np.zeros((len(delay_taps), num_taps))
+    row, slot = np.nonzero(support & (taps >= 0) & (taps <= num_taps - 1))
+    pulses[row, taps[row, slot].astype(np.intp)] = pulse[row, slot]
+    return pulses
+
+
+def _deposit(
+    values: np.ndarray,
+    geometry: ArrayGeometry,
+    azimuth: np.ndarray,
+    elevation: np.ndarray,
+    delay: np.ndarray,
+    gain: np.ndarray,
+) -> None:
+    """Add one path per row to ``values`` (rows, M_r, M_c, N_tap), the
+    tensors of one array: the gain times the steering phases times the
+    delay pulse."""
+    late = delay >= (geometry.num_taps - 1) * geometry.tap_duration
+    if np.any(late):
+        raise ValueError(
+            f"path delay {delay[late][0]:.3e} s falls outside the "
+            f"{geometry.num_taps}-tap observation window"
+        )
+    rows = np.arange(geometry.rows_per_array)[:, None]
+    cols = np.arange(geometry.cols_per_array)[None, :]
+    # math.sin row by row, as the rounding of every output byte was set by it
+    sin_azimuth = np.array([math.sin(a) for a in azimuth.tolist()])[:, None, None]
+    sin_elevation = np.array([math.sin(e) for e in elevation.tolist()])[:, None, None]
+    steer = np.exp(1j * math.pi * (cols * sin_azimuth + rows * sin_elevation))
+    pulses = _fractional_delay_pulses(delay * geometry.bandwidth, geometry.num_taps)
+    values += gain[:, None, None, None] * steer[..., None] * pulses[:, None, None, :]
 
 
 def csi_from_paths(geometry: ArrayGeometry, paths_per_array: list[list[PathSpec]]) -> np.ndarray:
@@ -238,26 +328,47 @@ def csi_from_paths(geometry: ArrayGeometry, paths_per_array: list[list[PathSpec]
     explicit per-array path lists."""
     if len(paths_per_array) != geometry.num_arrays:
         raise ValueError("need one path list per array")
-    values = np.zeros(geometry.csi_shape, dtype=np.complex128)
-    rows = np.arange(geometry.rows_per_array)[:, None]
-    cols = np.arange(geometry.cols_per_array)[None, :]
+    values = np.zeros((1,) + geometry.csi_shape, dtype=np.complex128)
     for b, paths in enumerate(paths_per_array):
         for path in paths:
-            if path.delay >= (geometry.num_taps - 1) * geometry.tap_duration:
-                raise ValueError(
-                    f"path delay {path.delay:.3e} s falls outside the "
-                    f"{geometry.num_taps}-tap observation window"
-                )
-            steer = np.exp(
-                1j * math.pi * (cols * math.sin(path.azimuth) + rows * math.sin(path.elevation))
+            _deposit(
+                values[:, b],
+                geometry,
+                np.array([path.azimuth]),
+                np.array([path.elevation]),
+                np.array([path.delay]),
+                np.array([path.gain]),
             )
-            start, pulse = _fractional_delay_pulse(
-                path.delay * geometry.bandwidth, geometry.num_taps
-            )
-            values[b, :, :, start : start + pulse.size] += (
-                path.gain * steer[:, :, None] * pulse[None, None, :]
-            )
-    return values
+    return values[0]
+
+
+def _synth_rows(
+    scenario: Scenario, positions: np.ndarray, rngs: list[np.random.Generator] | None
+) -> np.ndarray:
+    """CSI tensors at the positions (rows, 2), the noise of row i drawn
+    from ``rngs[i]``; ``rngs`` is None when the scenario is noiseless."""
+    outside = ~scenario.contains(positions)
+    if np.any(outside):
+        raise ValueError(
+            f"position {positions[outside][0]} outside the scenario bounds {scenario.bounds}"
+        )
+    geometry = scenario.geometry
+    paths = [_path_rows(scenario, b, positions) for b in range(geometry.num_arrays)]
+    values = np.zeros((len(positions),) + geometry.csi_shape, dtype=np.complex128)
+    for b, array_paths in enumerate(paths):
+        for azimuth, delay, gain, present in array_paths:
+            live = np.flatnonzero(present)
+            tensors = values[live, b]
+            elevation = np.zeros(live.size)
+            _deposit(tensors, geometry, azimuth[live], elevation, delay[live], gain[live])
+            values[live, b] = tensors
+    if rngs is None:
+        return values
+    sigma = math.sqrt(scenario.noise_power / 2.0)
+    # one call per row draws the real parts, then the imaginary parts
+    draws = np.stack([rng.standard_normal((2,) + geometry.csi_shape) for rng in rngs])
+    noise = sigma * (draws[:, 0] + 1j * draws[:, 1])
+    return values + noise
 
 
 def synth_csi(
@@ -270,35 +381,36 @@ def synth_csi(
     Deterministic given (scenario, position, rng state); with rng=None a
     fresh generator seeded from the scenario seed is used.
     """
-    ue_position = np.asarray(ue_position, dtype=np.float64)
-    if not scenario.contains(ue_position):
-        raise ValueError(
-            f"position {ue_position} outside the scenario bounds {scenario.bounds}"
-        )
-    paths = [enumerate_paths(scenario, b, ue_position) for b in range(scenario.geometry.num_arrays)]
-    clean = csi_from_paths(scenario.geometry, paths)
+    ue_position = np.asarray(ue_position, dtype=np.float64).reshape(1, 2)
     if scenario.noise_power == 0.0:
-        return clean
+        return _synth_rows(scenario, ue_position, None)[0]
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
-    sigma = math.sqrt(scenario.noise_power / 2.0)
-    shape = scenario.geometry.csi_shape
-    noise = sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return clean + noise
+    return _synth_rows(scenario, ue_position, [rng])[0]
 
 
 def synth_dataset(scenario: Scenario, positions: np.ndarray) -> CsiDataset:
-    """Map :func:`synth_csi` over positions with independent per-position
+    """:func:`synth_csi` over positions with independent per-position
     noise streams derived from (scenario seed, index); bit-reproducible for
-    a fixed scenario."""
+    a fixed scenario.
+
+    Row i equals ``synth_csi(scenario, positions[i], rng)`` bit for bit,
+    with ``rng`` the index-i stream.  Positions are worked in blocks of
+    ``SYNTH_BLOCK_ROWS``, which bounds the temporaries and leaves the
+    output unchanged.
+    """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     shape = scenario.geometry.csi_shape
     csi = np.zeros((len(positions),) + shape, dtype=np.complex128)
-    for index, position in enumerate(positions):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=scenario.seed, spawn_key=(index,))
-        )
-        csi[index] = synth_csi(scenario, position, rng=rng)
+    for start in range(0, len(positions), SYNTH_BLOCK_ROWS):
+        stop = min(start + SYNTH_BLOCK_ROWS, len(positions))
+        rngs = None
+        if scenario.noise_power != 0.0:
+            rngs = [
+                np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(index,)))
+                for index in range(start, stop)
+            ]
+        csi[start:stop] = _synth_rows(scenario, positions[start:stop], rngs)
     return CsiDataset(scenario.geometry, csi, positions)
 
 

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ class TestFileFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(NonFinitePayloadError):
             load_dataset(path)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["plus-inf", "minus-inf"])
+    def test_infinite_imaginary_part_raises_without_a_warning(self, tmp_path, value):
+        path = tmp_path / "ds.csit"
+        save_dataset(random_dataset(3), path)
+        blob = bytearray(path.read_bytes())
+        record_floats = 2 + 2 * GEO.num_antennas * GEO.num_taps
+        # record 1, imaginary part of its first CSI entry
+        struct.pack_into("<f", blob, HEADER_BYTES + 4 * (record_floats + 3), value)
+        path.write_bytes(bytes(blob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinitePayloadError, match="record 1"):
+                load_dataset(path)
 
     def test_bad_magic(self, tmp_path):
         dataset = random_dataset(2)

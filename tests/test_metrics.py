@@ -121,6 +121,21 @@ def steering_csi(azimuth_rad, geometry=GEO, amplitude=1.0, taps=None):
     return values
 
 
+def wrapped_phase_probe_csi():
+    """Trial 11842 of the phase-wrap probe: a plane wave near endfire plus
+    strong noise, stored at complex64 as a CSIT file holds it.  The Newton
+    polish steps the root phase past +pi (sin +1.02), and the estimate must
+    come back one turn to -0.98."""
+    rng = np.random.default_rng(11842)
+    s = rng.uniform(0.995, 1.0) * rng.choice([-1, 1])
+    noise = 10 ** rng.uniform(-1, 0.3)
+    steer = np.exp(1j * math.pi * s * np.arange(4))
+    gains = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+    csi = gains[:, None, :] * steer[None, :, None]
+    csi = csi + noise * (rng.standard_normal(csi.shape) + 1j * rng.standard_normal(csi.shape))
+    return csi[None].astype(np.complex64).astype(np.complex128)
+
+
 class TestArrayCorrelation:
     def test_zero_tensor(self):
         corr = array_correlation(np.zeros(GEO.csi_shape, dtype=complex), 0)
@@ -209,18 +224,7 @@ class TestRootMusic:
             root_music_azimuth(CorrelationMatrix(np.ones((1, 1), dtype=complex), 0))
 
     def test_polished_phase_past_pi_wraps_onto_a_spectrum_minimum(self):
-        # a plane wave near endfire plus strong noise, stored at complex64 as
-        # a CSIT file holds it: the Newton polish steps the root phase past
-        # +pi (sin +1.02), and the estimate must come back one turn to -0.98
-        rng = np.random.default_rng(11842)
-        s = rng.uniform(0.995, 1.0) * rng.choice([-1, 1])
-        noise = 10 ** rng.uniform(-1, 0.3)
-        steer = np.exp(1j * math.pi * s * np.arange(4))
-        gains = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
-        csi = gains[:, None, :] * steer[None, :, None]
-        csi = csi + noise * (rng.standard_normal(csi.shape) + 1j * rng.standard_normal(csi.shape))
-        csi = csi[None].astype(np.complex64).astype(np.complex128)
-
+        csi = wrapped_phase_probe_csi()
         azimuth = root_music_azimuth(array_correlation(csi, 0))
         assert math.isfinite(azimuth)
         # brute-force MUSIC scan over s = sin(azimuth): ||a||^2 - |v^H a|^2
