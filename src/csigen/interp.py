@@ -177,8 +177,9 @@ def phase_aligned_blend(
         objectives.append(objectives[-1].copy())
         objectives[-1][live] = objective
         done = previous - objective < BLEND_TOLERANCE * np.maximum(previous, 1e-300)
-        h[live], phases[live] = live_h, live_phases
-        converged[live[done]] = True
+        finished = live[done]
+        h[finished], phases[finished] = live_h[done], live_phases[done]
+        converged[finished] = True
         going = ~done
         live, t, w = live[going], t[going], w[going]
         live_phases, live_h, objective = live_phases[going], live_h[going], objective[going]
