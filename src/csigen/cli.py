@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -85,13 +86,19 @@ def _parse_positions(spec: str, fallback_bounds=None) -> np.ndarray:
         path = Path(spec[len("file:") :])
         rows = []
         with open(path) as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line or line.startswith("#") or line.lower().startswith("x"):
                     continue
                 parts = line.replace(",", " ").split()
-                rows.append([float(parts[0]), float(parts[1])])
-        return np.asarray(rows)
+                try:
+                    row = [float(parts[0]), float(parts[1])]
+                except (IndexError, ValueError):
+                    raise ValueError(f"{path}:{number}: expected x,y, got {line!r}") from None
+                if not (math.isfinite(row[0]) and math.isfinite(row[1])):
+                    raise ValueError(f"{path}:{number}: non-finite position {line!r}")
+                rows.append(row)
+        return np.asarray(rows, dtype=np.float64).reshape(-1, 2)
     if spec.startswith("from-dataset:"):
         return load_dataset(spec[len("from-dataset:") :]).positions.copy()
     raise cfg.ConfigError(

@@ -14,8 +14,10 @@ delay spreads are affinely scaled into [-1, 1], each by a
 :class:`csigen.core.MinMaxScaler`.
 
 The forward passes here (:func:`generator_forward`,
-:func:`delay_spread_forward`) are the ones training and sampling run; the
-training losses and their gradients are in :mod:`csigen.gan.fastgrad`.
+:func:`delay_spread_forward`) are the ones training runs; the training
+losses and their gradients are in :mod:`csigen.gan.fastgrad`, and sampling
+(:mod:`csigen.gan.sample`) runs the generator through
+:func:`csigen.gan.mlp.mlp_forward_columns` in fixed-shape blocks.
 """
 
 from __future__ import annotations
@@ -155,14 +157,4 @@ def generator_forward(
     )
     out, _ = mlp_forward(params, inputs)
     return out
-
-
-def generate_csi(
-    params: MlpParams,
-    geometry: ArrayGeometry,
-    conditions_scaled: np.ndarray,
-    noise: np.ndarray,
-) -> np.ndarray:
-    """Generator pass returning complex CSI tensors (N, B, M_r, M_c, N_tap)."""
-    return unflatten_csi(generator_forward(params, conditions_scaled, noise), geometry)
 

@@ -1,18 +1,27 @@
-"""The batched kernels of synth, interpolate and evaluate against their batch
-of one: every row of a stacked call is bit-identical to the single call on
-that row, and no result depends on the block size a stage works in."""
+"""The batched kernels of synth, generate, interpolate and evaluate against
+their batch of one: every row of a stacked call is bit-identical to the
+single call on that row.  No result of synth, interpolate or evaluate
+depends on the block size a stage works in; generate's bits do depend on
+``SAMPLE_BLOCK_ROWS``, and every call runs blocks of exactly that shape."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csigen
 import csigen.interp
 import csigen.metrics
 import csigen.synth
 from csigen.core import ArrayGeometry, CsiDataset
+from csigen.gan.sample import SAMPLE_BLOCK_ROWS, _generate, sample_fixed, sample_variable
+from csigen.gan.train import TrainingConfig, save_checkpoint, train
 from csigen.interp import Interpolant, interpolate_dataset
 from csigen.metrics import CorrelationMatrix, array_correlation, root_music_azimuth
 from csigen.synth import ArrayPlacement, Obstacle, Reflector, Scenario, synth_csi, synth_dataset
@@ -184,3 +193,85 @@ def test_results_do_not_depend_on_block_size(monkeypatch, default_outputs, block
     assert np.isnan(outputs[1][:, [2, 9]]).all()
     for got, expected in zip(outputs, default_outputs):
         assert same_bits(got, expected)
+
+
+@pytest.fixture(scope="module")
+def sampling_case():
+    """A checkpoint after one training step, whose generator layers are not
+    multiples of a GEMM tile wide, and positions filling two whole sample
+    blocks and a short third one."""
+    config = TrainingConfig(
+        generator_steps=1, batch_size=8, n_critic=1, noise_dim=13, hidden_scale=0.1,
+        critic_hidden_scale=0.1,
+    )
+    checkpoint = train(synth_dataset(scene(), scene_positions(40)), config).checkpoint
+    return checkpoint, scene_positions(2 * SAMPLE_BLOCK_ROWS + 37, seed=8)
+
+
+def test_sample_variable_rows_are_single_calls(sampling_case):
+    checkpoint, positions = sampling_case
+    batch = sample_variable(checkpoint, positions, seed=21)
+    assert batch.csi.shape == (len(positions),) + GEO.csi_shape
+    for index in range(len(positions)):
+        single = sample_variable(checkpoint, positions[index : index + 1], seed=21, start_index=index)
+        assert same_bits(batch.csi[index], single.csi[0]), index
+
+
+# Run by a second interpreter, whose BLAS starts with a set thread count;
+# the command line does not pin threads.
+SINGLE_AGAINST_BATCH = """
+import sys
+import numpy as np
+from csigen.gan.sample import sample_variable
+from csigen.gan.train import load_checkpoint
+checkpoint = load_checkpoint(sys.argv[1])
+positions = np.load(sys.argv[2])
+batch = sample_variable(checkpoint, positions, seed=21).csi
+differ = [
+    index for index in range(len(positions))
+    if batch[index].tobytes()
+    != sample_variable(checkpoint, positions[index : index + 1], seed=21, start_index=index).csi[0].tobytes()
+]
+print(differ)
+sys.exit(1 if differ else 0)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sample_variable_rows_are_single_calls_at_set_blas_threads(sampling_case, tmp_path, threads):
+    checkpoint, positions = sampling_case
+    save_checkpoint(checkpoint, tmp_path / "ck.wgck")
+    np.save(tmp_path / "positions.npy", positions)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(csigen.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", SINGLE_AGAINST_BATCH, str(tmp_path / "ck.wgck"), str(tmp_path / "positions.npy")],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_nan_position_leaves_other_sample_rows_unchanged(sampling_case):
+    # A dataset cannot hold the NaN row, so this runs the block kernel itself.
+    checkpoint, positions = sampling_case
+    poisoned = positions.copy()
+    nan_rows = [100, 2 * SAMPLE_BLOCK_ROWS + 5]  # inside a full block and the short one
+    poisoned[nan_rows, 0] = np.nan
+
+    def fill_noise(noise, start):
+        noise[...] = np.random.default_rng(start).standard_normal(noise.shape)
+
+    clean = _generate(checkpoint, positions, fill_noise)
+    dirty = _generate(checkpoint, poisoned, fill_noise)
+    keep = np.setdiff1d(np.arange(len(positions)), nan_rows)
+    assert same_bits(dirty[keep], clean[keep])
+    assert np.isnan(dirty[nan_rows]).all()
+
+
+def test_empty_sample_batch(sampling_case):
+    checkpoint, _ = sampling_case
+    for sample in (sample_variable, sample_fixed):
+        out = sample(checkpoint, np.zeros((0, 2)), seed=3)
+        assert len(out) == 0 and out.csi.shape == (0,) + GEO.csi_shape

@@ -3,11 +3,15 @@
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csigen
 from csigen.cli import (
     EXIT_DATA,
     EXIT_EMPTY_SPLIT,
@@ -418,6 +422,32 @@ class TestGenerate:
         )
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith("data error:")
+
+    @pytest.mark.parametrize(
+        "bad_row", ["3", "1.0,abc", "nan,2.0", "1.0,inf", "-inf 4.0"],
+        ids=["short-row", "non-numeric", "nan", "inf", "minus-inf"],
+    )
+    def test_bad_positions_file_is_a_data_error(self, tmp_path, trained_checkpoint, bad_row):
+        # a fresh interpreter, so that a traceback or a numpy warning would
+        # reach stderr as a user sees it
+        positions = tmp_path / "bad.csv"
+        positions.write_text(f"x,y\n1.0,2.0\n{bad_row}\n5.0,6.0\n")
+        out = tmp_path / "g.csit"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(csigen.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "csigen.cli", "generate", "--checkpoint", str(trained_checkpoint),
+             "--positions", f"file:{positions}", "--mode", "variable", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == EXIT_DATA, result.stderr
+        assert result.stderr.startswith("data error:"), result.stderr
+        assert f"{positions}:3" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "Warning" not in result.stderr
+        assert not out.exists()
 
 
 class TestInterpolate:
