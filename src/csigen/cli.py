@@ -106,9 +106,9 @@ def _parse_positions(spec: str, fallback_bounds=None) -> np.ndarray:
     )
 
 
-def _write_resolved_config(path: Path, entries: dict) -> None:
+def _write_resolved_config(path: Path, entries: dict, preamble: str = "") -> None:
     with atomic_write(path, "w") as handle:
-        handle.write(cfg.format_config(entries))
+        handle.write(preamble + cfg.format_config(entries))
 
 
 def cmd_synth(args) -> int:
@@ -191,7 +191,7 @@ def cmd_train(args) -> int:
     # out, and the checkpoint a run resumed from is a comment
     resolved = {key: value for key, value in config.to_dict().items() if value is not None}
     resumed = f"# resumed_from = {args.resume}\n" if args.resume else ""
-    (out_dir / "resolved_config.cfg").write_text(resumed + cfg.format_config(resolved))
+    _write_resolved_config(out_dir / "resolved_config.cfg", resolved, resumed)
     result = train(dataset, config, out_dir=out_dir, resume=resume)
     save_checkpoint(result.checkpoint, out_dir / "checkpoint_final.wgck")
     log_path = out_dir / "training_log.csv"

@@ -147,6 +147,13 @@ class MinMaxScaler:
         return (scaled + 1.0) / 2.0 * (self.maximum - self.minimum) + self.minimum
 
 
+def index_rng(seed: int, index: int) -> np.random.Generator:
+    """The random stream of item ``index`` under ``seed``: one independent
+    stream per datapoint, the same whichever batch the item is drawn in.
+    Synth noise and per-position generator noise both come from it."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
 def freq_to_time(freq_csi: np.ndarray, n_tap: int) -> np.ndarray:
     """Convert per-subcarrier channel coefficients to time-domain taps.
 

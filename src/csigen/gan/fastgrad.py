@@ -1,8 +1,10 @@
 """The WGAN-GP training losses and their exact gradients.
 
-Straight-line numpy over the same kernels that sampling runs
-(:func:`csigen.gan.mlp.mlp_forward` / :func:`~csigen.gan.mlp.mlp_backward`
-and :func:`csigen.gan.nets.delay_spread_forward`).
+Straight-line numpy over the one MLP forward and backward
+(:func:`csigen.gan.mlp.mlp_forward` / :func:`~csigen.gan.mlp.mlp_backward`),
+the generator input layout that sampling shares
+(:func:`csigen.gan.nets.generator_forward`) and
+:func:`csigen.gan.nets.delay_spread_forward`.
 
 The penalty's parameter gradient uses the directional-derivative identity:
 with u = d(penalty)/d(gradient) held constant,
@@ -168,7 +170,7 @@ def critic_loss_fast(
     if n == 0:
         raise ValueError("empty batch")
     grad_flat, grads = flat_zeros([a.shape for a in critic.arrays()])
-    fake_flat = generator_forward(generator, pos_scaled, noise)
+    fake_flat, _ = generator_forward(generator, pos_scaled, noise)
     ds_fake = delay_spread_flat(fake_flat, geometry)
     ds_fake_scaled = ds_scaler.scale(ds_fake)
 
@@ -241,8 +243,7 @@ def generator_loss_fast(
     n = pos_scaled.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    inputs = np.concatenate([noise, pos_scaled], axis=1)
-    fake_flat, gen_cache = mlp_forward(generator, inputs)
+    fake_flat, gen_cache = generator_forward(generator, pos_scaled, noise)
     critic_pass = CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled)
     loss = float(-critic_pass.scores.mean())
     adj_fake = critic_backward(

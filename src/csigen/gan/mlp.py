@@ -1,5 +1,7 @@
 """Dense multilayer perceptrons: parameter containers, the forward pass with
 the cache its backward needs, and the hand-written backward pass.
+:func:`mlp_forward` is the only MLP forward; training and sampling both
+run it.
 
 Parameters built here (:func:`init_mlp`, :meth:`MlpParams.copy`) live in one
 contiguous float64 buffer in canonical order W0, b0, W1, b1, ...; each
@@ -143,7 +145,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, tuple[lis
     Returns (output, cache); the cache holds each layer's input and its ReLU
     mask (None for a linear layer) for :func:`mlp_backward`.  A NaN
     pre-activation propagates through the ReLU, so a NaN weight shows up in
-    the output.
+    the output.  A row's bits can depend on the batch size and on its place
+    in the batch, not on the other rows' values (see :mod:`csigen.gan.sample`).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.input_width:
@@ -161,31 +164,6 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, tuple[lis
             masks.append(None)
             activation = pre
     return activation, (inputs, masks)
-
-
-def mlp_forward_columns(params: MlpParams, columns: np.ndarray) -> np.ndarray:
-    """The output of :func:`mlp_forward`, without its cache, for a batch
-    held one column per item: ``columns`` is (input_width, N) and the result
-    (output_width, N).
-
-    Each layer runs as ``weights @ columns``, which makes the batch the M
-    dimension of the column-major BLAS GEMM.  With OpenBLAS 0.3.31 and a
-    batch of 256, no item's bits there depended on its place in the batch
-    (1,080 items over 18 generator shapes, at one and two threads).  In the
-    layout of :func:`mlp_forward` the batch is the GEMM's N dimension, and
-    10 of the same 1,080 items changed bits with their place, all in
-    generators with layers that are not multiples of 16 wide.  The two
-    layouts round differently.
-    """
-    hidden = np.asarray(columns, dtype=np.float64)
-    if hidden.ndim != 2 or hidden.shape[0] != params.input_width:
-        raise ValueError(f"input shape {hidden.shape} != expected ({params.input_width}, N)")
-    for layer in params.layers:
-        hidden = layer.weights @ hidden
-        hidden += layer.bias[:, None]
-        if layer.activation == "relu":
-            np.maximum(hidden, 0.0, out=hidden)
-    return hidden
 
 
 def mlp_backward(

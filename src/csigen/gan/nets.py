@@ -15,9 +15,10 @@ delay spreads are affinely scaled into [-1, 1], each by a
 
 The forward passes here (:func:`generator_forward`,
 :func:`delay_spread_forward`) are the ones training runs; the training
-losses and their gradients are in :mod:`csigen.gan.fastgrad`, and sampling
-(:mod:`csigen.gan.sample`) runs the generator through
-:func:`csigen.gan.mlp.mlp_forward_columns` in fixed-shape blocks.
+losses and their gradients are in :mod:`csigen.gan.fastgrad`.
+:func:`generator_forward` is the one place that lays out the generator's
+input, and sampling (:mod:`csigen.gan.sample`) runs it too, in fixed-shape
+blocks.
 """
 
 from __future__ import annotations
@@ -149,12 +150,14 @@ def delay_spread_flat(flat: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
 
 def generator_forward(
     params: MlpParams, conditions_scaled: np.ndarray, noise: np.ndarray
-) -> np.ndarray:
-    """Fast generator pass: (noise, condition) -> flattened CSI vector."""
+) -> tuple[np.ndarray, tuple[list, list]]:
+    """Generator pass over (N, noise_dim) ``noise`` and (N, 2) scaled
+    positions: the input row is the noise columns, then the scaled position.
+    Returns the (N, csi width) flattened CSI and the
+    :func:`~csigen.gan.mlp.mlp_forward` cache."""
     inputs = np.concatenate(
         [np.asarray(noise, dtype=np.float64), np.asarray(conditions_scaled, dtype=np.float64)],
         axis=1,
     )
-    out, _ = mlp_forward(params, inputs)
-    return out
+    return mlp_forward(params, inputs)
 

@@ -331,12 +331,14 @@ def interpolate_dataset(
 
 def phase_aligned_nmse(estimate: np.ndarray, reference: np.ndarray) -> float:
     """Normalized squared error between CSI tensors, minimized over one
-    global phase: min_phi ||estimate - e^{j phi} reference||^2 / ||reference||^2."""
+    global phase: min_phi ||estimate - e^{j phi} reference||^2 / ||reference||^2,
+    summed from the residual at the minimizing phase, because the expanded
+    norm cancels to about 1e-16 for identical tensors."""
     estimate = np.asarray(estimate).ravel()
     reference = np.asarray(reference).ravel()
     ref_power = float(np.sum(reference.real**2 + reference.imag**2))
     if ref_power == 0.0:
         raise ValueError("reference tensor has zero power")
-    est_power = float(np.sum(estimate.real**2 + estimate.imag**2))
-    cross = abs(np.sum(estimate * reference.conj()))
-    return max(est_power + ref_power - 2.0 * cross, 0.0) / ref_power
+    cross = np.sum(estimate * reference.conj())
+    residual = estimate - np.exp(1j * np.angle(cross)) * reference
+    return float(np.sum(residual.real**2 + residual.imag**2)) / ref_power

@@ -59,7 +59,9 @@ class CorrelationMatrix:
             raise ValueError(f"correlation matrix must be square, got {entries.shape}")
         if entries.size:
             scale = np.abs(entries).max(axis=(-2, -1))
-            asymmetry = np.abs(entries - _adjoint(entries)).max(axis=(-2, -1))
+            # inf - inf is NaN and passes; root-MUSIC gives such a matrix NaN
+            with np.errstate(invalid="ignore"):
+                asymmetry = np.abs(entries - _adjoint(entries)).max(axis=(-2, -1))
             if np.any((scale > 0) & (asymmetry > 1e-10 * scale)):
                 raise ValueError("correlation matrix is not Hermitian")
         object.__setattr__(self, "entries", entries)

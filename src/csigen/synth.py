@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from csigen.core import ArrayGeometry, CsiDataset
+from csigen.core import ArrayGeometry, CsiDataset, index_rng
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -392,8 +392,8 @@ def synth_csi(
 
 def synth_dataset(scenario: Scenario, positions: np.ndarray) -> CsiDataset:
     """:func:`synth_csi` over positions with independent per-position
-    noise streams derived from (scenario seed, index); bit-reproducible for
-    a fixed scenario.
+    noise streams from :func:`csigen.core.index_rng` (scenario seed, index);
+    bit-reproducible for a fixed scenario.
 
     Row i equals ``synth_csi(scenario, positions[i], rng)`` bit for bit,
     with ``rng`` the index-i stream.  Positions are worked in blocks of
@@ -407,10 +407,7 @@ def synth_dataset(scenario: Scenario, positions: np.ndarray) -> CsiDataset:
         stop = min(start + SYNTH_BLOCK_ROWS, len(positions))
         rngs = None
         if scenario.noise_power != 0.0:
-            rngs = [
-                np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(index,)))
-                for index in range(start, stop)
-            ]
+            rngs = [index_rng(scenario.seed, index) for index in range(start, stop)]
         csi[start:stop] = _synth_rows(scenario, positions[start:stop], rngs)
     return CsiDataset(scenario.geometry, csi, positions)
 

@@ -410,7 +410,7 @@ def critic_loss(
     """
     if real_flat.shape[0] == 0:
         raise ValueError("empty batch")
-    fake_flat = generator_forward(generator, pos_scaled, noise)
+    fake_flat, _ = generator_forward(generator, pos_scaled, noise)
     ds_fake_scaled = ds_scaler.scale(delay_spread_flat(fake_flat, geometry))
 
     trunk_vars = mlp_vars(critic.trunk)

@@ -125,3 +125,17 @@ def test_failed_report_write_keeps_the_old_report(tmp_path, fail_writes_to, name
     after = snapshot(report)
     assert set(after) == set(before)  # no temporary file left
     assert after[name] == before[name]
+
+
+def test_failed_train_config_write_keeps_the_old_config(tmp_path, fail_writes_to):
+    save_dataset(dataset(12, seed=6), tmp_path / "train.csit")
+    config = tmp_path / "train.cfg"
+    config.write_text("generator_steps = 1\nbatch_size = 4\nnoise_dim = 4\nhidden_scale = 0.01\n")
+    run = tmp_path / "run"
+    argv = ["train", "--train", str(tmp_path / "train.csit"), "--out", str(run)]
+    assert main(argv + ["--config", str(config)]) == 0
+    before = snapshot(run)
+    fail_writes_to("resolved_config.cfg")
+    with pytest.raises(DiskFull):
+        main(argv + ["--resume", str(run / "checkpoint_final.wgck")])
+    assert snapshot(run) == before  # old config kept, no temporary file left

@@ -208,13 +208,21 @@ def sampling_case():
     return checkpoint, scene_positions(2 * SAMPLE_BLOCK_ROWS + 37, seed=8)
 
 
+# start index 40 puts the batch's first block mid-grid: its first 40 rows
+# hold no position
+START_INDICES = (0, 40)
+
+
 def test_sample_variable_rows_are_single_calls(sampling_case):
     checkpoint, positions = sampling_case
-    batch = sample_variable(checkpoint, positions, seed=21)
-    assert batch.csi.shape == (len(positions),) + GEO.csi_shape
-    for index in range(len(positions)):
-        single = sample_variable(checkpoint, positions[index : index + 1], seed=21, start_index=index)
-        assert same_bits(batch.csi[index], single.csi[0]), index
+    for start in START_INDICES:
+        batch = sample_variable(checkpoint, positions, seed=21, start_index=start)
+        assert batch.csi.shape == (len(positions),) + GEO.csi_shape
+        for index in range(len(positions)):
+            single = sample_variable(
+                checkpoint, positions[index : index + 1], seed=21, start_index=start + index
+            )
+            assert same_bits(batch.csi[index], single.csi[0]), (start, index)
 
 
 # Run by a second interpreter, whose BLAS starts with a set thread count;
@@ -226,12 +234,14 @@ from csigen.gan.sample import sample_variable
 from csigen.gan.train import load_checkpoint
 checkpoint = load_checkpoint(sys.argv[1])
 positions = np.load(sys.argv[2])
-batch = sample_variable(checkpoint, positions, seed=21).csi
-differ = [
-    index for index in range(len(positions))
-    if batch[index].tobytes()
-    != sample_variable(checkpoint, positions[index : index + 1], seed=21, start_index=index).csi[0].tobytes()
-]
+differ = []
+for start in map(int, sys.argv[3:]):
+    batch = sample_variable(checkpoint, positions, seed=21, start_index=start).csi
+    differ += [
+        (start, index) for index in range(len(positions))
+        if batch[index].tobytes()
+        != sample_variable(checkpoint, positions[index : index + 1], seed=21, start_index=start + index).csi[0].tobytes()
+    ]
 print(differ)
 sys.exit(1 if differ else 0)
 """
@@ -247,7 +257,8 @@ def test_sample_variable_rows_are_single_calls_at_set_blas_threads(sampling_case
         [str(Path(csigen.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
     )
     result = subprocess.run(
-        [sys.executable, "-c", SINGLE_AGAINST_BATCH, str(tmp_path / "ck.wgck"), str(tmp_path / "positions.npy")],
+        [sys.executable, "-c", SINGLE_AGAINST_BATCH, str(tmp_path / "ck.wgck"), str(tmp_path / "positions.npy"),
+         *map(str, START_INDICES)],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert result.returncode == 0, result.stdout + result.stderr

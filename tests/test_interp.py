@@ -177,6 +177,25 @@ class TestPhaseAlignedBlend:
             )
 
 
+class TestPhaseAlignedNmse:
+    def test_identical_tensors_read_below_the_equivariance_bound(self):
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            tensor = random_tensor(rng)
+            assert phase_aligned_nmse(tensor.copy(), tensor) < 1e-18
+
+    def test_matches_a_phase_scan(self):
+        rng = np.random.default_rng(41)
+        reference = random_tensor(rng)
+        estimate = np.exp(0.9j) * reference + 0.3 * random_tensor(rng)
+        phases = np.linspace(-np.pi, np.pi, 20001)
+        scan = min(np.sum(np.abs(estimate - np.exp(1j * phi) * reference) ** 2) for phi in phases)
+        scan /= np.sum(np.abs(reference) ** 2)
+        nmse = phase_aligned_nmse(estimate, reference)
+        assert nmse <= scan * (1 + 1e-12)  # no grid phase does better
+        assert nmse == pytest.approx(scan, rel=1e-6)
+
+
 class TestInterpolateAt:
     def test_vertex_idempotence_up_to_phase(self):
         rng = np.random.default_rng(29)

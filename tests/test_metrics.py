@@ -183,6 +183,15 @@ class TestRootMusic:
         corr = array_correlation(steering_csi(0.0), 0)
         assert root_music_azimuth(corr) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_matrix_in_a_stack_is_nan_without_a_warning(self):
+        steer = np.exp(1j * math.pi * np.arange(4) * math.sin(math.radians(30)))
+        entries = np.stack([np.outer(steer, steer.conj())] * 2)
+        entries[1, 0, 1] = entries[1, 1, 0] = np.inf
+        azimuths = root_music_azimuth(CorrelationMatrix(entries, 0))
+        assert math.degrees(azimuths[0]) == pytest.approx(30.0, abs=0.1)
+        assert math.isnan(azimuths[1])
+
     def test_thirty_degrees_from_steering_outer_product(self):
         target = math.radians(30)
         cols = np.arange(4)
