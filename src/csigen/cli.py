@@ -68,6 +68,17 @@ _TRAIN_FIELD_PARSERS = {
 }
 
 
+def _seed(text: str) -> int:
+    """``--seed`` and ``--jitter-seed`` values: numpy seeds are non-negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_positions(spec: str, fallback_bounds=None) -> np.ndarray:
     """Position source: ``grid:NXxNY`` (over the scenario bounds),
     ``file:<csv>`` (rows of x,y), or ``from-dataset:<csit>``."""
@@ -282,18 +293,14 @@ def _write_points_csv(
     per_array = (len(dataset), num_arrays, geometry.rows_per_array * geometry.cols_per_array)
     mean_ds_ns = spreads.reshape(per_array).mean(axis=-1) * 1e9
     azimuths = [root_music_azimuth(array_correlation(dataset.csi, b)) for b in range(num_arrays)]
+    columns = [dataset.positions[:, 0], dataset.positions[:, 1]]
+    for b in range(num_arrays):
+        columns += [db[:, b], mean_ds_ns[:, b], azimuths[b]]
+    table = np.column_stack(columns).tolist()
     with atomic_write(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for index in range(len(dataset)):
-            row = [repr(float(v)) for v in dataset.positions[index]]
-            for b in range(num_arrays):
-                row += [
-                    repr(float(db[index, b])),
-                    repr(float(mean_ds_ns[index, b])),
-                    repr(float(azimuths[b][index])),
-                ]
-            writer.writerow(row)
+        writer.writerows([map(repr, row) for row in table])
 
 
 def cmd_evaluate(args) -> int:
@@ -378,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--positions", required=True, help="grid:NXxNY | file:<csv>")
     p.add_argument("--jitter", type=float, default=0.0, help="uniform position jitter in meters")
-    p.add_argument("--jitter-seed", type=int, default=0)
+    p.add_argument("--jitter-seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -404,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--positions", required=True, help="file:<csv> | from-dataset:<csit>")
     p.add_argument("--mode", choices=("fixed", "variable"), default="variable")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", nargs="+", required=True)
     p.add_argument("--gaussian-baseline", action="store_true")
     p.add_argument("--bins", type=int, default=150)
-    p.add_argument("--seed", type=int, default=0, help="seed for the Gaussian baseline draw")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for the Gaussian baseline draw")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

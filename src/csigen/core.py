@@ -11,9 +11,11 @@ float64 / complex128 throughout; file payloads are float32 (see
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 @dataclass(frozen=True)
@@ -147,11 +149,111 @@ class MinMaxScaler:
         return (scaled + 1.0) / 2.0 * (self.maximum - self.minimum) + self.minimum
 
 
-def index_rng(seed: int, index: int) -> np.random.Generator:
-    """The random stream of item ``index`` under ``seed``: one independent
-    stream per datapoint, the same whichever batch the item is drawn in.
-    Synth noise and per-position generator noise both come from it."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+# numpy's SeedSequence hash (numpy.random.bit_generator): the pool size and
+# the constants of its hashmix, mix and generate_state steps
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_WORD = 0xFFFFFFFF
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as numpy's SeedSequence reads an integer: uint32 words,
+    least significant first, one word for 0."""
+    words = [value & _WORD]
+    while value > _WORD:
+        value >>= 32
+        words.append(value & _WORD)
+    return words
+
+
+def _seed_states(entropy: list) -> np.ndarray:
+    """``SeedSequence.generate_state(4, uint64)`` of assembled entropy words
+    (at least the pool size of them), each word an int shared by all rows or
+    a uint32 array with one value per row; returns (rows, 4) uint64.  The
+    words are masked to 32 bits, so ints and uint32 arrays hash alike."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _WORD
+        value = value * hash_const & _WORD
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = ((_MIX_MULT_L * x & _WORD) - (_MIX_MULT_R * y & _WORD)) & _WORD
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _WORD
+        value = value * hash_const & _WORD
+        words.append(value ^ value >> _XSHIFT)
+    # pairs of uint32 words read as little-endian uint64, as numpy reads them
+    return np.column_stack(words).astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """Hands one precomputed ``generate_state(4, uint64)`` result to
+    ``PCG64``, which seeds itself from it as from a SeedSequence."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != len(self.state) or np.dtype(dtype) != np.uint64:
+            raise ValueError("a precomputed seed state answers one request only")
+        return self.state
+
+
+def index_rngs(seed: int, first: int, count: int) -> list[np.random.Generator]:
+    """The random streams of items ``first, ..., first + count - 1`` under
+    ``seed``: one independent stream per datapoint, the same whichever batch
+    the item is drawn in.  Synth noise and per-position generator noise both
+    come from it.
+
+    Item ``index`` gets the Generator of
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(index,)))``; the
+    SeedSequence hash runs once for the whole range, and its result for
+    ``first`` is checked against numpy's own, so a numpy release that
+    changed the hash raises instead of changing every stream.
+    """
+    seed, first, count = operator.index(seed), operator.index(first), operator.index(count)
+    if seed < 0 or first < 0 or count < 0:
+        raise ValueError("expected non-negative integer")
+    if count == 0:
+        return []
+    # SeedSequence pads the entropy to the pool size when a spawn key follows
+    run = _uint32_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    # an index's low word, and the words above it, which change at most once
+    # in a range shorter than 2**32
+    low = (first & _WORD) + np.arange(count, dtype=np.uint64)
+    carry = low >> np.uint64(32)
+    states = np.empty((count, 4), dtype=np.uint64)
+    for step in np.unique(carry):
+        rows = np.flatnonzero(carry == step)
+        high = (first >> 32) + int(step)
+        upper = _uint32_words(high) if high else []
+        low_words = (low[rows] & np.uint64(_WORD)).astype(np.uint32)
+        states[rows] = _seed_states(run + [low_words] + upper)
+    expected = np.random.SeedSequence(entropy=seed, spawn_key=(first,)).generate_state(4, np.uint64)
+    if not np.array_equal(states[0], expected):
+        raise RuntimeError("this numpy's SeedSequence hash differs from the one index_rngs computes")
+    return [np.random.Generator(np.random.PCG64(_SeedState(state))) for state in states]
 
 
 def freq_to_time(freq_csi: np.ndarray, n_tap: int) -> np.ndarray:

@@ -93,7 +93,7 @@ def save_dataset(dataset: CsiDataset, path: str | Path, provenance: dict | None 
     records[:, 3::2] = flat.imag
     with atomic_write(path) as handle:
         handle.write(header)
-        handle.write(records.tobytes())
+        handle.write(records)
     meta = {
         "format": "CSIT",
         "version": FORMAT_VERSION,
@@ -135,19 +135,21 @@ def load_dataset(path: str | Path) -> CsiDataset:
         raise DatasetFormatError(f"{path}: invalid header field ({exc})") from exc
     entries = geometry.num_antennas * geometry.num_taps
     record_floats = 2 + 2 * entries
-    payload = blob[6 + _HEADER.size :]
+    offset = 6 + _HEADER.size
+    payload_bytes = len(blob) - offset
     expected = count * record_floats * 4
-    if len(payload) < expected:
+    if payload_bytes < expected:
         raise TruncatedPayloadError(
             f"{path}: header declares {count} records ({expected} payload bytes), "
-            f"file holds {len(payload)}"
+            f"file holds {payload_bytes}"
         )
-    if len(payload) > expected:
+    if payload_bytes > expected:
         raise LengthMismatchError(
-            f"{path}: {len(payload) - expected} unexpected trailing bytes "
+            f"{path}: {payload_bytes - expected} unexpected trailing bytes "
             f"after {count} declared records"
         )
-    records = np.frombuffer(payload, dtype="<f4").reshape(count, record_floats)
+    records = np.frombuffer(blob, dtype="<f4", offset=offset, count=count * record_floats)
+    records = records.reshape(count, record_floats)
     # checked on the float32 values, before the complex product below could
     # turn an infinite imaginary part into a NaN with a RuntimeWarning
     non_finite = np.argwhere(~np.isfinite(records))

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from csigen.core import CsiDataset, index_rng
+from csigen.core import CsiDataset, index_rngs
 from csigen.gan.nets import generator_forward
 from csigen.gan.train import Checkpoint
 
@@ -80,7 +80,7 @@ def sample_variable(
     checkpoint: Checkpoint, positions: np.ndarray, seed: int, start_index: int = 0
 ) -> CsiDataset:
     """Independent noise per position, from the stream
-    :func:`csigen.core.index_rng` derives from (seed, index), the position
+    :func:`csigen.core.index_rngs` derives from (seed, index), the position
     j having index ``start_index + j``; regenerating any single position
     reproduces its batch result bit-exactly when the matching
     ``start_index`` is passed.
@@ -92,8 +92,8 @@ def sample_variable(
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
 
     def fill_noise(noise: np.ndarray, start: int) -> None:
-        for index, out in enumerate(noise, start=start_index + start):
-            index_rng(seed, index).standard_normal(out=out)
+        for rng, out in zip(index_rngs(seed, start_index + start, len(noise)), noise):
+            rng.standard_normal(out=out)
 
     return CsiDataset(
         checkpoint.geometry, _generate(checkpoint, positions, fill_noise, start_index), positions

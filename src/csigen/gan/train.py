@@ -1,10 +1,10 @@
 """WGAN-GP training loop, Adam optimizer state, and "WGCK" checkpoints.
 
-Training is a pure function of (dataset, config, seed) on one platform:
-random draws follow a fixed per-cycle order, parameters update in canonical
-order, and the checkpoint stores the generator/critic parameters, the
-optimizer moments, the RNG state, and both input scalers, so a resumed run
-continues bit-identically.
+Training is a pure function of (dataset, config, seed) on one platform and
+one BLAS thread count: random draws follow a fixed per-cycle order,
+parameters update in canonical order, and the checkpoint stores the
+generator/critic parameters, the optimizer moments, the RNG state, and both
+input scalers, so a resumed run continues bit-identically.
 
 The generator's parameters live in one flat float64 buffer, the critic's in
 another (trunk then fusion); the gradients and the Adam moments share that
@@ -116,6 +116,8 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.generator_steps < 0 or self.checkpoint_every < 0:
             raise ValueError("generator_steps and checkpoint_every must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.n_critic < 1 or self.batch_size < 1 or self.noise_dim < 1:
             raise ValueError("n_critic, batch_size and noise_dim must be >= 1")
         positive = {

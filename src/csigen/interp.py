@@ -106,11 +106,22 @@ def _combine(factors: np.ndarray, tensors: np.ndarray) -> np.ndarray:
     )
 
 
-def _blend_objective(
-    tensors: np.ndarray, weights: np.ndarray, phases: np.ndarray, h: np.ndarray
-) -> np.ndarray:
-    diffs = tensors - np.exp(1j * phases)[:, :, None] * h[:, None, :]
-    return np.sum(weights * np.sum(diffs.real**2 + diffs.imag**2, axis=-1), axis=-1)
+def _gram_step(
+    gram: np.ndarray, weights: np.ndarray, phases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(<h_i, H>, objective) per row for H = sum_k w_k exp(-j phi_k) h_k,
+    from the Gram matrices G_ik = <h_i, h_k> (rows, 3, 3), the weights and
+    the phases (rows, 3)."""
+    factors = weights * np.exp(1j * phases)
+    inner = _combine(factors, np.swapaxes(gram, 1, 2))  # sum_k w_k e^{j phi_k} G_ik
+    # ||H||^2 = sum_i w_i Re(e^{-j phi_i} <h_i, H>), and the objective
+    # sum_i w_i ||h_i - e^{j phi_i} H||^2 = sum_i w_i G_ii + ||H||^2 sum_i w_i - 2 ||H||^2
+    products = factors.real * inner.real + factors.imag * inner.imag
+    norm = products[:, 0] + products[:, 1] + products[:, 2]
+    powers = weights * np.diagonal(gram, axis1=1, axis2=2).real
+    total_weight = weights[:, 0] + weights[:, 1] + weights[:, 2]
+    objective = powers[:, 0] + powers[:, 1] + powers[:, 2] + norm * total_weight - 2.0 * norm
+    return inner, objective
 
 
 def phase_aligned_blend(
@@ -127,7 +138,11 @@ def phase_aligned_blend(
     The inner product runs over the whole tensor, so each vertex gets one
     global phase.  Stops when the objective decreases by less than
     ``BLEND_TOLERANCE`` (relative) or after ``BLEND_MAX_ITERATIONS``
-    iterations.
+    iterations.  Every quantity the descent reads is a combination of the
+    Hermitian 3x3 Gram matrix G_ik = <h_i, h_k>, computed once per row:
+    <h_i, H> = sum_k s_k exp(j phi_k) G_ik, and the objective is
+    sum_i s_i G_ii + ||H||^2 sum_i s_i - 2 ||H||^2.  So the iterations never
+    touch the tensors, and H is built from them once, from the final phases.
 
     With stacked weights (rows, 3), ``h1``-``h3`` are stacks (rows, ...) and
     each row is blended on its own: a row stops at its own convergence, and
@@ -150,40 +165,47 @@ def phase_aligned_blend(
     # does not depend on the order the vertices are listed in
     order = np.argsort(-weights.reshape(rows, 3), axis=1, kind="stable")
     tensors = np.stack([a.reshape(rows, -1) for a in arrays], axis=1)
-    tensors = np.take_along_axis(tensors, order[:, :, None], axis=1)
+    tensors = tensors[np.arange(rows)[:, None], order]
     weights = np.take_along_axis(weights.reshape(rows, 3), order, axis=1)
 
-    h = np.zeros(tensors[:, 0].shape, dtype=np.complex128)
+    # the Hermitian Gram matrix G_ik = <h_i, h_k> of each row's vertices
+    power = np.sum(tensors.real**2 + tensors.imag**2, axis=-1)
+    gram = np.empty((rows, 3, 3), dtype=np.complex128)
+    for i in range(3):
+        gram[:, i, i] = power[:, i]
+        for k in range(i + 1, 3):
+            gram[:, i, k] = np.sum(tensors[:, i] * tensors[:, k].conj(), axis=-1)
+            gram[:, k, i] = gram[:, i, k].conj()
     phases = np.zeros((rows, 3))
-    zero = np.all(np.sum(tensors.real**2 + tensors.imag**2, axis=-1) == 0.0, axis=-1)
+    zero = np.all(power == 0.0, axis=-1)
     converged = zero.copy()
     # rows with all-zero tensors have an identically zero objective; their
     # blend is the zero tensor
     objectives = [np.zeros(rows)]
     live = np.flatnonzero(~zero)
-    t, w = tensors[live], weights[live]
+    g, w = gram[live], weights[live]
     live_phases = np.zeros((live.size, 3))
-    live_h = _combine(w * np.exp(-1j * live_phases), t)
-    objective = _blend_objective(t, w, live_phases, live_h)
+    inner, objective = _gram_step(g, w, live_phases)
     objectives[0][live] = objective
     for _ in range(BLEND_MAX_ITERATIONS):
         if live.size == 0:
             break
-        inner = np.sum(t * live_h.conj()[:, None, :], axis=-1)  # <h_i, H>
         live_phases = np.angle(inner)
-        live_h = _combine(w * np.exp(-1j * live_phases), t)
         previous = objective
-        objective = _blend_objective(t, w, live_phases, live_h)
+        inner, objective = _gram_step(g, w, live_phases)
         objectives.append(objectives[-1].copy())
         objectives[-1][live] = objective
         done = previous - objective < BLEND_TOLERANCE * np.maximum(previous, 1e-300)
         finished = live[done]
-        h[finished], phases[finished] = live_h[done], live_phases[done]
+        phases[finished] = live_phases[done]
         converged[finished] = True
         going = ~done
-        live, t, w = live[going], t[going], w[going]
-        live_phases, live_h, objective = live_phases[going], live_h[going], objective[going]
-    h[live], phases[live] = live_h, live_phases
+        live, g, w, inner = live[going], g[going], w[going], inner[going]
+        live_phases, objective = live_phases[going], objective[going]
+    phases[live] = live_phases
+    h = np.zeros(tensors[:, 0].shape, dtype=np.complex128)
+    nonzero = np.flatnonzero(~zero)
+    h[nonzero] = _combine(weights[nonzero] * np.exp(-1j * phases[nonzero]), tensors[nonzero])
     np.put_along_axis(phases, order, phases.copy(), axis=1)
     if stacked:
         return BlendResult(h.reshape(shape), phases, objectives, converged, zero)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from csigen.core import ArrayGeometry, CsiDataset, index_rng
+from csigen.core import ArrayGeometry, CsiDataset, index_rngs
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -392,7 +392,7 @@ def synth_csi(
 
 def synth_dataset(scenario: Scenario, positions: np.ndarray) -> CsiDataset:
     """:func:`synth_csi` over positions with independent per-position
-    noise streams from :func:`csigen.core.index_rng` (scenario seed, index);
+    noise streams from :func:`csigen.core.index_rngs` (scenario seed, index);
     bit-reproducible for a fixed scenario.
 
     Row i equals ``synth_csi(scenario, positions[i], rng)`` bit for bit,
@@ -407,7 +407,7 @@ def synth_dataset(scenario: Scenario, positions: np.ndarray) -> CsiDataset:
         stop = min(start + SYNTH_BLOCK_ROWS, len(positions))
         rngs = None
         if scenario.noise_power != 0.0:
-            rngs = [index_rng(scenario.seed, index) for index in range(start, stop)]
+            rngs = index_rngs(scenario.seed, start, stop - start)
         csi[start:stop] = _synth_rows(scenario, positions[start:stop], rngs)
     return CsiDataset(scenario.geometry, csi, positions)
 
@@ -476,6 +476,8 @@ def scenario_from_config(entries: dict[str, str]) -> Scenario:
         index += 1
     noise_power = pop_float(remaining, "noise_power", default=0.0)
     seed = pop_int(remaining, "seed", default=0)
+    if seed < 0:
+        raise ConfigError(f"config key 'seed': expected a non-negative integer, got {seed}")
     delay_offset = pop_float(remaining, "delay_offset_taps", default=8.0)
     box = pop_vector(remaining, "bounds", 4)
     bounds = ((box[0], box[1]), (box[2], box[3]))

@@ -105,6 +105,23 @@ class TestSynth:
         assert code == EXIT_USAGE
         assert "mystery_knob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["scenario", "jitter"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, scenario_file, capsys, where):
+        scenario, extra = scenario_file, []
+        if where == "scenario":
+            scenario = tmp_path / "negative.cfg"
+            scenario.write_text(SCENARIO.replace("seed = 7", "seed = -5"))
+        else:
+            extra = ["--jitter", "0.01", "--jitter-seed", "-1"]
+        out = tmp_path / "x.csit"
+        code = main(
+            ["synth", "--scenario", str(scenario), "--positions", "grid:3x3", "--out", str(out)]
+            + extra
+        )
+        assert code == EXIT_USAGE
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_positions_from_file(self, tmp_path, scenario_file):
         pos = tmp_path / "pos.csv"
         pos.write_text("x,y\n1.0,2.0\n3.0,4.0\n")
@@ -337,6 +354,18 @@ class TestTrain:
         assert err.startswith("config error:") and key in err
         assert not (tmp_path / "run" / "checkpoint_diverged.wgck").exists()
 
+    def test_negative_seed_is_a_config_error(self, tmp_path, small_dataset, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_CONFIG.replace("seed = 0", "seed = -1"))
+        run_dir = tmp_path / "run"
+        code = main(
+            ["train", "--train", str(small_dataset), "--config", str(config), "--out", str(run_dir)]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed" in err
+        assert not (run_dir / "resolved_config.cfg").exists()
+
     @pytest.mark.parametrize("field", ["hidden_scale", "critic_hidden_scale"])
     def test_nan_scale_is_a_config_error(self, tmp_path, small_dataset, capsys, field):
         config = tmp_path / "train.cfg"
@@ -386,6 +415,16 @@ class TestGenerate:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, small_dataset, trained_checkpoint, capsys):
+        out = tmp_path / "g.csit"
+        code = main(
+            ["generate", "--checkpoint", str(trained_checkpoint),
+             "--positions", f"from-dataset:{small_dataset}", "--seed", "-1", "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_checkpoint_magic(self, tmp_path, small_dataset, trained_checkpoint):
         bad = tmp_path / "bad.wgck"
@@ -526,6 +565,16 @@ class TestEvaluate:
             rows = list(csv.reader(handle))
         matrix = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
         assert matrix[0, 1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, small_dataset, capsys):
+        report = tmp_path / "report"
+        code = main(
+            ["evaluate", "--reference", str(small_dataset), "--candidates", str(small_dataset),
+             "--gaussian-baseline", "--seed", "-2", "--out", str(report)]
+        )
+        assert code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_bad_bin_count(self, tmp_path, small_dataset):
         code = main(

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import csigen.core
 from csigen.core import (
     ArrayGeometry,
     CsiDataset,
     MinMaxScaler,
     dataset_powers,
     freq_to_time,
+    index_rngs,
     power_db,
     total_rx_power,
 )
@@ -222,3 +226,47 @@ class TestMinMaxScaler:
             MinMaxScaler.fit(np.zeros((0, 2)))
         with pytest.raises(ValueError):
             MinMaxScaler.fit(np.zeros(0))
+
+
+def numpy_stream(seed, index):
+    """The per-index stream built the way numpy documents it."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def assert_numpy_streams(seed, first, count):
+    streams = index_rngs(seed, first, count)
+    assert len(streams) == count
+    for index, stream in enumerate(streams, start=first):
+        expected = numpy_stream(seed, index)
+        assert stream.bit_generator.state == expected.bit_generator.state, index
+        assert np.array_equal(stream.standard_normal(4), expected.standard_normal(4)), index
+
+
+class TestIndexRngs:
+    # seeds of one, two and five uint32 words; ranges from 0, inside a
+    # 256-row block, and across 2**32, where the spawn key grows a word
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**40 + 1, 2**140 + 3])
+    @pytest.mark.parametrize("first, count", [(0, 5), (300, 40), (2**32 - 3, 6)])
+    def test_matches_numpy(self, seed, first, count):
+        assert_numpy_streams(seed, first, count)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**160 - 1),
+        first=st.integers(0, 2**40 - 1),
+        count=st.integers(0, 300),
+    )
+    def test_matches_numpy_property(self, seed, first, count):
+        assert_numpy_streams(seed, first, count)
+
+    @pytest.mark.parametrize("seed, first", [(-1, 0), (0, -1), (-(2**70), 5)])
+    def test_negative_seed_or_index_raises_like_numpy(self, seed, first):
+        with pytest.raises(ValueError):
+            numpy_stream(seed, first)
+        with pytest.raises(ValueError):
+            index_rngs(seed, first, 3)
+
+    def test_a_different_hash_raises(self, monkeypatch):
+        monkeypatch.setattr(csigen.core, "_MULT_B", csigen.core._MULT_B ^ 2)
+        with pytest.raises(RuntimeError, match="SeedSequence"):
+            index_rngs(5, 0, 3)

@@ -177,6 +177,70 @@ class TestPhaseAlignedBlend:
             )
 
 
+def _dense_scene_triples(count=300):
+    """Vertex triples and weights of ``count`` queries in a noisy synthetic
+    scene sampled every 8 cm, the spacing of the densest benchmark scene."""
+    geometry = ArrayGeometry(1, 2, 4, 16, 1.272e9, 100e6)
+    scene = Scenario(
+        geometry=geometry,
+        placements=(ArrayPlacement(np.array([6.0, 0.0]), math.pi / 2),),
+        reflectors=(Reflector(np.array([0.0, 6.0]), 2.5), Reflector(np.array([12.0, 7.0]), 2.0)),
+        noise_power=1e-7,
+        seed=7,
+        bounds=((0.0, 1.5), (12.0, 10.5)),
+        delay_offset_taps=4.0,
+    )
+    train = synth_dataset(scene, grid_positions(((3.0, 4.0), (5.0, 5.6)), 26, 21))
+    interp = build_interpolant(train)
+    queries = np.random.default_rng(37).uniform((3.05, 4.05), (4.95, 5.55), size=(count, 2))
+    simplex = interp._locate(queries)
+    assert np.all(simplex >= 0)
+    vertex_rows = interp.triangulation.simplices[simplex]
+    coords = barycentric(interp.points[vertex_rows], queries)
+    csi = train.csi[interp.vertex_indices[vertex_rows]]
+    return csi[:, 0], csi[:, 1], csi[:, 2], coords.weights
+
+
+def _random_triples(count=300):
+    rng = np.random.default_rng(41)
+    h1, h2, h3 = (random_tensor(rng, (count, 1, 2, 2, 8)) for _ in range(3))
+    weights = rng.dirichlet(np.ones(3), size=count)
+    weights[:20] = np.eye(3)[np.arange(20) % 3]  # queries on a vertex
+    return h1, h2, h3, weights
+
+
+class TestBlendAgainstTensorOracles:
+    """The blend iterates on 3x3 Gram matrices; these oracles recompute its
+    outputs over the full tensors."""
+
+    @pytest.fixture(params=["random", "dense-scene"])
+    def triples(self, request):
+        return _random_triples() if request.param == "random" else _dense_scene_triples()
+
+    def test_outputs_match_the_tensor_forms(self, triples):
+        h1, h2, h3, weights = triples
+        result = phase_aligned_blend(h1, h2, h3, BarycentricCoords(weights))
+        rows = len(weights)
+        tensors = np.stack([h.reshape(rows, -1) for h in (h1, h2, h3)], axis=1)
+        csi = result.csi.reshape(rows, -1)
+        phases = result.phases
+        assert not np.any(result.zero_input)
+
+        blended = np.sum(weights[:, :, None] * np.exp(-1j * phases)[:, :, None] * tensors, axis=1)
+        assert np.all(np.abs(csi - blended) <= 1e-12 * np.abs(tensors).max(axis=(1, 2))[:, None])
+
+        residuals = tensors - np.exp(1j * phases)[:, :, None] * csi[:, None, :]
+        objective = np.sum(weights * np.sum(np.abs(residuals) ** 2, axis=-1), axis=-1)
+        scale = np.sum(weights * np.sum(np.abs(tensors) ** 2, axis=-1), axis=-1)
+        assert np.all(np.abs(result.objectives[-1] - objective) <= 1e-12 * scale)
+
+        # a converged row is a fixed point of the phase update
+        inner = np.sum(tensors * csi.conj()[:, None, :], axis=-1)
+        step = np.abs(np.angle(np.exp(1j * (np.angle(inner) - phases))))
+        assert np.count_nonzero(result.converged) > 0.9 * rows
+        assert np.all(step[result.converged] <= 1e-4)
+
+
 class TestPhaseAlignedNmse:
     def test_identical_tensors_read_below_the_equivariance_bound(self):
         rng = np.random.default_rng(37)
