@@ -90,8 +90,10 @@ def _parse_positions(spec: str, fallback_bounds=None) -> np.ndarray:
             raise cfg.ConfigError(f"grid spec must look like grid:50x40, got {spec!r}")
         try:
             nx, ny = int(dims[0]), int(dims[1])
+            if nx < 1 or ny < 1:
+                raise ValueError("a grid needs at least one point per axis")
         except ValueError as exc:
-            raise cfg.ConfigError(f"bad grid dimensions in {spec!r}") from exc
+            raise cfg.ConfigError(f"bad grid dimensions in {spec!r}: {exc}") from exc
         return grid_positions(fallback_bounds, nx, ny)
     if spec.startswith("file:"):
         path = Path(spec[len("file:") :])
@@ -123,6 +125,8 @@ def _write_resolved_config(path: Path, entries: dict, preamble: str = "") -> Non
 
 
 def cmd_synth(args) -> int:
+    if not 0.0 <= 2.0 * args.jitter < math.inf:  # uniform(-j, j) needs a finite width
+        raise cfg.ConfigError(f"--jitter must be finite and >= 0, got {args.jitter!r}")
     entries = cfg.load_config(args.scenario)
     scenario = scenario_from_config(entries)
     positions = _parse_positions(args.positions, fallback_bounds=scenario.bounds)
@@ -306,8 +310,6 @@ def _write_points_csv(
 def cmd_evaluate(args) -> int:
     if args.bins < 2:
         raise cfg.ConfigError("need at least 2 histogram bins")
-    if not args.candidates:
-        raise cfg.ConfigError("need at least one candidate dataset")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

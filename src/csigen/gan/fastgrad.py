@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from csigen.core import ArrayGeometry, MinMaxScaler
-from csigen.gan.mlp import MlpParams, flat_zeros, mlp_backward, mlp_forward
+from csigen.gan.mlp import FlatArrays, MlpParams, mlp_backward, mlp_forward
 from csigen.gan.nets import (
     CriticParams,
     GRAD_NORM_FLOOR,
@@ -164,12 +164,12 @@ def critic_loss_fast(
 
     Fake samples share the real samples' conditions.  Returns (loss,
     gradients in canonical parameter order, diagnostics); the gradients are
-    views into one flat buffer.
+    a :class:`~csigen.gan.mlp.FlatArrays`.
     """
     n = real_flat.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    grad_flat, grads = flat_zeros([a.shape for a in critic.arrays()])
+    grads = FlatArrays.zeros([a.shape for a in critic.arrays()])
     fake_flat, _ = generator_forward(generator, pos_scaled, noise)
     ds_fake = delay_spread_flat(fake_flat, geometry)
     ds_fake_scaled = ds_scaler.scale(ds_fake)
@@ -208,7 +208,7 @@ def critic_loss_fast(
         _, fusion_jvp = _mlp_jvp(critic.fusion, mixed_pass.fusion, fused_tangent)
 
         # backward over the JVP pass: its layer inputs are the tangents
-        penalty_flat, pgrads = flat_zeros([a.shape for a in grads])
+        pgrads = FlatArrays.zeros([a.shape for a in grads])
         fusion_offset = 2 * len(critic.trunk.layers)
         adj = mlp_backward(critic.fusion, fusion_jvp, np.ones((n, 1)), pgrads, fusion_offset)
         trunk_width = critic.trunk.output_width
@@ -216,8 +216,8 @@ def critic_loss_fast(
         # the biases' tangent is zero, so their penalty gradient is exactly 0
         for bias_grad in pgrads[1::2]:
             bias_grad[...] = 0.0
-        penalty_flat *= gp_lambda
-        grad_flat += penalty_flat
+        pgrads.flat *= gp_lambda
+        grads.flat += pgrads.flat
         loss += gp_lambda * penalty_value
 
     diagnostics = {
@@ -238,8 +238,8 @@ def generator_loss_fast(
 ) -> tuple[float, list[np.ndarray]]:
     """Generator objective -mean[C(G(x, n))] and its gradients with respect
     to the generator parameters, including the path through the
-    delay-spread side input.  The gradients are views into one flat
-    buffer."""
+    delay-spread side input.  The gradients are a
+    :class:`~csigen.gan.mlp.FlatArrays`."""
     n = pos_scaled.shape[0]
     if n == 0:
         raise ValueError("empty batch")
@@ -249,6 +249,6 @@ def generator_loss_fast(
     adj_fake = critic_backward(
         critic, geometry, ds_scaler, critic_pass, np.full((n, 1), -1.0 / n)
     )
-    _, grads = flat_zeros([a.shape for a in generator.arrays()])
+    grads = FlatArrays.zeros([a.shape for a in generator.arrays()])
     mlp_backward(generator, gen_cache, adj_fake, grads)
     return loss, grads

@@ -3,17 +3,17 @@ the cache its backward needs, and the hand-written backward pass.
 :func:`mlp_forward` is the only MLP forward; training and sampling both
 run it.
 
-Parameters built here (:func:`init_mlp`, :meth:`MlpParams.copy`) live in one
-contiguous float64 buffer in canonical order W0, b0, W1, b1, ...; each
-layer's weights and bias are views into it.  :func:`flat_span` recovers that
-buffer from the canonical list, so whole-network updates run as a few
-vector operations.
+A network's parameters live in one contiguous float64 buffer in canonical
+order W0, b0, W1, b1, ...; each layer's weights and bias are views into it.
+:class:`FlatArrays` is that canonical list of views together with the
+buffer, ``.flat``, so whole-network updates run as a few vector operations
+without recovering the buffer from the views.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,9 +33,47 @@ class DenseLayer:
             raise ValueError("bias width must match the weight matrix output width")
 
 
+class FlatArrays(list):
+    """Arrays [W0, b0, W1, b1, ...] viewing consecutive parts of the 1-D
+    buffer ``flat``, which they tile exactly.  List slicing, ``+`` and
+    ``list.copy()`` return plain lists without the buffer."""
+
+    def __init__(self, flat: np.ndarray, shapes: list[tuple]) -> None:
+        sizes = [math.prod(shape) for shape in shapes]
+        if flat.ndim != 1 or flat.size != sum(sizes):
+            raise ValueError(f"a buffer of shape {flat.shape} does not tile shapes {shapes}")
+        super().__init__()
+        offset = 0
+        for shape, size in zip(shapes, sizes):
+            self.append(flat[offset : offset + size].reshape(shape))
+            offset += size
+        self.flat = flat
+
+    @classmethod
+    def zeros(cls, shapes: list[tuple]) -> "FlatArrays":
+        """Zeroed float64 arrays with the given shapes."""
+        return cls(np.zeros(sum(math.prod(shape) for shape in shapes)), shapes)
+
+    @classmethod
+    def packed(cls, arrays: list[np.ndarray]) -> "FlatArrays":
+        """Float64 copies of ``arrays`` in one new buffer."""
+        flat = np.concatenate([np.ravel(array) for array in arrays]).astype(np.float64, copy=False)
+        return cls(flat, [array.shape for array in arrays])
+
+    def split(self, index: int) -> tuple["FlatArrays", "FlatArrays"]:
+        """The arrays before and from ``index``, each over its part of ``flat``."""
+        cut = sum(array.size for array in self[:index])
+        shapes = [array.shape for array in self]
+        head = FlatArrays(self.flat[:cut], shapes[:index])
+        return head, FlatArrays(self.flat[cut:], shapes[index:])
+
+
 @dataclass
 class MlpParams:
+    """Layers whose arrays view ``buffer``; built without one, a packed copy."""
+
     layers: list[DenseLayer]
+    buffer: FlatArrays | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for first, second in zip(self.layers, self.layers[1:]):
@@ -43,6 +81,10 @@ class MlpParams:
                 raise ValueError(
                     f"layer widths do not chain: {first.weights.shape} -> {second.weights.shape}"
                 )
+        if self.buffer is None:
+            arrays = [array for layer in self.layers for array in (layer.weights, layer.bias)]
+            packed = MlpParams.on_arrays(FlatArrays.packed(arrays), self.activations)
+            self.layers, self.buffer = packed.layers, packed.buffer
 
     @property
     def input_width(self) -> int:
@@ -57,70 +99,19 @@ class MlpParams:
         return [layer.activation for layer in self.layers]
 
     @classmethod
-    def on_arrays(cls, arrays: list[np.ndarray], activations: list[str]) -> "MlpParams":
+    def on_arrays(cls, arrays: FlatArrays, activations: list[str]) -> "MlpParams":
         """Layers over the canonical list ``arrays`` [W0, b0, W1, b1, ...],
         without copying them."""
         pairs = zip(arrays[::2], arrays[1::2], activations)
-        return cls([DenseLayer(weights, bias, activation) for weights, bias, activation in pairs])
+        return cls([DenseLayer(weights, bias, act) for weights, bias, act in pairs], arrays)
 
     def copy(self) -> "MlpParams":
-        """A copy whose arrays view one new flat buffer."""
-        return MlpParams.on_arrays(packed_copy(self.arrays()), self.activations)
+        """A copy in a new buffer."""
+        return MlpParams(self.layers)
 
-    def arrays(self) -> list[np.ndarray]:
-        """Flat list [W0, b0, W1, b1, ...]; the canonical parameter order."""
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.bias)
-        return out
-
-
-def flat_views(buffer: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
-    """Views of consecutive segments of the 1-D ``buffer``, one per shape."""
-    views = []
-    offset = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(buffer[offset : offset + size].reshape(shape))
-        offset += size
-    return views
-
-
-def flat_zeros(shapes: list[tuple]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A zeroed float64 buffer and its views with the given shapes."""
-    buffer = np.zeros(sum(math.prod(shape) for shape in shapes))
-    return buffer, flat_views(buffer, shapes)
-
-
-def packed_copy(arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """Copies of ``arrays`` as views into one new float64 buffer."""
-    buffer = np.concatenate([np.ravel(array) for array in arrays]).astype(np.float64, copy=False)
-    return flat_views(buffer, [array.shape for array in arrays])
-
-
-def flat_span(arrays: list[np.ndarray]) -> np.ndarray | None:
-    """The 1-D view covering ``arrays`` when they lie back to back, in order,
-    inside one contiguous float64 buffer; None when they do not."""
-    owner = arrays[0].base if arrays else None
-    if not (
-        isinstance(owner, np.ndarray)
-        and owner.ndim == 1
-        and owner.dtype == np.float64
-        and owner.flags.c_contiguous
-    ):
-        return None
-    origin = owner.__array_interface__["data"][0]
-    start = end = (arrays[0].__array_interface__["data"][0] - origin) // owner.itemsize
-    for array in arrays:
-        if (
-            array.base is not owner
-            or not array.flags.c_contiguous
-            or array.__array_interface__["data"][0] != origin + end * owner.itemsize
-        ):
-            return None
-        end += array.size
-    return owner[start:end]
+    def arrays(self) -> FlatArrays:
+        """[W0, b0, W1, b1, ...], the canonical parameter order, over the buffer."""
+        return self.buffer
 
 
 def init_mlp(widths: list[int], activations: list[str], rng: np.random.Generator) -> MlpParams:
@@ -131,7 +122,7 @@ def init_mlp(widths: list[int], activations: list[str], rng: np.random.Generator
     shapes = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         shapes += [(fan_out, fan_in), (fan_out,)]
-    _, arrays = flat_zeros(shapes)
+    arrays = FlatArrays.zeros(shapes)
     for weights in arrays[::2]:
         fan_out, fan_in = weights.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))

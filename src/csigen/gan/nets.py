@@ -19,16 +19,19 @@ losses and their gradients are in :mod:`csigen.gan.fastgrad`.
 :func:`generator_forward` is the one place that lays out the generator's
 input, and sampling (:mod:`csigen.gan.sample`) runs it too, in fixed-shape
 blocks.
+
+Each network's ``arrays()`` is the :class:`~csigen.gan.mlp.FlatArrays` its
+layers view; the critic's holds the trunk's arrays, then the fusion's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from csigen.core import ArrayGeometry
-from csigen.gan.mlp import MlpParams, init_mlp, mlp_forward, packed_copy
+from csigen.gan.mlp import FlatArrays, MlpParams, init_mlp, mlp_forward
 
 GENERATOR_HIDDEN = (512, 512, 1024, 2048)
 CRITIC_TRUNK = (160, 100, 50)
@@ -53,20 +56,25 @@ def _csi_width(geometry: ArrayGeometry) -> int:
 
 @dataclass
 class CriticParams:
+    """Trunk then fusion over one buffer; built without one, a packed copy."""
+
     trunk: MlpParams
     fusion: MlpParams
+    buffer: FlatArrays | None = field(default=None, repr=False, compare=False)
 
-    def arrays(self) -> list[np.ndarray]:
-        return self.trunk.arrays() + self.fusion.arrays()
+    def __post_init__(self) -> None:
+        if self.buffer is None:
+            self.buffer = FlatArrays.packed(self.trunk.arrays() + self.fusion.arrays())
+            trunk, fusion = self.buffer.split(2 * len(self.trunk.layers))
+            self.trunk = MlpParams.on_arrays(trunk, self.trunk.activations)
+            self.fusion = MlpParams.on_arrays(fusion, self.fusion.activations)
+
+    def arrays(self) -> FlatArrays:
+        return self.buffer
 
     def copy(self) -> "CriticParams":
-        """A copy whose arrays view one new flat buffer, trunk then fusion."""
-        arrays = packed_copy(self.arrays())
-        split = 2 * len(self.trunk.layers)
-        return CriticParams(
-            MlpParams.on_arrays(arrays[:split], self.trunk.activations),
-            MlpParams.on_arrays(arrays[split:], self.fusion.activations),
-        )
+        """A copy in a new buffer."""
+        return CriticParams(self.trunk, self.fusion)
 
 
 def init_generator(
@@ -92,7 +100,7 @@ def init_critic(
     fusion_params = init_mlp(
         [fusion_input, *fusion, 1], ["relu"] * len(fusion) + ["linear"], rng
     )
-    return CriticParams(trunk_params, fusion_params).copy()
+    return CriticParams(trunk_params, fusion_params)
 
 
 def flatten_csi(csi: np.ndarray) -> np.ndarray:

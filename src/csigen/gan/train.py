@@ -6,10 +6,10 @@ parameters update in canonical order, and the checkpoint stores the
 generator/critic parameters, the optimizer moments, the RNG state, and both
 input scalers, so a resumed run continues bit-identically.
 
-The generator's parameters live in one flat float64 buffer, the critic's in
-another (trunk then fusion); the gradients and the Adam moments share that
-layout, so :func:`adam_update` is a fixed sequence of in-place vector
-operations over whole buffers.  Periodic and final checkpoints are written
+Each network's parameters, gradients and Adam moments are
+:class:`~csigen.gan.mlp.FlatArrays`, canonical views over one flat float64
+buffer, so :func:`adam_update` is a fixed sequence of in-place vector
+operations over four ``.flat`` buffers.  Periodic and final checkpoints are written
 from the live training state, without copying it.
 
 WGCK file layout: magic b"WGCK", version u16 LE, meta-JSON length u32 LE,
@@ -35,7 +35,7 @@ import numpy as np
 
 from csigen.atomic import atomic_write
 from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
-from csigen.gan.mlp import MlpParams, flat_span, flat_views, flat_zeros, packed_copy
+from csigen.gan.mlp import FlatArrays, MlpParams
 from csigen.gan.fastgrad import (
     CriticPass,
     critic_backward,
@@ -85,6 +85,13 @@ class CheckpointMetadataError(CheckpointFormatError):
     """The metadata block does not decode, or does not describe a checkpoint."""
 
 
+def _count(value, name: str, minimum: int = 0) -> int:
+    """``value`` when it is an integer (not a bool) of at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """Hyperparameters of one training run.
@@ -114,12 +121,9 @@ class TrainingConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.generator_steps < 0 or self.checkpoint_every < 0:
-            raise ValueError("generator_steps and checkpoint_every must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.n_critic < 1 or self.batch_size < 1 or self.noise_dim < 1:
-            raise ValueError("n_critic, batch_size and noise_dim must be >= 1")
+        for name, minimum in (("generator_steps", 0), ("seed", 0), ("checkpoint_every", 0),
+                              ("n_critic", 1), ("batch_size", 1), ("noise_dim", 1)):
+            _count(getattr(self, name), name, minimum)
         positive = {
             "hidden_scale": self.hidden_scale,
             "critic_hidden_scale": self.critic_scale,
@@ -142,50 +146,45 @@ class TrainingConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainingConfig":
-        return cls(**data)
-
 
 @dataclass
 class AdamState:
     """First/second moment estimates per parameter array, plus step count.
 
-    ``m`` and ``v`` are canonical lists that must each view one flat buffer,
-    ``flat_m`` and ``flat_v``; update them in place, do not rebind them.
+    ``m`` and ``v`` are :class:`~csigen.gan.mlp.FlatArrays` in canonical
+    order; update them in place, do not rebind them.
     """
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: FlatArrays
+    v: FlatArrays
     t: int = 0
 
     def __post_init__(self) -> None:
-        self.flat_m, self.flat_v = flat_span(self.m), flat_span(self.v)
-        if self.flat_m is None or self.flat_v is None:
-            raise ValueError("Adam moments must each view one flat buffer")
+        if not (isinstance(self.m, FlatArrays) and isinstance(self.v, FlatArrays)):
+            raise ValueError("Adam moments must each be a FlatArrays over one buffer")
         self.work: np.ndarray | None = None  # two work vectors for adam_update
 
     @classmethod
     def zeros_like(cls, arrays: list[np.ndarray]) -> "AdamState":
         shapes = [a.shape for a in arrays]
-        return cls(flat_zeros(shapes)[1], flat_zeros(shapes)[1])
+        return cls(FlatArrays.zeros(shapes), FlatArrays.zeros(shapes))
 
     def copy(self) -> "AdamState":
-        return AdamState(packed_copy(self.m), packed_copy(self.v), self.t)
+        return AdamState(FlatArrays.packed(self.m), FlatArrays.packed(self.v), self.t)
 
 
 def adam_update(
-    arrays: list[np.ndarray],
-    grads: list[np.ndarray],
+    arrays: FlatArrays,
+    grads: FlatArrays,
     state: AdamState,
     config: TrainingConfig,
 ) -> None:
     """In-place Adam step over a canonical parameter list.
 
-    ``arrays`` and ``grads`` must each view one flat buffer, as parameters
-    from ``init_mlp``, ``init_critic``, ``copy()`` and ``load_checkpoint``
-    and the gradients of the training losses do.  Per element the
-    arithmetic is
+    ``arrays`` and ``grads`` must each be a
+    :class:`~csigen.gan.mlp.FlatArrays`, as the parameters of every network
+    built here and the gradients of the training losses are.  Per element
+    the arithmetic is
 
         m = b1 * m + (1 - b1) * g
         v = b2 * v + ((1 - b2) * g) * g
@@ -194,10 +193,10 @@ def adam_update(
     evaluated in that order, in place, over the flat buffers in blocks of
     ``ADAM_BLOCK`` elements, with two work vectors kept in ``state``.
     """
-    params, gradient, m, v = flat_span(arrays), flat_span(grads), state.flat_m, state.flat_v
-    if params is None or gradient is None:
-        raise ValueError("adam_update needs parameters and gradients that each view one buffer")
-    if not params.size == gradient.size == m.size:
+    if not (isinstance(arrays, FlatArrays) and isinstance(grads, FlatArrays)):
+        raise ValueError("adam_update needs parameters and gradients that are each a FlatArrays")
+    params, gradient, m, v = arrays.flat, grads.flat, state.m.flat, state.v.flat
+    if not params.size == gradient.size == m.size == v.size:
         raise ValueError("parameters, gradients and Adam moments differ in size")
     width = min(ADAM_BLOCK, params.size)
     if state.work is None or state.work.shape[1] < width:
@@ -323,13 +322,14 @@ def _layer_shapes(table: list) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _params_on(table: list, arrays: list[np.ndarray]) -> MlpParams:
+def _params_on(table: list, arrays: FlatArrays) -> MlpParams:
     return MlpParams.on_arrays(arrays, [activation for _, _, activation in table])
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a WGCK file.  The payload is read once, straight into a writable
-    float64 buffer; every parameter and moment array of the result views it."""
+    float64 buffer; the result's networks and Adam moments are
+    :class:`~csigen.gan.mlp.FlatArrays` over parts of it."""
     with open(path, "rb") as handle:
         file_bytes = os.fstat(handle.fileno()).st_size
         header = handle.read(10)
@@ -372,28 +372,28 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         # payload order: parameters, first moments, second moments; the
         # generator before the critic in each
-        views = iter(flat_views(payload, (gen_shapes + critic_shapes) * 3))
         gen_params, critic_params, gen_m, critic_m, gen_v, critic_v = (
-            [next(views) for _ in shapes] for shapes in (gen_shapes, critic_shapes) * 3
+            network
+            for part in np.split(payload, 3)
+            for network in FlatArrays(part, gen_shapes + critic_shapes).split(len(gen_shapes))
         )
-        split = 2 * len(tables[1])
+        trunk, fusion = critic_params.split(2 * len(tables[1]))
         critic = CriticParams(
-            _params_on(tables[1], critic_params[:split]),
-            _params_on(tables[2], critic_params[split:]),
+            _params_on(tables[1], trunk), _params_on(tables[2], fusion), critic_params
         )
         # the RNG state train() restores on resume
         np.random.default_rng(0).bit_generator.state = meta["rng_state"]
         return Checkpoint(
             generator=_params_on(tables[0], gen_params),
             critic=critic,
-            config=TrainingConfig.from_dict(meta["config"]),
+            config=TrainingConfig(**meta["config"]),
             geometry=ArrayGeometry(**meta["geometry"]),
             condition_scaler=_scaler_from(meta["condition_scaler"], (2,)),
             ds_scaler=_scaler_from(meta["ds_scaler"], ()),
-            step=meta["step"],
+            step=_count(meta["step"], "step"),
             rng_state=meta["rng_state"],
-            gen_adam=AdamState(gen_m, gen_v, meta["adam_t"]["generator"]),
-            critic_adam=AdamState(critic_m, critic_v, meta["adam_t"]["critic"]),
+            gen_adam=AdamState(gen_m, gen_v, _count(meta["adam_t"]["generator"], "adam_t")),
+            critic_adam=AdamState(critic_m, critic_v, _count(meta["adam_t"]["critic"], "adam_t")),
         )
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CheckpointMetadataError(
@@ -495,8 +495,6 @@ def train(
 
     log_rows: list[dict] = []
     count = len(dataset)
-    gen_arrays = generator.arrays()
-    critic_arrays = critic.arrays()
 
     for step in range(start_step + 1, start_step + config.generator_steps + 1):
         last = {"real_score": math.nan, "fake_score": math.nan}
@@ -518,13 +516,13 @@ def train(
                 config.gp_lambda,
                 config.gp_ds_through_csi,
             )
-            adam_update(critic_arrays, cgrads, critic_adam, config)
+            adam_update(critic.arrays(), cgrads, critic_adam, config)
         idx = rng.integers(0, count, size=config.batch_size)
         noise = rng.standard_normal((config.batch_size, config.noise_dim))
         gloss, ggrads = generator_loss_fast(
             critic, generator, geometry, ds_scaler, pos_scaled[idx], noise
         )
-        adam_update(gen_arrays, ggrads, gen_adam, config)
+        adam_update(generator.arrays(), ggrads, gen_adam, config)
 
         row = {
             "step": step,

@@ -413,6 +413,7 @@ def _accept8_scene():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_desk_scale_ordering(tmp_path):
     """Qualitative Table-I ordering at desk scale:
     JSD(test, train) < JSD(GAN-var, train) < JSD(Gaussian, train)."""

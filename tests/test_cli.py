@@ -2,8 +2,10 @@
 
 import csv
 import dataclasses
+import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +122,26 @@ class TestSynth:
         )
         assert code == EXIT_USAGE
         assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jitter", ["inf", "1e308", "-1", "nan", "-0.5", "abc"])
+    def test_bad_jitter_is_a_usage_error(self, tmp_path, scenario_file, capsys, jitter):
+        out = tmp_path / "x.csit"
+        code = main(
+            ["synth", "--scenario", str(scenario_file), "--positions", "grid:3x3",
+             "--jitter", jitter, "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "--jitter" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["grid:-3x4", "grid:0x4", "grid:4x0"])
+    def test_grid_counts_below_one_are_usage_errors(self, tmp_path, scenario_file, capsys, grid):
+        out = tmp_path / "x.csit"
+        code = main(["synth", "--scenario", str(scenario_file), "--positions", grid,
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
     def test_positions_from_file(self, tmp_path, scenario_file):
@@ -461,6 +483,41 @@ class TestGenerate:
         )
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith("data error:")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta.update(step="4"),
+            lambda meta: meta["adam_t"].update(critic="20"),
+            lambda meta: meta["adam_t"].update(generator=-2),
+            lambda meta: meta["config"].update(noise_dim=13.0),
+        ],
+        ids=["string-step", "string-adam-t", "negative-adam-t", "float-noise-dim"],
+    )
+    def test_wrong_typed_metadata_is_a_data_error(
+        self, tmp_path, small_dataset, trained_checkpoint, capsys, edit
+    ):
+        blob = Path(trained_checkpoint).read_bytes()
+        (meta_len,) = struct.unpack_from("<I", blob, 6)
+        meta = json.loads(blob[10 : 10 + meta_len])
+        edit(meta)
+        meta_bytes = json.dumps(meta).encode()
+        bad = tmp_path / "bad.wgck"
+        bad.write_bytes(blob[:6] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                        + blob[10 + meta_len :])
+        generated = tmp_path / "g.csit"
+        commands = [
+            ["train", "--train", str(small_dataset), "--resume", str(bad),
+             "--out", str(tmp_path / "resumed")],
+            ["generate", "--checkpoint", str(bad), "--positions", f"from-dataset:{small_dataset}",
+             "--out", str(generated)],
+        ]
+        for argv in commands:
+            assert main(argv) == EXIT_DATA, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "Traceback" not in err, argv[0]
+        assert not generated.exists()
+        assert not (tmp_path / "resumed" / "checkpoint_final.wgck").exists()
 
     @pytest.mark.parametrize(
         "bad_row", ["3", "1.0,abc", "nan,2.0", "1.0,inf", "-inf 4.0"],

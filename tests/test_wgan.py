@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.gan.fastgrad import CriticPass, critic_loss_fast, generator_loss_fast
-from csigen.gan.mlp import DenseLayer, MlpParams, flat_span, init_mlp, mlp_forward, packed_copy
+from csigen.gan.mlp import DenseLayer, FlatArrays, MlpParams, init_mlp, mlp_forward
 from csigen.gan.nets import (
     CriticParams,
     delay_spread_flat,
@@ -187,7 +187,7 @@ class TestCriticLoss:
                     noise, eps, gp_lambda=10.0,
                 )
                 # the graph reference returns separate arrays; Adam takes one buffer
-                adam_update(critic.arrays(), packed_copy(grads), state, adam_cfg)
+                adam_update(critic.arrays(), FlatArrays.packed(grads), state, adam_cfg)
                 losses.append(loss)
             assert np.mean(losses[-10:]) < np.mean(losses[:10]), loss_fn.__name__
 
@@ -357,12 +357,94 @@ class TestFlatBuffers:
         generator = init_generator(GEO, 6, 0.05, rng)
         critic = init_critic(GEO, 0.05, rng)
         for arrays in (generator.arrays(), critic.arrays()):
-            flat = flat_span(arrays)
-            assert flat is not None and flat.size == sum(a.size for a in arrays)
+            flat = arrays.flat
+            assert flat.size == sum(a.size for a in arrays)
             assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
-        # separately allocated arrays are not one buffer
-        assert flat_span([a.copy() for a in generator.arrays()]) is None
-        assert flat_span(generator.arrays()[1:] + generator.arrays()[:1]) is None
+
+    @staticmethod
+    def assert_tiles(arrays):
+        """``arrays`` is a FlatArrays whose views lie back to back in ``.flat``."""
+        assert isinstance(arrays, FlatArrays)
+        assert arrays.flat.ndim == 1
+        assert all(np.shares_memory(a, arrays.flat) for a in arrays)
+        assert np.array_equal(arrays.flat, np.concatenate([a.ravel() for a in arrays]))
+        arrays.flat[...] = np.arange(arrays.flat.size)  # views change with the buffer
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), arrays.flat)
+
+    def test_every_network_and_gradient_owns_its_flat_buffer(self, tmp_path):
+        rng = np.random.default_rng(27)
+        dataset = toy_dataset(16, seed=28)
+        checkpoint = train(dataset, toy_config(generator_steps=1)).checkpoint
+        path = tmp_path / "ck.wgck"
+        save_checkpoint(checkpoint, path)
+        loaded = load_checkpoint(path)
+        cond_scaler, ds_scaler = scaler_pair()
+        real = flatten_csi(dataset.csi[:4])
+        pos = cond_scaler.scale(dataset.positions[:4])
+        noise = rng.standard_normal((4, 6))
+        _, cgrads, _ = critic_loss_fast(
+            checkpoint.critic, checkpoint.generator, GEO, ds_scaler, real, pos,
+            ds_scaler.scale(delay_spread_flat(real, GEO)), noise, rng.uniform(size=(4, 1)), 10.0,
+        )
+        _, ggrads = generator_loss_fast(
+            checkpoint.critic, checkpoint.generator, GEO, ds_scaler, pos, noise
+        )
+        assert [a.shape for a in cgrads] == [a.shape for a in checkpoint.critic.arrays()]
+        assert [a.shape for a in ggrads] == [a.shape for a in checkpoint.generator.arrays()]
+        networks = []
+        for ck in (checkpoint, loaded):
+            networks += [ck.generator, ck.critic, ck.critic.trunk, ck.critic.fusion]
+            networks += [ck.generator.copy(), ck.critic.copy()]
+        arrays = [net.arrays() for net in networks] + [cgrads, ggrads]
+        for ck in (checkpoint, loaded):
+            arrays += [ck.gen_adam.m, ck.gen_adam.v, ck.critic_adam.m, ck.critic_adam.v]
+        for group in arrays:
+            self.assert_tiles(group)
+        # the networks' layers view their buffers, the critic's trunk then fusion
+        for net in networks:
+            views = net.arrays()
+            views.flat[...] = np.arange(views.flat.size)  # distinct values locate each view
+            layers = net.layers if isinstance(net, MlpParams) else net.trunk.layers + net.fusion.layers
+            canonical = [a for layer in layers for a in (layer.weights, layer.bias)]
+            assert len(canonical) == len(views)
+            assert all(np.shares_memory(a, b) and np.array_equal(a, b) for a, b in zip(canonical, views))
+        for critic in (checkpoint.critic, loaded.critic):
+            assert np.shares_memory(critic.trunk.arrays().flat, critic.arrays().flat)
+            assert np.shares_memory(critic.fusion.arrays().flat, critic.arrays().flat)
+
+    def test_networks_built_from_layers_copy_them(self):
+        rng = np.random.default_rng(29)
+        weights, bias = rng.standard_normal((3, 4)), rng.standard_normal(3)
+        params = MlpParams([DenseLayer(weights, bias, "relu")])
+        trunk_w = rng.standard_normal((2, 3))
+        trunk = MlpParams([DenseLayer(trunk_w, np.zeros(2), "relu")])
+        fusion = MlpParams([DenseLayer(np.ones((1, 2)), np.zeros(1), "linear")])
+        critic = CriticParams(trunk, fusion)
+        before = [a.copy() for a in params.arrays() + critic.arrays()]
+        weights += 1.0
+        bias[...] = 0.0
+        trunk.layers[0].weights += 1.0
+        fusion.layers[0].bias += 1.0
+        assert not np.shares_memory(critic.trunk.layers[0].weights, trunk.layers[0].weights)
+        for a, b in zip(params.arrays() + critic.arrays(), before):
+            assert np.array_equal(a, b)
+        self.assert_tiles(params.arrays())
+        self.assert_tiles(critic.arrays())
+
+    def test_flat_arrays_reject_a_buffer_that_does_not_tile(self):
+        shapes = [(2, 3), (2,)]
+        assert [a.shape for a in FlatArrays(np.zeros(8), shapes)] == shapes
+        for flat in (np.zeros(7), np.zeros(9), np.zeros((2, 4))):
+            with pytest.raises(ValueError):
+                FlatArrays(flat, shapes)
+        packed = FlatArrays.packed([np.ones((2, 3)), np.arange(2.0)])
+        head, tail = packed.split(1)
+        assert isinstance(head, FlatArrays) and isinstance(tail, FlatArrays)
+        assert np.shares_memory(head.flat, packed.flat) and np.shares_memory(tail.flat, packed.flat)
+        assert np.array_equal(tail[0], [0.0, 1.0])
+        # list operations return plain lists, which carry no buffer
+        for other in (packed[:1], packed + [], packed.copy()):
+            assert type(other) is list
 
     def test_init_draws_the_same_weights_as_per_layer_arrays(self):
         widths, activations = [5, 7, 3], ["relu", "linear"]
@@ -395,7 +477,7 @@ class TestFlatBuffers:
                     a.tobytes() == b.tobytes() for a, b in zip(arrays + state.m + state.v, before)
                 )
             # the training losses hand over views into one gradient buffer
-            adam_update(arrays, packed_copy(grads), state, config)
+            adam_update(arrays, FlatArrays.packed(grads), state, config)
             reference_adam(ref_arrays, grads, ref_m, ref_v, step, config)
             assert state.t == step
             for ours, theirs in ((arrays, ref_arrays), (state.m, ref_m), (state.v, ref_v)):
@@ -409,12 +491,12 @@ class TestFlatBuffers:
 
     def test_adam_state_rejects_moments_outside_one_buffer(self):
         separate = [np.zeros((2, 3)), np.zeros(2)]
-        packed = packed_copy(separate)
+        packed = FlatArrays.packed(separate)
         with pytest.raises(ValueError):
-            AdamState(separate, packed_copy(separate))
+            AdamState(separate, FlatArrays.packed(separate))
         with pytest.raises(ValueError):
             AdamState(packed, [a.copy() for a in separate])
-        assert AdamState(packed, packed_copy(separate)).flat_m.size == 8
+        assert AdamState(packed, FlatArrays.packed(separate)).m.flat.size == 8
 
 
 class TestCheckpointFormat:
@@ -510,10 +592,21 @@ class TestCheckpointFormat:
             lambda meta: meta.update(condition_scaler={"min": 0.0, "max": 1.0}),
             lambda meta: meta.update(ds_scaler={"min": [0.0, 0.0], "max": [1.0, 1.0]}),
             lambda meta: meta["ds_scaler"].update(min=meta["ds_scaler"]["max"]),
+            lambda meta: meta.update(step="4"),
+            lambda meta: meta.update(step=4.5),
+            lambda meta: meta.update(step=True),
+            lambda meta: meta["adam_t"].update(critic="20"),
+            lambda meta: meta["adam_t"].update(generator=-2),
+            lambda meta: meta["config"].update(generator_steps=8.0),
+            lambda meta: meta["config"].update(noise_dim=13.0),
+            lambda meta: meta["config"].update(checkpoint_every=True),
         ],
         ids=["no-layers", "table-not-a-list", "negative-width", "unknown-activation",
              "unknown-config-key", "missing-geometry-key", "bad-rng-state",
-             "scalar-condition-bounds", "vector-ds-bounds", "degenerate-ds-bounds"],
+             "scalar-condition-bounds", "vector-ds-bounds", "degenerate-ds-bounds",
+             "string-step", "fractional-step", "bool-step", "string-adam-t",
+             "negative-adam-t", "float-generator-steps", "float-noise-dim",
+             "bool-checkpoint-every"],
     )
     def test_metadata_schema_violations(self, tmp_path, corrupt):
         path = tmp_path / "ck.wgck"
@@ -535,7 +628,7 @@ class TestCheckpointFormat:
         groups = lambda ck: (ck.generator.arrays(), ck.critic.arrays(), ck.gen_adam.m,
                              ck.gen_adam.v, ck.critic_adam.m, ck.critic_adam.v)
         for ours, theirs in zip(groups(first), groups(second)):
-            assert flat_span(ours) is not None
+            assert isinstance(ours, FlatArrays)
             for a, b in zip(ours, theirs):
                 assert a.flags.writeable
                 assert not np.shares_memory(a, b)
@@ -631,6 +724,7 @@ def bimodal_run(tmp_path_factory):
     return dataset, positions, out_dir, result
 
 
+@pytest.mark.slow
 class TestToyDistribution:
     """Desk-scale smoke experiment: the generated marginal approaches a known
     non-Gaussian target distribution (histogram oracle)."""
