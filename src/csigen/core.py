@@ -5,8 +5,9 @@ of time-domain tap coefficients with shape ``geometry.csi_shape``, indexed
 [array b][row m_r][col m_c][tap t].  :class:`CsiDataset` is the one
 container: it stacks position-labelled measurements and validates them.
 All array indices in this package are 0-based.  Internal computation is
-float64 / complex128 throughout; file payloads are float32 (see
-:mod:`csigen.dataio`).
+float64 / complex128, except that the GAN kernels follow the dtype of the
+network's parameter buffer (see :mod:`csigen.gan.mlp`); file payloads are
+float32 (see :mod:`csigen.dataio`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+
+
+def as_floating(values) -> np.ndarray:
+    """``values`` as an array of their floating dtype; other values become float64."""
+    values = np.asarray(values)
+    return values if np.issubdtype(values.dtype, np.floating) else values.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,8 @@ class MinMaxScaler:
     ``minimum`` and ``maximum`` are finite and of equal shape: scalars scale
     every value alike (delay spreads), vectors scale the last axis
     component-wise (2-D positions).  Values outside the bounds map outside
-    [-1, 1] without clamping.
+    [-1, 1] without clamping.  The bounds are float64; the maps return the
+    floating dtype of their argument, which NEP 50 would otherwise promote.
     """
 
     minimum: np.ndarray
@@ -135,18 +143,20 @@ class MinMaxScaler:
             raise ValueError("cannot fit a scaler on no values")
         return cls(values.min(axis=0), values.max(axis=0))
 
-    @property
-    def gain(self) -> np.ndarray:
-        """Derivative of :meth:`scale`: 2 / (max - min)."""
-        return 2.0 / (self.maximum - self.minimum)
+    def times_gain(self, values: np.ndarray) -> np.ndarray:
+        """``values`` times the derivative of :meth:`scale`, 2 / (max - min)."""
+        values = as_floating(values)
+        return values * (2.0 / (self.maximum - self.minimum)).astype(values.dtype, copy=False)
 
     def scale(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        return 2.0 * (values - self.minimum) / (self.maximum - self.minimum) - 1.0
+        values = as_floating(values)
+        scaled = 2.0 * (values - self.minimum) / (self.maximum - self.minimum) - 1.0
+        return scaled.astype(values.dtype, copy=False)
 
     def unscale(self, scaled: np.ndarray) -> np.ndarray:
-        scaled = np.asarray(scaled, dtype=np.float64)
-        return (scaled + 1.0) / 2.0 * (self.maximum - self.minimum) + self.minimum
+        scaled = as_floating(scaled)
+        values = (scaled + 1.0) / 2.0 * (self.maximum - self.minimum) + self.minimum
+        return values.astype(scaled.dtype, copy=False)
 
 
 # numpy's SeedSequence hash (numpy.random.bit_generator): the pool size and

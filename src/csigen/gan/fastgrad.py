@@ -96,8 +96,9 @@ class CriticPass:
     passes need.
 
     With ``ds_scaled`` given, the delay-spread side input is that constant;
-    without it, the pass computes it from ``csi_flat`` and
-    :func:`critic_backward` then carries the input gradient through it.
+    without it, the pass computes it from ``csi_flat`` (cast to the critic's
+    dtype) and :func:`critic_backward` then carries the input gradient
+    through it.
     """
 
     __slots__ = ("trunk", "fusion", "ds_cache", "scores")
@@ -111,6 +112,7 @@ class CriticPass:
         pos_scaled: np.ndarray,
         ds_scaled: np.ndarray | None = None,
     ) -> None:
+        csi_flat = np.asarray(csi_flat, dtype=critic.dtype)
         trunk_out, self.trunk = mlp_forward(critic.trunk, csi_flat)
         if ds_scaled is None:
             ds_seconds, self.ds_cache = delay_spread_forward(csi_flat, geometry)
@@ -141,7 +143,7 @@ def critic_backward(
     input_grad = mlp_backward(critic.trunk, forward.trunk, adj_fused[:, :trunk_width], grads)
     if forward.ds_cache is not None:
         adj_ds_scaled = adj_fused[:, trunk_width : trunk_width + geometry.num_antennas]
-        adj_ds = adj_ds_scaled * ds_scaler.gain
+        adj_ds = ds_scaler.times_gain(adj_ds_scaled)
         input_grad = input_grad + _ds_vjp(adj_ds, forward.ds_cache, geometry)
     return input_grad
 
@@ -169,20 +171,21 @@ def critic_loss_fast(
     n = real_flat.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    grads = FlatArrays.zeros([a.shape for a in critic.arrays()])
+    ones = np.ones((n, 1), critic.dtype)  # seeds on the scores
+    grads = FlatArrays.zeros_like(critic.arrays())
     fake_flat, _ = generator_forward(generator, pos_scaled, noise)
     ds_fake = delay_spread_flat(fake_flat, geometry)
     ds_fake_scaled = ds_scaler.scale(ds_fake)
 
     fake_pass = CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled, ds_fake_scaled)
-    critic_backward(critic, geometry, ds_scaler, fake_pass, np.full((n, 1), 1.0 / n), grads)
+    critic_backward(critic, geometry, ds_scaler, fake_pass, ones / n, grads)
     real_pass = CriticPass(critic, geometry, ds_scaler, real_flat, pos_scaled, ds_real_scaled)
-    critic_backward(critic, geometry, ds_scaler, real_pass, np.full((n, 1), -1.0 / n), grads)
+    critic_backward(critic, geometry, ds_scaler, real_pass, -ones / n, grads)
     loss = float(fake_pass.scores.mean() - real_pass.scores.mean())
 
     penalty_value = 0.0
     if gp_lambda != 0.0:
-        eps_mix = np.asarray(eps_mix, dtype=np.float64).reshape(-1, 1)
+        eps_mix = np.asarray(eps_mix, dtype=critic.dtype).reshape(-1, 1)
         mixed = eps_mix * real_flat + (1.0 - eps_mix) * fake_flat
         if ds_through_csi:
             mixed_pass = CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled)
@@ -191,7 +194,7 @@ def critic_loss_fast(
                 eps_mix * delay_spread_flat(real_flat, geometry) + (1.0 - eps_mix) * ds_fake
             )
             mixed_pass = CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled, ds_mixed)
-        input_grad = critic_backward(critic, geometry, ds_scaler, mixed_pass, np.ones((n, 1)))
+        input_grad = critic_backward(critic, geometry, ds_scaler, mixed_pass, ones)
         norm = np.sqrt((input_grad * input_grad).sum(axis=1) + GRAD_NORM_FLOOR)
         penalty_value = float(((norm - 1.0) ** 2).mean())
         u = (2.0 / n) * ((norm - 1.0) / norm)[:, None] * input_grad
@@ -199,18 +202,18 @@ def critic_loss_fast(
         # JVP along u through the frozen masks, then one backward sweep
         trunk_tangent_out, trunk_jvp = _mlp_jvp(critic.trunk, mixed_pass.trunk, u)
         if mixed_pass.ds_cache is not None:
-            ds_tangent = _ds_jvp(u, mixed_pass.ds_cache, geometry) * ds_scaler.gain
+            ds_tangent = ds_scaler.times_gain(_ds_jvp(u, mixed_pass.ds_cache, geometry))
         else:
             ds_tangent = np.zeros((n, geometry.num_antennas))
         fused_tangent = np.concatenate(
-            [trunk_tangent_out, ds_tangent, np.zeros((n, 2))], axis=1
+            [trunk_tangent_out, ds_tangent, np.zeros((n, 2))], axis=1, dtype=critic.dtype
         )
         _, fusion_jvp = _mlp_jvp(critic.fusion, mixed_pass.fusion, fused_tangent)
 
         # backward over the JVP pass: its layer inputs are the tangents
-        pgrads = FlatArrays.zeros([a.shape for a in grads])
+        pgrads = FlatArrays.zeros_like(grads)
         fusion_offset = 2 * len(critic.trunk.layers)
-        adj = mlp_backward(critic.fusion, fusion_jvp, np.ones((n, 1)), pgrads, fusion_offset)
+        adj = mlp_backward(critic.fusion, fusion_jvp, ones, pgrads, fusion_offset)
         trunk_width = critic.trunk.output_width
         mlp_backward(critic.trunk, trunk_jvp, adj[:, :trunk_width], pgrads)
         # the biases' tangent is zero, so their penalty gradient is exactly 0
@@ -246,9 +249,8 @@ def generator_loss_fast(
     fake_flat, gen_cache = generator_forward(generator, pos_scaled, noise)
     critic_pass = CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled)
     loss = float(-critic_pass.scores.mean())
-    adj_fake = critic_backward(
-        critic, geometry, ds_scaler, critic_pass, np.full((n, 1), -1.0 / n)
-    )
-    grads = FlatArrays.zeros([a.shape for a in generator.arrays()])
+    seed = np.full((n, 1), -1.0 / n, critic.dtype)
+    adj_fake = critic_backward(critic, geometry, ds_scaler, critic_pass, seed)
+    grads = FlatArrays.zeros_like(generator.arrays())
     mlp_backward(generator, gen_cache, adj_fake, grads)
     return loss, grads

@@ -3,11 +3,14 @@ the cache its backward needs, and the hand-written backward pass.
 :func:`mlp_forward` is the only MLP forward; training and sampling both
 run it.
 
-A network's parameters live in one contiguous float64 buffer in canonical
-order W0, b0, W1, b1, ...; each layer's weights and bias are views into it.
+A network's parameters live in one contiguous buffer in canonical order
+W0, b0, W1, b1, ...; each layer's weights and bias are views into it.
 :class:`FlatArrays` is that canonical list of views together with the
 buffer, ``.flat``, so whole-network updates run as a few vector operations
-without recovering the buffer from the views.
+without recovering the buffer from the views.  The buffer's dtype is the
+network's dtype: the forward casts its input to it, and the training
+kernels allocate their gradients, moments and work arrays in it.
+:func:`init_mlp` makes float64 networks.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from csigen.core import as_floating
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -50,15 +55,17 @@ class FlatArrays(list):
         self.flat = flat
 
     @classmethod
-    def zeros(cls, shapes: list[tuple]) -> "FlatArrays":
-        """Zeroed float64 arrays with the given shapes."""
-        return cls(np.zeros(sum(math.prod(shape) for shape in shapes)), shapes)
+    def zeros_like(cls, arrays: list[np.ndarray]) -> "FlatArrays":
+        """Zeroed arrays with the shapes and dtype of ``arrays``, in one new buffer."""
+        size = sum(array.size for array in arrays)
+        return cls(np.zeros(size, np.result_type(*arrays)), [array.shape for array in arrays])
 
     @classmethod
     def packed(cls, arrays: list[np.ndarray]) -> "FlatArrays":
-        """Float64 copies of ``arrays`` in one new buffer."""
-        flat = np.concatenate([np.ravel(array) for array in arrays]).astype(np.float64, copy=False)
-        return cls(flat, [array.shape for array in arrays])
+        """Copies of ``arrays`` in one new buffer of their floating dtype;
+        integer arrays become float64."""
+        return cls(as_floating(np.concatenate([np.ravel(array) for array in arrays])),
+                   [array.shape for array in arrays])
 
     def split(self, index: int) -> tuple["FlatArrays", "FlatArrays"]:
         """The arrays before and from ``index``, each over its part of ``flat``."""
@@ -98,6 +105,10 @@ class MlpParams:
     def activations(self) -> list[str]:
         return [layer.activation for layer in self.layers]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.buffer.flat.dtype
+
     @classmethod
     def on_arrays(cls, arrays: FlatArrays, activations: list[str]) -> "MlpParams":
         """Layers over the canonical list ``arrays`` [W0, b0, W1, b1, ...],
@@ -122,7 +133,7 @@ def init_mlp(widths: list[int], activations: list[str], rng: np.random.Generator
     shapes = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         shapes += [(fan_out, fan_in), (fan_out,)]
-    arrays = FlatArrays.zeros(shapes)
+    arrays = FlatArrays(np.zeros(sum(math.prod(shape) for shape in shapes), np.float64), shapes)
     for weights in arrays[::2]:
         fan_out, fan_in = weights.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -131,7 +142,8 @@ def init_mlp(widths: list[int], activations: list[str], rng: np.random.Generator
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
-    """Affine + activation chain over a batch x of shape (N, input_width).
+    """Affine + activation chain over a batch x of shape (N, input_width),
+    cast to the network's dtype.
 
     Returns (output, cache); the cache holds each layer's input and its ReLU
     mask (None for a linear layer) for :func:`mlp_backward`.  A NaN
@@ -139,7 +151,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, tuple[lis
     the output.  A row's bits can depend on the batch size and on its place
     in the batch, not on the other rows' values (see :mod:`csigen.gan.sample`).
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.dtype)
     if x.ndim != 2 or x.shape[1] != params.input_width:
         raise ValueError(f"input shape {x.shape} != expected (N, {params.input_width})")
     inputs: list[np.ndarray] = []

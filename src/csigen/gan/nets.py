@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from csigen.core import ArrayGeometry
+from csigen.core import ArrayGeometry, as_floating
 from csigen.gan.mlp import FlatArrays, MlpParams, init_mlp, mlp_forward
 
 GENERATOR_HIDDEN = (512, 512, 1024, 2048)
@@ -72,6 +72,10 @@ class CriticParams:
     def arrays(self) -> FlatArrays:
         return self.buffer
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.buffer.flat.dtype
+
     def copy(self) -> "CriticParams":
         """A copy in a new buffer."""
         return CriticParams(self.trunk, self.fusion)
@@ -103,19 +107,29 @@ def init_critic(
     return CriticParams(trunk_params, fusion_params)
 
 
+def check_widths(
+    generator: MlpParams, critic: CriticParams, geometry: ArrayGeometry, noise_dim: int
+) -> None:
+    """Raise ``ValueError`` naming the first outer width of the networks that
+    does not fit ``geometry`` and ``noise_dim`` as in :func:`init_generator`
+    and :func:`init_critic`."""
+    fusion_input = critic.trunk.output_width + geometry.num_antennas + 2
+    for name, width, expected in (
+        ("generator input", generator.input_width, noise_dim + 2),
+        ("generator output", generator.output_width, _csi_width(geometry)),
+        ("critic trunk input", critic.trunk.input_width, _csi_width(geometry)),
+        ("critic fusion input", critic.fusion.input_width, fusion_input),
+        ("critic fusion output", critic.fusion.output_width, 1),
+    ):
+        if width != expected:
+            raise ValueError(f"{name} width {width}, expected {expected}")
+
+
 def flatten_csi(csi: np.ndarray) -> np.ndarray:
     """(N, B, M_r, M_c, N_tap) complex -> (N, 2*B*M_r*M_c*N_tap) float."""
     csi = np.asarray(csi)
     flat = csi.reshape(csi.shape[0], -1)
     return np.concatenate([flat.real, flat.imag], axis=1)
-
-
-def unflatten_csi(flat: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """Inverse of :func:`flatten_csi`."""
-    flat = np.asarray(flat, dtype=np.float64)
-    half = flat.shape[1] // 2
-    complex_flat = flat[:, :half] + 1j * flat[:, half:]
-    return complex_flat.reshape((flat.shape[0],) + geometry.csi_shape)
 
 
 class DelaySpreadCache:
@@ -131,10 +145,11 @@ def delay_spread_forward(
     """Delay spreads (seconds) from flattened CSI, shape (N, num_antennas),
     and the intermediates their derivatives need.
 
-    Includes the variance floor ``DS_VARIANCE_FLOOR``.
+    Includes the variance floor ``DS_VARIANCE_FLOOR``.  Computes in the
+    dtype that :func:`csigen.core.as_floating` gives ``flat``.
     """
     cache = DelaySpreadCache()
-    flat = np.asarray(flat, dtype=np.float64)
+    flat = as_floating(flat)
     n = flat.shape[0]
     n_ant, n_tap = geometry.num_antennas, geometry.num_taps
     half = n_ant * n_tap
@@ -142,7 +157,7 @@ def delay_spread_forward(
     cache.im = flat[:, half:].reshape(n, n_ant, n_tap)
     cache.power = cache.re * cache.re + cache.im * cache.im
     cache.total = cache.power.sum(axis=2) + 1e-30
-    cache.taps = np.arange(1, n_tap + 1, dtype=np.float64)
+    cache.taps = np.arange(1, n_tap + 1, dtype=flat.dtype)
     cache.mean = (cache.power * cache.taps).sum(axis=2) / cache.total
     cache.centered = cache.taps - cache.mean[:, :, None]
     cache.var = (cache.power * cache.centered * cache.centered).sum(axis=2) / cache.total
@@ -160,12 +175,9 @@ def generator_forward(
     params: MlpParams, conditions_scaled: np.ndarray, noise: np.ndarray
 ) -> tuple[np.ndarray, tuple[list, list]]:
     """Generator pass over (N, noise_dim) ``noise`` and (N, 2) scaled
-    positions: the input row is the noise columns, then the scaled position.
-    Returns the (N, csi width) flattened CSI and the
-    :func:`~csigen.gan.mlp.mlp_forward` cache."""
-    inputs = np.concatenate(
-        [np.asarray(noise, dtype=np.float64), np.asarray(conditions_scaled, dtype=np.float64)],
-        axis=1,
-    )
+    positions: the input row is the noise columns, then the scaled position,
+    in the generator's dtype.  Returns the (N, csi width) flattened CSI and
+    the :func:`~csigen.gan.mlp.mlp_forward` cache."""
+    inputs = np.concatenate([noise, conditions_scaled], axis=1, dtype=params.dtype)
     return mlp_forward(params, inputs)
 

@@ -7,10 +7,11 @@ generator/critic parameters, the optimizer moments, the RNG state, and both
 input scalers, so a resumed run continues bit-identically.
 
 Each network's parameters, gradients and Adam moments are
-:class:`~csigen.gan.mlp.FlatArrays`, canonical views over one flat float64
-buffer, so :func:`adam_update` is a fixed sequence of in-place vector
-operations over four ``.flat`` buffers.  Periodic and final checkpoints are written
-from the live training state, without copying it.
+:class:`~csigen.gan.mlp.FlatArrays`, canonical views over one flat buffer
+of the network's dtype, so :func:`adam_update` is a fixed sequence of
+in-place vector operations over four ``.flat`` buffers.  Periodic and
+final checkpoints are written from the live training state, without
+copying it.
 
 WGCK file layout: magic b"WGCK", version u16 LE, meta-JSON length u32 LE,
 meta JSON (config, geometry, scalers, layer tables, step, RNG state,
@@ -26,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -44,6 +46,7 @@ from csigen.gan.fastgrad import (
 )
 from csigen.gan.nets import (
     CriticParams,
+    check_widths,
     delay_spread_flat,
     flatten_csi,
     init_critic,
@@ -124,20 +127,22 @@ class TrainingConfig:
         for name, minimum in (("generator_steps", 0), ("seed", 0), ("checkpoint_every", 0),
                               ("n_critic", 1), ("batch_size", 1), ("noise_dim", 1)):
             _count(getattr(self, name), name, minimum)
-        positive = {
-            "hidden_scale": self.hidden_scale,
-            "critic_hidden_scale": self.critic_scale,
-            "learning_rate": self.learning_rate,
-            "adam_eps": self.adam_eps,
-        }
-        for name, value in positive.items():
-            if not 0 < value < math.inf:  # also rejects NaN
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not isinstance(self.gp_ds_through_csi, bool):
+            raise ValueError(f"gp_ds_through_csi must be a bool, got {self.gp_ds_through_csi!r}")
+        reals = {name: getattr(self, name) for name in (
+            "hidden_scale", "learning_rate", "adam_eps", "gp_lambda", "adam_beta1", "adam_beta2")}
+        reals["critic_hidden_scale"] = self.critic_scale
+        for name, value in reals.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        for name in ("hidden_scale", "critic_hidden_scale", "learning_rate", "adam_eps"):
+            if not 0 < reals[name] < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {reals[name]!r}")
         if not 0 <= self.gp_lambda < math.inf:
             raise ValueError(f"gp_lambda must be >= 0 and finite, got {self.gp_lambda!r}")
         for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+            if not 0 <= reals[name] < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {reals[name]!r}")
 
     @property
     def critic_scale(self) -> float:
@@ -166,8 +171,7 @@ class AdamState:
 
     @classmethod
     def zeros_like(cls, arrays: list[np.ndarray]) -> "AdamState":
-        shapes = [a.shape for a in arrays]
-        return cls(FlatArrays.zeros(shapes), FlatArrays.zeros(shapes))
+        return cls(FlatArrays.zeros_like(arrays), FlatArrays.zeros_like(arrays))
 
     def copy(self) -> "AdamState":
         return AdamState(FlatArrays.packed(self.m), FlatArrays.packed(self.v), self.t)
@@ -191,7 +195,8 @@ def adam_update(
         p -= (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps)
 
     evaluated in that order, in place, over the flat buffers in blocks of
-    ``ADAM_BLOCK`` elements, with two work vectors kept in ``state``.
+    ``ADAM_BLOCK`` elements, with two work vectors of the parameters' dtype
+    kept in ``state``.
     """
     if not (isinstance(arrays, FlatArrays) and isinstance(grads, FlatArrays)):
         raise ValueError("adam_update needs parameters and gradients that are each a FlatArrays")
@@ -200,7 +205,7 @@ def adam_update(
         raise ValueError("parameters, gradients and Adam moments differ in size")
     width = min(ADAM_BLOCK, params.size)
     if state.work is None or state.work.shape[1] < width:
-        state.work = np.empty((2, width))
+        state.work = np.empty((2, width), params.dtype)
 
     state.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
@@ -329,7 +334,9 @@ def _params_on(table: list, arrays: FlatArrays) -> MlpParams:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a WGCK file.  The payload is read once, straight into a writable
     float64 buffer; the result's networks and Adam moments are
-    :class:`~csigen.gan.mlp.FlatArrays` over parts of it."""
+    :class:`~csigen.gan.mlp.FlatArrays` over parts of it.  The layer tables
+    must fit the geometry and ``noise_dim`` (see
+    :func:`~csigen.gan.nets.check_widths`)."""
     with open(path, "rb") as handle:
         file_bytes = os.fstat(handle.fileno()).st_size
         header = handle.read(10)
@@ -383,7 +390,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         )
         # the RNG state train() restores on resume
         np.random.default_rng(0).bit_generator.state = meta["rng_state"]
-        return Checkpoint(
+        checkpoint = Checkpoint(
             generator=_params_on(tables[0], gen_params),
             critic=critic,
             config=TrainingConfig(**meta["config"]),
@@ -395,6 +402,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             gen_adam=AdamState(gen_m, gen_v, _count(meta["adam_t"]["generator"], "adam_t")),
             critic_adam=AdamState(critic_m, critic_v, _count(meta["adam_t"]["critic"], "adam_t")),
         )
+        check_widths(checkpoint.generator, critic, checkpoint.geometry, checkpoint.config.noise_dim)
+        return checkpoint
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CheckpointMetadataError(
             f"{path}: metadata does not describe a checkpoint: {exc!r}"
@@ -419,7 +428,8 @@ def _calibrate_critic_scale(
     """
     probe = min(256, real_flat.shape[0])
     forward = CriticPass(critic, geometry, ds_scaler, real_flat[:probe], pos_scaled[:probe])
-    input_grad = critic_backward(critic, geometry, ds_scaler, forward, np.ones((probe, 1)))
+    seed = np.ones((probe, 1), critic.dtype)
+    input_grad = critic_backward(critic, geometry, ds_scaler, forward, seed)
     median = float(np.median(np.linalg.norm(input_grad, axis=1)))
     if median > 0.0 and np.isfinite(median):
         critic.fusion.layers[-1].weights /= median

@@ -491,8 +491,14 @@ class TestGenerate:
             lambda meta: meta["adam_t"].update(critic="20"),
             lambda meta: meta["adam_t"].update(generator=-2),
             lambda meta: meta["config"].update(noise_dim=13.0),
+            lambda meta: meta["config"].update(gp_ds_through_csi="false"),
+            lambda meta: meta["config"].update(hidden_scale=True),
+            lambda meta: meta["config"].update(noise_dim=meta["config"]["noise_dim"] + 1),
+            lambda meta: meta["geometry"].update(num_taps=meta["geometry"]["num_taps"] // 2),
         ],
-        ids=["string-step", "string-adam-t", "negative-adam-t", "float-noise-dim"],
+        ids=["string-step", "string-adam-t", "negative-adam-t", "float-noise-dim",
+             "string-gp-ds-through-csi", "bool-hidden-scale", "noise-dim-off-the-table",
+             "taps-off-the-table"],
     )
     def test_wrong_typed_metadata_is_a_data_error(
         self, tmp_path, small_dataset, trained_checkpoint, capsys, edit

@@ -192,12 +192,21 @@ class TestMinMaxScaler:
         values = np.array([[2.0, 4.0], [6.0, 10.0]])
         assert np.array_equal(scaler.scale(values), [[-1.0, 0.0], [1.0, 3.0]])
         assert np.array_equal(scaler.unscale(scaler.scale(values)), values)
-        assert scaler.gain == 0.5
+        assert np.array_equal(scaler.times_gain(np.array([1.0, -4.0])), [0.5, -2.0])
 
     def test_vector_bounds_scale_the_last_axis(self):
         scaler = MinMaxScaler([0.0, -1.0], [4.0, 1.0])
         assert np.array_equal(scaler.scale([[2.0, 1.0], [0.0, 0.0]]), [[0.0, 1.0], [-1.0, 0.0]])
-        assert np.array_equal(scaler.gain, [0.5, 1.0])
+        assert np.array_equal(scaler.times_gain(np.ones((3, 2))), [[0.5, 1.0]] * 3)
+
+    def test_maps_keep_the_floating_dtype_of_their_argument(self):
+        scaler = MinMaxScaler([0.0, -1.0], [4.0, 1.0])
+        for values, dtype in ((np.ones((3, 2), np.float32), np.float32),
+                              (np.ones((3, 2), np.float64), np.float64),
+                              (np.ones((3, 2), np.int64), np.float64)):
+            for mapped in (scaler.scale(values), scaler.unscale(values), scaler.times_gain(values)):
+                assert mapped.dtype == dtype
+        assert np.array_equal(scaler.scale(np.array([[2, 0]])), [[0.0, 0.0]])
 
     def test_fit_reduces_over_axis_0(self):
         values = np.array([[1.0, 5.0], [3.0, -2.0], [2.0, 0.0]])

@@ -19,7 +19,6 @@ from csigen.gan.nets import (
     flatten_csi,
     init_critic,
     init_generator,
-    unflatten_csi,
 )
 from csigen.gan.sample import sample_fixed, sample_variable
 from csigen.gan.train import (
@@ -101,12 +100,22 @@ class TestSpecs:
         generator = init_generator(GEO, 16, 0.25, np.random.default_rng(0))
         assert self.widths(generator) == [18, 128, 128, 256, 512, CSI_WIDTH]
 
-    def test_flatten_round_trip(self):
+    def test_flatten_layout(self):
+        """All real parts in C order over (array, row, column, tap), then all
+        imaginary parts in the same order."""
+        geometry = ArrayGeometry(2, 3, 2, 4, 1.272e9, 50e6)
         rng = np.random.default_rng(1)
-        csi = rng.standard_normal((5,) + GEO.csi_shape) + 1j * rng.standard_normal(
-            (5,) + GEO.csi_shape
-        )
-        assert np.array_equal(unflatten_csi(flatten_csi(csi), GEO), csi)
+        shape = (5,) + geometry.csi_shape
+        csi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        flat = flatten_csi(csi)
+        half = math.prod(geometry.csi_shape)
+        assert flat.shape == (5, 2 * half)
+        for n in range(5):
+            for b, r, c, t in np.ndindex(geometry.csi_shape):
+                antenna = (b * geometry.rows_per_array + r) * geometry.cols_per_array + c
+                k = antenna * geometry.num_taps + t
+                assert flat[n, k] == csi[n, b, r, c, t].real
+                assert flat[n, half + k] == csi[n, b, r, c, t].imag
 
 
 class TestCriticLoss:
@@ -246,6 +255,40 @@ class TestGeneratorLoss:
             second = loss_fn(critic, generator, GEO, ds_scaler, pos, noise)
             assert first[0] == second[0]
             assert all(np.array_equal(a, b) for a, b in zip(first[1], second[1]))
+
+
+class TestTrainingConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gp_ds_through_csi", "false"),
+            ("gp_ds_through_csi", 0),
+            ("gp_ds_through_csi", None),
+            ("hidden_scale", True),
+            ("critic_hidden_scale", True),
+            ("learning_rate", True),
+            ("adam_beta1", False),
+            ("gp_lambda", "1.0"),
+            ("adam_eps", "1e-8"),
+            ("adam_beta2", None),
+        ],
+    )
+    def test_wrong_typed_fields_are_value_errors(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainingConfig(generator_steps=1, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gp_ds_through_csi", False),
+            ("gp_lambda", 10),
+            ("learning_rate", np.float32(1e-3)),
+            ("adam_beta1", 0),
+            ("critic_hidden_scale", None),
+        ],
+    )
+    def test_bools_and_real_numbers_are_accepted(self, field, value):
+        assert getattr(TrainingConfig(generator_steps=1, **{field: value}), field) == value
 
 
 class TestTrain:
@@ -600,13 +643,17 @@ class TestCheckpointFormat:
             lambda meta: meta["config"].update(generator_steps=8.0),
             lambda meta: meta["config"].update(noise_dim=13.0),
             lambda meta: meta["config"].update(checkpoint_every=True),
+            lambda meta: meta["config"].update(gp_ds_through_csi="false"),
+            lambda meta: meta["config"].update(hidden_scale=True),
+            lambda meta: meta["config"].update(gp_lambda="1.0"),
         ],
         ids=["no-layers", "table-not-a-list", "negative-width", "unknown-activation",
              "unknown-config-key", "missing-geometry-key", "bad-rng-state",
              "scalar-condition-bounds", "vector-ds-bounds", "degenerate-ds-bounds",
              "string-step", "fractional-step", "bool-step", "string-adam-t",
              "negative-adam-t", "float-generator-steps", "float-noise-dim",
-             "bool-checkpoint-every"],
+             "bool-checkpoint-every", "string-gp-ds-through-csi", "bool-hidden-scale",
+             "string-gp-lambda"],
     )
     def test_metadata_schema_violations(self, tmp_path, corrupt):
         path = tmp_path / "ck.wgck"
@@ -619,6 +666,40 @@ class TestCheckpointFormat:
         path.write_bytes(blob[:6] + struct.pack("<I", len(meta_bytes)) + meta_bytes
                          + blob[10 + meta_len :])
         with pytest.raises(CheckpointMetadataError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda meta: meta["config"].update(noise_dim=3), "generator input width 8, expected 5"),
+            (lambda meta: meta["geometry"].update(num_taps=2),
+             "generator output width 16, expected 8"),
+            (lambda meta: meta["geometry"].update(cols_per_array=1),
+             "generator output width 16, expected 8"),
+            (lambda meta: meta["layers"]["critic_trunk"][0].__setitem__(1, 12),
+             "critic trunk input width 12, expected 16"),
+            (lambda meta: meta["layers"]["critic_fusion"][0].__setitem__(1, 13),
+             "critic fusion input width 13, expected 12"),
+            (lambda meta: meta["layers"]["critic_fusion"][-1].__setitem__(0, 2),
+             "critic fusion output width 2, expected 1"),
+        ],
+        ids=["noise-dim", "num-taps", "antennas", "trunk-input", "fusion-input", "fusion-output"],
+    )
+    def test_layer_widths_must_fit_geometry_and_noise_dim(self, tmp_path, corrupt, message):
+        """A payload sized for the edited tables loads only when the tables
+        chain from noise_dim + 2 through the geometry's CSI width to one score."""
+        path = tmp_path / "ck.wgck"
+        save_checkpoint(self.make_checkpoint(), path)
+        blob = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", blob, 6)
+        meta = json.loads(blob[10 : 10 + meta_len])
+        corrupt(meta)
+        count = sum(out_width * (in_width + 1)
+                    for table in meta["layers"].values() for out_width, in_width, _ in table)
+        meta_bytes = json.dumps(meta).encode()
+        path.write_bytes(blob[:6] + struct.pack("<I", len(meta_bytes)) + meta_bytes
+                         + np.zeros(3 * count, "<f8").tobytes())
+        with pytest.raises(CheckpointMetadataError, match=message):
             load_checkpoint(path)
 
     def test_loaded_arrays_are_writable_and_private(self, tmp_path):
