@@ -3,7 +3,8 @@ synthesize datasets, split them, train the generative model, sample it,
 interpolate, and emit plot-ready evaluation reports.
 
 Exit codes: 0 success; 2 usage or configuration error; 3 data or file
-format error; 4 empty train/test split; 5 numerical abort during training.
+format error, or a path that cannot be read or written; 4 empty train/test
+split; 5 numerical abort during training.
 Every command that owns an output directory writes a resolved-config copy
 next to its outputs.
 """
@@ -310,19 +311,18 @@ def _write_points_csv(
 def cmd_evaluate(args) -> int:
     if args.bins < 2:
         raise cfg.ConfigError("need at least 2 histogram bins")
+    used_labels: set = set()
+    named: list[tuple[str, CsiDataset]] = []
+    for path in [args.reference, *args.candidates]:
+        dataset = load_dataset(path)
+        if len(dataset) == 0:
+            raise ValueError(f"{path}: no datapoints to evaluate")
+        named.append((_dataset_label(path, used_labels), dataset))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    used_labels: set = set()
-    named: list[tuple[str, CsiDataset]] = []
-    named.append((_dataset_label(args.reference, used_labels), load_dataset(args.reference)))
-    for candidate in args.candidates:
-        named.append((_dataset_label(candidate, used_labels), load_dataset(candidate)))
-
     # 0 dB reference: maximum per-array power pooled over all datasets
-    pooled_max = max(
-        float(dataset_powers(ds, basis="array").max()) for _, ds in named if len(ds) > 0
-    )
+    pooled_max = max(float(dataset_powers(ds, basis="array").max()) for _, ds in named)
 
     spreads = [dataset_delay_spreads(ds) for _, ds in named]
     ds_pools = [(label, s.ravel() * 1e9) for (label, _), s in zip(named, spreads)]
@@ -453,7 +453,7 @@ def main(argv=None) -> int:
     except cfg.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetFormatError, CheckpointFormatError, FileNotFoundError) as exc:
+    except (DatasetFormatError, CheckpointFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except EmptySplitError as exc:

@@ -10,7 +10,8 @@ buffer, ``.flat``, so whole-network updates run as a few vector operations
 without recovering the buffer from the views.  The buffer's dtype is the
 network's dtype: the forward casts its input to it, and the training
 kernels allocate their gradients, moments and work arrays in it.
-:func:`init_mlp` makes float64 networks.
+:func:`init_mlp` makes float64 networks; ``copy(dtype)`` copies one into
+a buffer of another dtype, as training does for its float32 steps.
 """
 
 from __future__ import annotations
@@ -61,11 +62,11 @@ class FlatArrays(list):
         return cls(np.zeros(size, np.result_type(*arrays)), [array.shape for array in arrays])
 
     @classmethod
-    def packed(cls, arrays: list[np.ndarray]) -> "FlatArrays":
-        """Copies of ``arrays`` in one new buffer of their floating dtype;
-        integer arrays become float64."""
-        return cls(as_floating(np.concatenate([np.ravel(array) for array in arrays])),
-                   [array.shape for array in arrays])
+    def packed(cls, arrays: list[np.ndarray], dtype=None) -> "FlatArrays":
+        """Copies of ``arrays`` in one new buffer of ``dtype``, by default
+        their floating dtype (integer arrays become float64)."""
+        flat = np.concatenate([np.ravel(array) for array in arrays], dtype=dtype)
+        return cls(as_floating(flat), [array.shape for array in arrays])
 
     def split(self, index: int) -> tuple["FlatArrays", "FlatArrays"]:
         """The arrays before and from ``index``, each over its part of ``flat``."""
@@ -116,9 +117,9 @@ class MlpParams:
         pairs = zip(arrays[::2], arrays[1::2], activations)
         return cls([DenseLayer(weights, bias, act) for weights, bias, act in pairs], arrays)
 
-    def copy(self) -> "MlpParams":
-        """A copy in a new buffer."""
-        return MlpParams(self.layers)
+    def copy(self, dtype=None) -> "MlpParams":
+        """A copy in a new buffer of ``dtype``, by default the network's."""
+        return MlpParams.on_arrays(FlatArrays.packed(self.arrays(), dtype), self.activations)
 
     def arrays(self) -> FlatArrays:
         """[W0, b0, W1, b1, ...], the canonical parameter order, over the buffer."""

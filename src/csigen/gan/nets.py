@@ -76,9 +76,9 @@ class CriticParams:
     def dtype(self) -> np.dtype:
         return self.buffer.flat.dtype
 
-    def copy(self) -> "CriticParams":
-        """A copy in a new buffer."""
-        return CriticParams(self.trunk, self.fusion)
+    def copy(self, dtype=None) -> "CriticParams":
+        """A copy in a new buffer of ``dtype``, by default the network's."""
+        return CriticParams(self.trunk.copy(dtype), self.fusion.copy(dtype))
 
 
 def init_generator(

@@ -9,9 +9,16 @@ input scalers, so a resumed run continues bit-identically.
 Each network's parameters, gradients and Adam moments are
 :class:`~csigen.gan.mlp.FlatArrays`, canonical views over one flat buffer
 of the network's dtype, so :func:`adam_update` is a fixed sequence of
-in-place vector operations over four ``.flat`` buffers.  Periodic and
-final checkpoints are written from the live training state, without
-copying it.
+in-place vector operations over four ``.flat`` buffers.
+
+:func:`train` computes in ``TRAINING_DTYPE`` (float32): it casts the
+networks, the Adam moments and its inputs once, before the first step, and
+draws its noise and mixing coefficients in float64, which the kernels cast
+where they use them.  Everything outside the loop is float64: the returned
+state is widened to float64, the checkpoint payload is ``<f8`` (periodic
+and diverged saves widen the live float32 state array by array), and a
+resume narrows a checkpoint back, exactly for one that float32 training
+wrote.
 
 WGCK file layout: magic b"WGCK", version u16 LE, meta-JSON length u32 LE,
 meta JSON (config, geometry, scalers, layer tables, step, RNG state,
@@ -58,6 +65,9 @@ CHECKPOINT_MAGIC = b"WGCK"
 # each) stay in a core's L2 cache across the whole operation sequence.
 ADAM_BLOCK = 16384
 CHECKPOINT_VERSION = 1
+# the dtype of the networks, Adam moments and inputs inside train(); the
+# networks it returns and the checkpoints it writes are float64
+TRAINING_DTYPE = np.float32
 
 
 class TrainingDivergedError(RuntimeError):
@@ -173,8 +183,9 @@ class AdamState:
     def zeros_like(cls, arrays: list[np.ndarray]) -> "AdamState":
         return cls(FlatArrays.zeros_like(arrays), FlatArrays.zeros_like(arrays))
 
-    def copy(self) -> "AdamState":
-        return AdamState(FlatArrays.packed(self.m), FlatArrays.packed(self.v), self.t)
+    def copy(self, dtype=None) -> "AdamState":
+        """A copy in new buffers of ``dtype``, by default the moments'."""
+        return AdamState(FlatArrays.packed(self.m, dtype), FlatArrays.packed(self.v, dtype), self.t)
 
 
 def adam_update(
@@ -244,6 +255,16 @@ class Checkpoint:
     gen_adam: AdamState
     critic_adam: AdamState
 
+    def astype(self, dtype) -> "Checkpoint":
+        """A copy whose networks and Adam moments are in new buffers of ``dtype``."""
+        return dataclasses.replace(
+            self,
+            generator=self.generator.copy(dtype),
+            critic=self.critic.copy(dtype),
+            gen_adam=self.gen_adam.copy(dtype),
+            critic_adam=self.critic_adam.copy(dtype),
+        )
+
 
 @dataclass
 class TrainResult:
@@ -279,8 +300,9 @@ def _scaler_from(entry: dict, shape: tuple) -> MinMaxScaler:
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     """Write ``checkpoint`` to ``path`` atomically: the bytes go to a
-    temporary file beside it, which then replaces ``path``.  The arrays are
-    written as they lie in memory, without a staging copy."""
+    temporary file beside it, which then replaces ``path``.  float64 arrays
+    are written as they lie in memory; arrays of another dtype are widened
+    to ``<f8`` one at a time."""
     meta = {
         "config": checkpoint.config.to_dict(),
         "geometry": _geometry_dict(checkpoint.geometry),
@@ -449,6 +471,7 @@ def train(
     penalty with per-sample mixing coefficients).  Emits one log row per
     generator step; writes periodic checkpoints into ``out_dir`` when a
     cadence is configured, and a diagnostic checkpoint on divergence.
+    Steps run in ``TRAINING_DTYPE``; the returned checkpoint is float64.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -464,27 +487,29 @@ def train(
 
     if resume is not None:
         config = resume.config
-        generator = resume.generator.copy()
-        critic = resume.critic.copy()
+        state = resume.astype(TRAINING_DTYPE)
+        generator, critic = state.generator, state.critic
+        gen_adam, critic_adam = state.gen_adam, state.critic_adam
         cond_scaler = resume.condition_scaler
         ds_scaler = resume.ds_scaler
-        gen_adam = resume.gen_adam.copy()
-        critic_adam = resume.critic_adam.copy()
         rng = np.random.default_rng()
         rng.bit_generator.state = resume.rng_state
         start_step = resume.step
     else:
         rng = np.random.default_rng(config.seed)
         generator = init_generator(geometry, config.noise_dim, config.hidden_scale, rng)
-        critic = init_critic(geometry, config.critic_scale, rng)
+        generator = generator.copy(TRAINING_DTYPE)
+        critic = init_critic(geometry, config.critic_scale, rng).copy(TRAINING_DTYPE)
         cond_scaler = MinMaxScaler.fit(dataset.positions)
         ds_scaler = MinMaxScaler.fit(ds_real.ravel())
         gen_adam = AdamState.zeros_like(generator.arrays())
         critic_adam = AdamState.zeros_like(critic.arrays())
         start_step = 0
 
-    pos_scaled = cond_scaler.scale(dataset.positions)
-    ds_real_scaled = ds_scaler.scale(ds_real)
+    # cast once, so that no float64 operand promotes the step's arithmetic
+    real_flat = real_flat.astype(TRAINING_DTYPE)
+    pos_scaled = cond_scaler.scale(dataset.positions).astype(TRAINING_DTYPE)
+    ds_real_scaled = ds_scaler.scale(ds_real).astype(TRAINING_DTYPE)
     if resume is None:
         _calibrate_critic_scale(critic, geometry, ds_scaler, real_flat, pos_scaled)
 
@@ -549,4 +574,4 @@ def train(
         if out_dir is not None and config.checkpoint_every and step % config.checkpoint_every == 0:
             save_checkpoint(live_state(step), out_dir / f"checkpoint_{step:07d}.wgck")
 
-    return TrainResult(live_state(start_step + config.generator_steps), log_rows)
+    return TrainResult(live_state(start_step + config.generator_steps).astype(np.float64), log_rows)

@@ -8,6 +8,7 @@ a few minutes; everything else is fast.
 import math
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,11 +414,13 @@ def _accept8_scene():
     )
 
 
-@pytest.mark.slow
-def test_criterion_8_desk_scale_ordering(tmp_path):
-    """Qualitative Table-I ordering at desk scale:
-    JSD(test, train) < JSD(GAN-var, train) < JSD(Gaussian, train)."""
-    start = time.time()
+def desk_scale_jsds(seed: int, out_dir) -> tuple[float, float, float]:
+    """Criterion 8's run with training seed ``seed``, writing its checkpoints
+    into ``out_dir``: returns JSD(test, train), JSD(GAN-var, train) and
+    JSD(Gaussian, train).  For another seed, from the repository root:
+
+        PYTHONPATH=src:tests python -c "import test_acceptance as t; print(t.desk_scale_jsds(1, 'out'))"
+    """
     scene = _accept8_scene()
     grid = grid_positions(((0.2, 2.0), (11.8, 10.0)), 50, 40)
     jitter = np.random.default_rng(123).uniform(-0.08, 0.08, size=grid.shape)
@@ -433,7 +436,7 @@ def test_criterion_8_desk_scale_ordering(tmp_path):
     # scale the defaults smear the learned delay-spread distribution.
     config = TrainingConfig(
         generator_steps=6000,
-        seed=0,
+        seed=seed,
         batch_size=64,
         noise_dim=128,
         hidden_scale=0.25,
@@ -443,10 +446,10 @@ def test_criterion_8_desk_scale_ordering(tmp_path):
         gp_ds_through_csi=False,
         checkpoint_every=500,
     )
-    result = train(train_set, config, out_dir=tmp_path)
+    train(train_set, config, out_dir=out_dir)
     pools = []
     for step in range(4500, 6001, 500):
-        checkpoint = load_checkpoint(tmp_path / f"checkpoint_{step:07d}.wgck")
+        checkpoint = load_checkpoint(Path(out_dir) / f"checkpoint_{step:07d}.wgck")
         generated = sample_variable(checkpoint, test_set.positions, seed=1000 + step)
         pools.append(dataset_delay_spreads(generated).ravel())
     ds_gan = np.concatenate(pools) * 1e9
@@ -458,8 +461,16 @@ def test_criterion_8_desk_scale_ordering(tmp_path):
         [("train", ds_train), ("test", ds_test), ("ganvar", ds_gan), ("gauss", gauss)],
         n_bins=150,
     )
+    return matrix[0, 1], matrix[0, 2], matrix[0, 3]
+
+
+@pytest.mark.slow
+def test_criterion_8_desk_scale_ordering(tmp_path):
+    """Qualitative Table-I ordering at desk scale:
+    JSD(test, train) < JSD(GAN-var, train) < JSD(Gaussian, train)."""
+    start = time.time()
+    jsd_test, jsd_gan, jsd_gauss = desk_scale_jsds(0, tmp_path)
     elapsed = time.time() - start
-    jsd_test, jsd_gan, jsd_gauss = matrix[0, 1], matrix[0, 2], matrix[0, 3]
     assert elapsed < 600.0, f"desk-scale run took {elapsed:.0f} s (budget 600 s)"
     assert jsd_gan < jsd_gauss, f"GAN {jsd_gan:.3f} must beat Gaussian {jsd_gauss:.3f}"
     assert jsd_test < jsd_gan, f"test {jsd_test:.3f} must undercut GAN {jsd_gan:.3f}"

@@ -22,6 +22,7 @@ from csigen.cli import (
     _training_config_from_file,
     main,
 )
+from csigen.core import CsiDataset
 from csigen.dataio import load_dataset, save_dataset
 from csigen.gan.train import TrainingConfig, load_checkpoint
 
@@ -56,6 +57,19 @@ noise_dim = 8
 hidden_scale = 0.02
 learning_rate = 1e-4
 """
+
+
+def cli_process(*argv) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, so that a traceback or a numpy
+    warning reaches stderr as a user sees it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(csigen.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "csigen.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
 
 
 @pytest.fixture()
@@ -530,19 +544,12 @@ class TestGenerate:
         ids=["short-row", "non-numeric", "nan", "inf", "minus-inf"],
     )
     def test_bad_positions_file_is_a_data_error(self, tmp_path, trained_checkpoint, bad_row):
-        # a fresh interpreter, so that a traceback or a numpy warning would
-        # reach stderr as a user sees it
         positions = tmp_path / "bad.csv"
         positions.write_text(f"x,y\n1.0,2.0\n{bad_row}\n5.0,6.0\n")
         out = tmp_path / "g.csit"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(csigen.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
-        )
-        result = subprocess.run(
-            [sys.executable, "-m", "csigen.cli", "generate", "--checkpoint", str(trained_checkpoint),
-             "--positions", f"file:{positions}", "--mode", "variable", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
+        result = cli_process(
+            "generate", "--checkpoint", trained_checkpoint,
+            "--positions", f"file:{positions}", "--mode", "variable", "--out", out,
         )
         assert result.returncode == EXIT_DATA, result.stderr
         assert result.stderr.startswith("data error:"), result.stderr
@@ -639,6 +646,21 @@ class TestEvaluate:
         assert "--seed" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("empty_reference", [True, False], ids=["both-empty", "candidate-empty"])
+    def test_empty_dataset_is_named(self, tmp_path, small_dataset, capsys, empty_reference):
+        dataset = load_dataset(small_dataset)
+        empty = tmp_path / "empty.csit"
+        save_dataset(CsiDataset(dataset.geometry, dataset.csi[:0], dataset.positions[:0]), empty)
+        reference = empty if empty_reference else small_dataset
+        report = tmp_path / "report"
+        code = main(
+            ["evaluate", "--reference", str(reference), "--candidates", str(empty),
+             "--out", str(report)]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {empty}: no datapoints to evaluate\n"
+        assert not report.exists()
+
     def test_bad_bin_count(self, tmp_path, small_dataset):
         code = main(
             ["evaluate", "--reference", str(small_dataset), "--candidates", str(small_dataset),
@@ -661,6 +683,36 @@ class TestImportHdf5:
         out = tmp_path / "imported.csit"
         assert main(["import-hdf5", "--in", str(h5_path), "--n-tap", "8", "--out", str(out)]) == EXIT_OK
         assert load_dataset(out).geometry.num_taps == 8
+
+
+class TestPathErrors:
+    """A path that cannot be read or written is a data error named on
+    stderr, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["synth", "split", "train", "evaluate", "generate"])
+    def test_unusable_path_exits_3(self, tmp_path, scenario_file, small_dataset, command):
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        existing = tmp_path / "a_file"
+        existing.write_text("")
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_CONFIG)
+        argv, path = {  # the path each command cannot use
+            "synth": (["--scenario", scenario_file, "--positions", "grid:2x2", "--out", directory],
+                      directory),
+            "split": (["--dataset", small_dataset, "--hole-center", "6,5",
+                       "--out-train", directory, "--out-test", tmp_path / "test.csit"], directory),
+            "train": (["--train", small_dataset, "--config", config, "--out", existing], existing),
+            "evaluate": (["--reference", small_dataset, "--candidates", small_dataset,
+                          "--out", existing], existing),
+            "generate": (["--checkpoint", directory, "--positions", "grid:2x2",
+                          "--out", tmp_path / "g.csit"], directory),
+        }[command]
+        result = cli_process(command, *argv)
+        assert result.returncode == EXIT_DATA, result.stderr
+        assert result.stderr.startswith("data error:"), result.stderr
+        assert f"'{path}'" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestUsageErrors:

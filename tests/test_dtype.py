@@ -1,25 +1,38 @@
-"""A network's parameter buffer decides the dtype that training computes in.
+"""A network's parameter buffer decides the dtype that training computes in,
+and ``train()`` computes in float32 while handing out float64 state.
 
 float32 copies of desk-shape float64 networks run the losses, the critic
 backward pass and Adam in float32 throughout, and agree with the float64
-networks to float32 tolerance.  The gradient tests elsewhere stay float64.
+networks to float32 tolerance.  A trained checkpoint is float64 holding
+float32 values, the same arrays that its file loads back.  The gradient
+tests elsewhere stay float64.
 """
+
+import dataclasses
+
 
 import numpy as np
 import pytest
 
-from csigen.core import ArrayGeometry, MinMaxScaler
+from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.gan import fastgrad
 from csigen.gan.fastgrad import CriticPass, critic_backward, critic_loss_fast, generator_loss_fast
-from csigen.gan.mlp import FlatArrays, MlpParams
+from csigen.gan.mlp import FlatArrays
 from csigen.gan.nets import (
-    CriticParams,
     DelaySpreadCache,
     delay_spread_flat,
     init_critic,
     init_generator,
 )
-from csigen.gan.train import AdamState, TrainingConfig, adam_update
+from csigen.gan.sample import sample_variable
+from csigen.gan.train import (
+    AdamState,
+    TrainingConfig,
+    adam_update,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 
 # the desk configuration: criterion-8 geometry, generator at hidden_scale
 # 0.25, full-width critic, batch 64, noise_dim 128
@@ -28,20 +41,6 @@ BATCH, NOISE_DIM = 64, 128
 # the kernels under test, each wrapped to record the arrays it sees
 KERNELS = ("mlp_forward", "mlp_backward", "_mlp_jvp", "generator_forward",
            "delay_spread_forward", "delay_spread_flat", "_ds_vjp", "_ds_jvp")
-
-
-def as_float32(network):
-    """A float32 copy of a generator or critic."""
-    arrays = network.arrays()
-    flat = FlatArrays(arrays.flat.astype(np.float32), [a.shape for a in arrays])
-    if isinstance(network, MlpParams):
-        return MlpParams.on_arrays(flat, network.activations)
-    trunk, fusion = flat.split(2 * len(network.trunk.layers))
-    return CriticParams(
-        MlpParams.on_arrays(trunk, network.trunk.activations),
-        MlpParams.on_arrays(fusion, network.fusion.activations),
-        flat,
-    )
 
 
 def floating_arrays(value):
@@ -111,7 +110,7 @@ def assert_close(ours, theirs, tolerance=1e-5):
 def test_critic_loss_runs_in_the_critic_dtype(setup, seen, ds_through_csi):
     generator, critic, ds_scaler, inputs32, inputs64 = setup
     loss32, grads32, diagnostics32 = critic_loss_fast(
-        as_float32(critic), as_float32(generator), GEO, ds_scaler, **inputs32,
+        critic.copy(np.float32), generator.copy(np.float32), GEO, ds_scaler, **inputs32,
         gp_lambda=10.0, ds_through_csi=ds_through_csi,
     )
     assert seen and isinstance(grads32, FlatArrays)
@@ -131,7 +130,7 @@ def test_generator_loss_runs_in_the_networks_dtype(setup, seen):
     generator, critic, ds_scaler, inputs32, inputs64 = setup
     names = ("pos_scaled", "noise")
     loss32, grads32 = generator_loss_fast(
-        as_float32(critic), as_float32(generator), GEO, ds_scaler, *(inputs32[n] for n in names)
+        critic.copy(np.float32), generator.copy(np.float32), GEO, ds_scaler, *(inputs32[n] for n in names)
     )
     assert seen and isinstance(grads32, FlatArrays)
     assert_float32(seen + [grads32.flat])
@@ -151,7 +150,7 @@ def critic_backward_run(critic, ds_scaler, inputs):
 
 def test_critic_backward_runs_in_the_critic_dtype(setup, seen):
     generator, critic, ds_scaler, inputs32, inputs64 = setup
-    pass32, input_grad32, grads32 = critic_backward_run(as_float32(critic), ds_scaler, inputs32)
+    pass32, input_grad32, grads32 = critic_backward_run(critic.copy(np.float32), ds_scaler, inputs32)
     assert seen and pass32.ds_cache is not None
     caches = [pass32.trunk, pass32.fusion, pass32.ds_cache, pass32.scores]
     assert_float32(seen + list(floating_arrays(caches)) + [input_grad32, grads32.flat])
@@ -165,7 +164,7 @@ def test_adam_keeps_the_parameters_dtype(setup):
     generator, critic, ds_scaler, inputs32, inputs64 = setup
     config = TrainingConfig(generator_steps=1, learning_rate=1e-3, adam_beta1=0.5)
     runs = []
-    for network, gen, inputs in ((as_float32(critic), as_float32(generator), inputs32),
+    for network, gen, inputs in ((critic.copy(np.float32), generator.copy(np.float32), inputs32),
                                  (critic.copy(), generator, inputs64)):
         start = network.arrays().flat.copy()
         state = AdamState.zeros_like(network.arrays())
@@ -181,3 +180,73 @@ def test_adam_keeps_the_parameters_dtype(setup):
     assert_close(step32, step64, 1e-4)
     assert_close(state32.m.flat, state64.m.flat)
     assert_close(state32.v.flat, state64.v.flat)
+
+
+def small_run(**overrides):
+    """A small dataset and the config of a few cheap training steps."""
+    geometry = ArrayGeometry(1, 1, 2, 8, 1.272e9, 100e6)
+    rng = np.random.default_rng(5)
+    shape = (48,) + geometry.csi_shape
+    csi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    dataset = CsiDataset(geometry, csi, rng.uniform(0, 10, (48, 2)))
+    settings = dict(generator_steps=3, batch_size=8, n_critic=2, noise_dim=6, hidden_scale=0.02)
+    return dataset, TrainingConfig(**{**settings, **overrides})
+
+
+def state_arrays(checkpoint):
+    """Every parameter and Adam-moment buffer of ``checkpoint``."""
+    return [checkpoint.generator.arrays().flat, checkpoint.critic.arrays().flat,
+            checkpoint.gen_adam.m.flat, checkpoint.gen_adam.v.flat,
+            checkpoint.critic_adam.m.flat, checkpoint.critic_adam.v.flat]
+
+
+def assert_float32_values(checkpoint):
+    for array in state_arrays(checkpoint):
+        assert array.dtype == np.float64
+        np.testing.assert_array_equal(array, array.astype(np.float32).astype(np.float64))
+
+
+def test_trained_state_is_float64_holding_float32_values():
+    dataset, config = small_run()
+    checkpoint = train(dataset, config).checkpoint
+    assert checkpoint.generator.dtype == checkpoint.critic.dtype == np.float64
+    assert_float32_values(checkpoint)
+    # not a float32 round of an untrained network: the moments moved
+    assert np.any(checkpoint.gen_adam.v.flat > 0) and np.any(checkpoint.critic_adam.v.flat > 0)
+
+
+def test_trained_state_equals_its_saved_file(tmp_path):
+    dataset, config = small_run(checkpoint_every=3)
+    result = train(dataset, config, out_dir=tmp_path)
+    save_checkpoint(result.checkpoint, tmp_path / "final.wgck")
+    # the periodic save writes the live float32 state, the final save the
+    # returned float64 state: both hold the same values
+    assert (tmp_path / "final.wgck").read_bytes() == (tmp_path / "checkpoint_0000003.wgck").read_bytes()
+    loaded = load_checkpoint(tmp_path / "final.wgck")
+    assert_float32_values(loaded)
+    for ours, theirs in zip(state_arrays(result.checkpoint), state_arrays(loaded)):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    positions = dataset.positions[:20]
+    ours = sample_variable(result.checkpoint, positions, seed=4).csi
+    theirs = sample_variable(loaded, positions, seed=4).csi
+    assert ours.tobytes() == theirs.tobytes()
+
+
+def test_resume_rounds_float64_state_once(tmp_path):
+    dataset, config = small_run()
+    checkpoint = train(dataset, config).checkpoint
+    for array in state_arrays(checkpoint):
+        array *= 1.0 + 2.0**-40  # no nonzero value stays float32-representable
+    rounded = [array.astype(np.float32).astype(np.float64) for array in state_arrays(checkpoint)]
+    assert not all(np.array_equal(a, b) for a, b in zip(state_arrays(checkpoint), rounded))
+
+    checkpoint.config = dataclasses.replace(config, generator_steps=0)
+    unchanged = train(dataset, config, resume=checkpoint).checkpoint
+    for ours, theirs in zip(state_arrays(unchanged), rounded):
+        assert np.array_equal(ours, theirs)
+
+    checkpoint.config = config
+    result = train(dataset, config, resume=checkpoint)
+    assert result.checkpoint.step == 6
+    assert all(np.isfinite([row["critic_loss"], row["gen_loss"]]).all() for row in result.log_rows)
+    assert_float32_values(result.checkpoint)

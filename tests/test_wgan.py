@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -781,10 +782,21 @@ def wgck_blob(tmp_path_factory):
     return path.read_bytes()
 
 
-@pytest.fixture(scope="module")
-def bimodal_run(tmp_path_factory):
-    """Long-running fixture: learn a bimodal 1-D marginal on the degenerate
-    geometry (single antenna, two taps) and keep the late checkpoints."""
+def bimodal_marginal_jsd(seed: int, out_dir) -> float:
+    """Learn a bimodal 1-D marginal on the degenerate geometry (single
+    antenna, two taps) with training seed ``seed``, writing a checkpoint
+    into ``out_dir`` every 100 steps.  Returns the JSD between the target
+    mixture and the generated tap-0 real part, pooled over the 21
+    checkpoints of steps 4000-6000: the late marginal oscillates, so a few
+    snapshots would measure its phase.  For another seed, from the
+    repository root:
+
+        PYTHONPATH=src:tests python -c "import test_wgan as t; print(t.bimodal_marginal_jsd(1, 'out'))"
+    """
+    from scipy.special import erf
+
+    from csigen.metrics import Density, histogram_density, js_distance
+
     geometry = ArrayGeometry(1, 1, 1, 2, 1.272e9, 50e6)
     rng = np.random.default_rng(42)
     n = 2000
@@ -794,15 +806,28 @@ def bimodal_run(tmp_path_factory):
     csi[:, 0, 0, 0, 0] = tap0 + 1j * rng.normal(0.3, 0.15, n)
     csi[:, 0, 0, 0, 1] = rng.normal(0.5, 0.25, n) + 1j * rng.normal(-0.2, 0.15, n)
     positions = rng.uniform(0, 10, size=(n, 2))
-    dataset = CsiDataset(geometry, csi, positions)
-    out_dir = tmp_path_factory.mktemp("bimodal")
     config = TrainingConfig(
-        generator_steps=6000, seed=0, batch_size=64, noise_dim=16,
+        generator_steps=6000, seed=seed, batch_size=64, noise_dim=16,
         hidden_scale=0.125, critic_hidden_scale=1.0, learning_rate=1e-4,
-        gp_lambda=1.0, checkpoint_every=500,
+        gp_lambda=1.0, checkpoint_every=100,
     )
-    result = train(dataset, config, out_dir=out_dir)
-    return dataset, positions, out_dir, result
+    train(CsiDataset(geometry, csi, positions), config, out_dir=out_dir)
+
+    def mixture_cdf(x):
+        return 0.25 * (1 + erf((x + 1.0) / (0.3 * np.sqrt(2)))) + 0.25 * (
+            1 + erf((x - 1.5) / (0.35 * np.sqrt(2)))
+        )
+
+    edges = np.linspace(-2.2, 3.0, 51)
+    target_probs = np.diff(mixture_cdf(edges))
+    target = Density(edges, target_probs / target_probs.sum())
+    pools = []
+    for step in range(4000, 6001, 100):
+        checkpoint = load_checkpoint(Path(out_dir) / f"checkpoint_{step:07d}.wgck")
+        generated = sample_variable(checkpoint, positions, seed=99 + step)
+        pools.append(generated.csi[:, 0, 0, 0, 0].real)
+    pooled = np.clip(np.concatenate(pools), edges[0], edges[-1])
+    return js_distance(histogram_density(pooled, edges), target)
 
 
 @pytest.mark.slow
@@ -810,29 +835,8 @@ class TestToyDistribution:
     """Desk-scale smoke experiment: the generated marginal approaches a known
     non-Gaussian target distribution (histogram oracle)."""
 
-    def test_marginal_reaches_target_jsd(self, bimodal_run):
-        from scipy.special import erf
-
-        from csigen.metrics import Density, histogram_density, js_distance
-        from csigen.gan.train import load_checkpoint
-
-        dataset, positions, out_dir, _ = bimodal_run
-
-        def mixture_cdf(x):
-            return 0.25 * (1 + erf((x + 1.0) / (0.3 * np.sqrt(2)))) + 0.25 * (
-                1 + erf((x - 1.5) / (0.35 * np.sqrt(2)))
-            )
-
-        edges = np.linspace(-2.2, 3.0, 51)
-        target_probs = np.diff(mixture_cdf(edges))
-        target = Density(edges, target_probs / target_probs.sum())
-        pools = []
-        for step in range(4000, 6001, 500):
-            checkpoint = load_checkpoint(out_dir / f"checkpoint_{step:07d}.wgck")
-            generated = sample_variable(checkpoint, positions, seed=99 + step)
-            pools.append(generated.csi[:, 0, 0, 0, 0].real)
-        pooled = np.clip(np.concatenate(pools), edges[0], edges[-1])
-        distance = js_distance(histogram_density(pooled, edges), target)
+    def test_marginal_reaches_target_jsd(self, tmp_path):
+        distance = bimodal_marginal_jsd(0, tmp_path)
         assert distance < 0.15, f"generated marginal JSD {distance:.3f}"
 
     def test_critic_separates_held_out_synth_real_from_fake(self):
