@@ -17,13 +17,17 @@ from pathlib import Path
 def atomic_write(path: str | Path, mode: str = "wb", **open_kwargs):
     """Open a temporary file beside ``path`` for writing (``open``'s
     ``mode`` and keyword arguments); on leaving the block without an
-    exception it replaces ``path``, on any exception it is removed."""
+    exception it replaces ``path``, on any exception it is removed.  A
+    failed replacement raises an ``OSError`` that names ``path`` alone."""
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, mode, **open_kwargs) as handle:
             yield handle
-        os.replace(temporary, path)
+        try:
+            os.replace(temporary, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise

@@ -17,9 +17,16 @@ JVP pass through the frozen activation masks followed by one
 standing in for the layer inputs) yields exact double backpropagation for
 the piecewise-linear critic.  The biases' tangent is zero, so their penalty
 gradient is exactly 0; the sweep's bias slots are zeroed before the merge.
+
+Both losses take the generator and a batch's noise.  A caller that already
+ran the generator over the batch, as :func:`csigen.gan.train.train` does
+once for all batches of a step, hands its rows in as :class:`BatchRows`
+instead, and the losses then run no generator forward.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +40,24 @@ from csigen.gan.nets import (
     delay_spread_forward,
     generator_forward,
 )
+
+
+@dataclass(frozen=True)
+class BatchRows:
+    """A batch's rows computed ahead of a loss call, in the networks' dtype.
+
+    ``fake_flat`` and ``gen_cache`` are :func:`generator_forward`'s output
+    and cache on the batch's noise and positions.  ``ds_fake`` and
+    ``ds_real`` are the delay spreads (seconds) of the fakes and of the
+    real rows.  :func:`critic_loss_fast` reads ``fake_flat``, ``ds_fake``
+    and, for a penalty without the delay-spread path, ``ds_real``;
+    :func:`generator_loss_fast` reads ``fake_flat`` and ``gen_cache``.
+    """
+
+    fake_flat: np.ndarray
+    gen_cache: tuple | None = None
+    ds_fake: np.ndarray | None = None
+    ds_real: np.ndarray | None = None
 
 
 def _ds_vjp(adjoint: np.ndarray, cache: DelaySpreadCache, geometry: ArrayGeometry) -> np.ndarray:
@@ -130,18 +155,24 @@ def critic_backward(
     forward: CriticPass,
     seed: np.ndarray,
     grads: list[np.ndarray] | None = None,
-) -> np.ndarray:
+    *,
+    input_adjoint: bool = True,
+) -> np.ndarray | None:
     """Backward pass seeded on the scores.
 
     Adds the critic parameter gradients to ``grads`` (canonical order) when
     a list is given, and returns the CSI input gradient, including the
     delay-spread side path when ``forward`` computed the delay spread.
+    With ``input_adjoint`` False it computes no input gradient and returns
+    None.
     """
     fusion_offset = 2 * len(critic.trunk.layers)
     adj_fused = mlp_backward(critic.fusion, forward.fusion, seed, grads, fusion_offset)
     trunk_width = critic.trunk.output_width
-    input_grad = mlp_backward(critic.trunk, forward.trunk, adj_fused[:, :trunk_width], grads)
-    if forward.ds_cache is not None:
+    input_grad = mlp_backward(
+        critic.trunk, forward.trunk, adj_fused[:, :trunk_width], grads, input_adjoint=input_adjoint
+    )
+    if input_adjoint and forward.ds_cache is not None:
         adj_ds_scaled = adj_fused[:, trunk_width : trunk_width + geometry.num_antennas]
         adj_ds = ds_scaler.times_gain(adj_ds_scaled)
         input_grad = input_grad + _ds_vjp(adj_ds, forward.ds_cache, geometry)
@@ -160,27 +191,36 @@ def critic_loss_fast(
     eps_mix: np.ndarray,
     gp_lambda: float,
     ds_through_csi: bool = True,
+    *,
+    rows: BatchRows | None = None,
 ) -> tuple[float, list[np.ndarray], dict]:
     """Critic objective mean[C(fake)] - mean[C(real)] + lambda * penalty and
     its gradients with respect to the critic parameters only.
 
-    Fake samples share the real samples' conditions.  Returns (loss,
-    gradients in canonical parameter order, diagnostics); the gradients are
-    a :class:`~csigen.gan.mlp.FlatArrays`.
+    Fake samples share the real samples' conditions.  The fakes are
+    ``generator``'s output on ``noise``, or, when ``rows`` is given, its
+    ``fake_flat`` with ``ds_fake`` and ``ds_real`` (``generator`` and
+    ``noise`` are then not read).  Returns (loss, gradients in canonical
+    parameter order, diagnostics); the gradients are a
+    :class:`~csigen.gan.mlp.FlatArrays`.
     """
     n = real_flat.shape[0]
     if n == 0:
         raise ValueError("empty batch")
     ones = np.ones((n, 1), critic.dtype)  # seeds on the scores
     grads = FlatArrays.zeros_like(critic.arrays())
-    fake_flat, _ = generator_forward(generator, pos_scaled, noise)
-    ds_fake = delay_spread_flat(fake_flat, geometry)
+    if rows is None:
+        fake_flat, _ = generator_forward(generator, pos_scaled, noise)
+        ds_fake = delay_spread_flat(fake_flat, geometry)
+    else:
+        fake_flat, ds_fake = rows.fake_flat, rows.ds_fake
     ds_fake_scaled = ds_scaler.scale(ds_fake)
 
+    # the passes on the fakes and the real rows discard their input gradient
     fake_pass = CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled, ds_fake_scaled)
-    critic_backward(critic, geometry, ds_scaler, fake_pass, ones / n, grads)
+    critic_backward(critic, geometry, ds_scaler, fake_pass, ones / n, grads, input_adjoint=False)
     real_pass = CriticPass(critic, geometry, ds_scaler, real_flat, pos_scaled, ds_real_scaled)
-    critic_backward(critic, geometry, ds_scaler, real_pass, -ones / n, grads)
+    critic_backward(critic, geometry, ds_scaler, real_pass, -ones / n, grads, input_adjoint=False)
     loss = float(fake_pass.scores.mean() - real_pass.scores.mean())
 
     penalty_value = 0.0
@@ -190,9 +230,8 @@ def critic_loss_fast(
         if ds_through_csi:
             mixed_pass = CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled)
         else:
-            ds_mixed = ds_scaler.scale(
-                eps_mix * delay_spread_flat(real_flat, geometry) + (1.0 - eps_mix) * ds_fake
-            )
+            ds_real = delay_spread_flat(real_flat, geometry) if rows is None else rows.ds_real
+            ds_mixed = ds_scaler.scale(eps_mix * ds_real + (1.0 - eps_mix) * ds_fake)
             mixed_pass = CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled, ds_mixed)
         input_grad = critic_backward(critic, geometry, ds_scaler, mixed_pass, ones)
         norm = np.sqrt((input_grad * input_grad).sum(axis=1) + GRAD_NORM_FLOOR)
@@ -215,7 +254,7 @@ def critic_loss_fast(
         fusion_offset = 2 * len(critic.trunk.layers)
         adj = mlp_backward(critic.fusion, fusion_jvp, ones, pgrads, fusion_offset)
         trunk_width = critic.trunk.output_width
-        mlp_backward(critic.trunk, trunk_jvp, adj[:, :trunk_width], pgrads)
+        mlp_backward(critic.trunk, trunk_jvp, adj[:, :trunk_width], pgrads, input_adjoint=False)
         # the biases' tangent is zero, so their penalty gradient is exactly 0
         for bias_grad in pgrads[1::2]:
             bias_grad[...] = 0.0
@@ -238,19 +277,25 @@ def generator_loss_fast(
     ds_scaler: MinMaxScaler,
     pos_scaled: np.ndarray,
     noise: np.ndarray,
+    *,
+    rows: BatchRows | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Generator objective -mean[C(G(x, n))] and its gradients with respect
     to the generator parameters, including the path through the
-    delay-spread side input.  The gradients are a
-    :class:`~csigen.gan.mlp.FlatArrays`."""
+    delay-spread side input.  With ``rows`` given, the generator's output
+    and cache are its ``fake_flat`` and ``gen_cache`` (``noise`` is then
+    not read).  The gradients are a :class:`~csigen.gan.mlp.FlatArrays`."""
     n = pos_scaled.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    fake_flat, gen_cache = generator_forward(generator, pos_scaled, noise)
+    if rows is None:
+        fake_flat, gen_cache = generator_forward(generator, pos_scaled, noise)
+    else:
+        fake_flat, gen_cache = rows.fake_flat, rows.gen_cache
     critic_pass = CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled)
     loss = float(-critic_pass.scores.mean())
     seed = np.full((n, 1), -1.0 / n, critic.dtype)
     adj_fake = critic_backward(critic, geometry, ds_scaler, critic_pass, seed)
     grads = FlatArrays.zeros_like(generator.arrays())
-    mlp_backward(generator, gen_cache, adj_fake, grads)
+    mlp_backward(generator, gen_cache, adj_fake, grads, input_adjoint=False)
     return loss, grads

@@ -160,14 +160,22 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, tuple[lis
     activation = x
     for layer in params.layers:
         inputs.append(activation)
-        pre = activation @ layer.weights.T + layer.bias
+        pre = activation @ layer.weights.T
+        pre += layer.bias
         if layer.activation == "relu":
             masks.append(pre > 0.0)
-            activation = np.maximum(pre, 0.0)
+            np.maximum(pre, 0.0, out=pre)
         else:
             masks.append(None)
-            activation = pre
+        activation = pre
     return activation, (inputs, masks)
+
+
+def cache_rows(cache: tuple[list, list], rows: slice) -> tuple[list, list]:
+    """The rows ``rows`` of a :func:`mlp_forward` cache, as views: the
+    cache of those rows for :func:`mlp_backward`."""
+    inputs, masks = cache
+    return [x[rows] for x in inputs], [None if mask is None else mask[rows] for mask in masks]
 
 
 def mlp_backward(
@@ -176,15 +184,18 @@ def mlp_backward(
     adjoint: np.ndarray,
     grads: list[np.ndarray] | None = None,
     offset: int = 0,
-) -> np.ndarray:
+    *,
+    input_adjoint: bool = True,
+) -> np.ndarray | None:
     """Exact reverse-mode pass from the cache of :func:`mlp_forward` (or
     from a forward-mode pass's cache of the same form, whose tangents stand
     in for the layer inputs).
 
     Adds the parameter gradients to ``grads[offset:]`` (canonical order
     W0, b0, W1, b1, ...) when a list is given, and skips their GEMMs when
-    ``grads`` is None.  Returns the input adjoint.  The ReLU subgradient at
-    exactly 0 is 0.
+    ``grads`` is None.  Returns the input adjoint; with ``input_adjoint``
+    False it skips the first layer's input-adjoint GEMM and returns None.
+    The ReLU subgradient at exactly 0 is 0.
     """
     inputs, masks = cache
     for index in range(len(params.layers) - 1, -1, -1):
@@ -193,6 +204,8 @@ def mlp_backward(
         if grads is not None:
             grads[offset + 2 * index] += adjoint.T @ inputs[index]
             grads[offset + 2 * index + 1] += adjoint.sum(axis=0)
+        if index == 0 and not input_adjoint:
+            return None
         adjoint = adjoint @ params.layers[index].weights
     return adjoint
 

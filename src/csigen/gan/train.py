@@ -1,10 +1,21 @@
 """WGAN-GP training loop, Adam optimizer state, and "WGCK" checkpoints.
 
 Training is a pure function of (dataset, config, seed) on one platform and
-one BLAS thread count: random draws follow a fixed per-cycle order,
+one BLAS thread count: random draws follow a fixed per-step order,
 parameters update in canonical order, and the checkpoint stores the
 generator/critic parameters, the optimizer moments, the RNG state, and both
 input scalers, so a resumed run continues bit-identically.
+
+One generator step draws from the run's random generator, for each of the
+``n_critic`` critic batches in turn, its indices, noise and mixing
+coefficients, then the generator batch's indices and noise.  The generator
+is frozen while the critic updates, so the step runs one generator forward
+over all ``(n_critic + 1) * batch_size`` rows, critic batches first, and
+the delay spreads of the critic rows in one call.  Each critic update reads
+its rows of that block, and the generator update backpropagates through the
+block's last rows.  A row's bits can depend on its place in a GEMM block
+(see README), so a network shape other than the ones checked may round
+differently from running each batch alone.
 
 Each network's parameters, gradients and Adam moments are
 :class:`~csigen.gan.mlp.FlatArrays`, canonical views over one flat buffer
@@ -16,7 +27,7 @@ networks, the Adam moments and its inputs once, before the first step, and
 draws its noise and mixing coefficients in float64, which the kernels cast
 where they use them.  Everything outside the loop is float64: the returned
 state is widened to float64, the checkpoint payload is ``<f8`` (periodic
-and diverged saves widen the live float32 state array by array), and a
+and diverged saves widen the live float32 state chunk by chunk), and a
 resume narrows a checkpoint back, exactly for one that float32 training
 wrote.
 
@@ -44,8 +55,9 @@ import numpy as np
 
 from csigen.atomic import atomic_write
 from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
-from csigen.gan.mlp import FlatArrays, MlpParams
+from csigen.gan.mlp import FlatArrays, MlpParams, cache_rows
 from csigen.gan.fastgrad import (
+    BatchRows,
     CriticPass,
     critic_backward,
     critic_loss_fast,
@@ -56,14 +68,17 @@ from csigen.gan.nets import (
     check_widths,
     delay_spread_flat,
     flatten_csi,
+    generator_forward,
     init_critic,
     init_generator,
 )
 
 CHECKPOINT_MAGIC = b"WGCK"
-# Elements per pass of adam_update: the six operands of one block (128 KiB
-# each) stay in a core's L2 cache across the whole operation sequence.
-ADAM_BLOCK = 16384
+# Bytes per operand in one pass of adam_update: the six operands of one
+# block stay in a core's L2 cache across the whole operation sequence.
+ADAM_BLOCK = 128 * 1024
+# Elements per write when save_checkpoint widens an array to <f8 (512 KiB).
+SAVE_CHUNK = 65536
 CHECKPOINT_VERSION = 1
 # the dtype of the networks, Adam moments and inputs inside train(); the
 # networks it returns and the checkpoints it writes are float64
@@ -206,15 +221,16 @@ def adam_update(
         p -= (lr * (m / (1 - b1**t))) / (sqrt(v / (1 - b2**t)) + eps)
 
     evaluated in that order, in place, over the flat buffers in blocks of
-    ``ADAM_BLOCK`` elements, with two work vectors of the parameters' dtype
-    kept in ``state``.
+    ``ADAM_BLOCK`` bytes per operand, with two work vectors of the
+    parameters' dtype kept in ``state``.
     """
     if not (isinstance(arrays, FlatArrays) and isinstance(grads, FlatArrays)):
         raise ValueError("adam_update needs parameters and gradients that are each a FlatArrays")
     params, gradient, m, v = arrays.flat, grads.flat, state.m.flat, state.v.flat
     if not params.size == gradient.size == m.size == v.size:
         raise ValueError("parameters, gradients and Adam moments differ in size")
-    width = min(ADAM_BLOCK, params.size)
+    block_size = ADAM_BLOCK // params.itemsize
+    width = min(block_size, params.size)
     if state.work is None or state.work.shape[1] < width:
         state.work = np.empty((2, width), params.dtype)
 
@@ -222,8 +238,8 @@ def adam_update(
     b1, b2 = config.adam_beta1, config.adam_beta2
     correction1 = 1.0 - b1**state.t
     correction2 = 1.0 - b2**state.t
-    for start in range(0, params.size, ADAM_BLOCK):
-        block = slice(start, start + ADAM_BLOCK)
+    for start in range(0, params.size, block_size):
+        block = slice(start, start + block_size)
         p, g, mb, vb = params[block], gradient[block], m[block], v[block]
         step, denominator = state.work[:, : p.size]
         np.multiply(mb, b1, out=mb)
@@ -300,9 +316,9 @@ def _scaler_from(entry: dict, shape: tuple) -> MinMaxScaler:
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     """Write ``checkpoint`` to ``path`` atomically: the bytes go to a
-    temporary file beside it, which then replaces ``path``.  float64 arrays
-    are written as they lie in memory; arrays of another dtype are widened
-    to ``<f8`` one at a time."""
+    temporary file beside it, which then replaces ``path``.  ``<f8``
+    arrays are written as they lie in memory; arrays of another dtype are
+    widened through one reused ``<f8`` chunk of ``SAVE_CHUNK`` elements."""
     meta = {
         "config": checkpoint.config.to_dict(),
         "geometry": _geometry_dict(checkpoint.geometry),
@@ -326,13 +342,22 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         + checkpoint.gen_adam.v
         + checkpoint.critic_adam.v
     )
+    chunk = np.empty(SAVE_CHUNK, "<f8")
     with atomic_write(path) as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(struct.pack("<H", CHECKPOINT_VERSION))
         handle.write(struct.pack("<I", len(meta_bytes)))
         handle.write(meta_bytes)
         for array in arrays:
-            handle.write(np.ascontiguousarray(array, dtype="<f8"))
+            flat = np.ravel(array)
+            if flat.dtype == np.dtype("<f8"):
+                handle.write(flat)
+                continue
+            for start in range(0, flat.size, SAVE_CHUNK):
+                part = flat[start : start + SAVE_CHUNK]
+                widened = chunk[: part.size]
+                widened[...] = part
+                handle.write(widened)
 
 
 def _layer_shapes(table: list) -> list[tuple[int, ...]]:
@@ -468,7 +493,9 @@ def train(
 
     Per generator step, the critic takes ``n_critic`` updates, each on a
     fresh batch (real samples, matching-condition fakes, one gradient
-    penalty with per-sample mixing coefficients).  Emits one log row per
+    penalty with per-sample mixing coefficients), then the generator takes
+    one; the fakes of all these batches come from one generator forward
+    (see the module docstring for the draw order).  Emits one log row per
     generator step; writes periodic checkpoints into ``out_dir`` when a
     cadence is configured, and a diagnostic checkpoint on divergence.
     Steps run in ``TRAINING_DTYPE``; the returned checkpoint is float64.
@@ -510,6 +537,8 @@ def train(
     real_flat = real_flat.astype(TRAINING_DTYPE)
     pos_scaled = cond_scaler.scale(dataset.positions).astype(TRAINING_DTYPE)
     ds_real_scaled = ds_scaler.scale(ds_real).astype(TRAINING_DTYPE)
+    # the penalty without the delay-spread path mixes the real rows' spreads
+    ds_real_mix = None if config.gp_ds_through_csi else delay_spread_flat(real_flat, geometry)
     if resume is None:
         _calibrate_critic_scale(critic, geometry, ds_scaler, real_flat, pos_scaled)
 
@@ -529,15 +558,29 @@ def train(
         )
 
     log_rows: list[dict] = []
-    count = len(dataset)
+    count, batch = len(dataset), config.batch_size
+    critic_rows = config.n_critic * batch
 
     for step in range(start_step + 1, start_step + config.generator_steps + 1):
-        last = {"real_score": math.nan, "fake_score": math.nan}
-        closs = math.nan
-        for _ in range(config.n_critic):
-            idx = rng.integers(0, count, size=config.batch_size)
-            noise = rng.standard_normal((config.batch_size, config.noise_dim))
-            eps_mix = rng.uniform(size=(config.batch_size, 1))
+        draws = [
+            (
+                rng.integers(0, count, size=batch),
+                rng.standard_normal((batch, config.noise_dim)),
+                rng.uniform(size=(batch, 1)),
+            )
+            for _ in range(config.n_critic)
+        ]
+        gen_idx = rng.integers(0, count, size=batch)
+        gen_noise = rng.standard_normal((batch, config.noise_dim))
+        # the generator is frozen while the critic updates: one forward over
+        # every batch of the step, critic batches first
+        block_idx = np.concatenate([idx for idx, _, _ in draws] + [gen_idx])
+        block_noise = np.concatenate([noise for _, noise, _ in draws] + [gen_noise])
+        fake_flat, gen_cache = generator_forward(generator, pos_scaled[block_idx], block_noise)
+        ds_fake = delay_spread_flat(fake_flat[:critic_rows], geometry)
+
+        for k, (idx, noise, eps_mix) in enumerate(draws):
+            part = slice(k * batch, (k + 1) * batch)
             closs, cgrads, last = critic_loss_fast(
                 critic,
                 generator,
@@ -550,12 +593,22 @@ def train(
                 eps_mix,
                 config.gp_lambda,
                 config.gp_ds_through_csi,
+                rows=BatchRows(
+                    fake_flat[part],
+                    ds_fake=ds_fake[part],
+                    ds_real=None if ds_real_mix is None else ds_real_mix[idx],
+                ),
             )
             adam_update(critic.arrays(), cgrads, critic_adam, config)
-        idx = rng.integers(0, count, size=config.batch_size)
-        noise = rng.standard_normal((config.batch_size, config.noise_dim))
+        part = slice(critic_rows, None)
         gloss, ggrads = generator_loss_fast(
-            critic, generator, geometry, ds_scaler, pos_scaled[idx], noise
+            critic,
+            generator,
+            geometry,
+            ds_scaler,
+            pos_scaled[gen_idx],
+            gen_noise,
+            rows=BatchRows(fake_flat[part], cache_rows(gen_cache, part)),
         )
         adam_update(generator.arrays(), ggrads, gen_adam, config)
 

@@ -712,6 +712,7 @@ class TestPathErrors:
         assert result.returncode == EXIT_DATA, result.stderr
         assert result.stderr.startswith("data error:"), result.stderr
         assert f"'{path}'" in result.stderr
+        assert ".tmp" not in result.stderr
         assert "Traceback" not in result.stderr
 
 

@@ -3,24 +3,35 @@ and ``train()`` computes in float32 while handing out float64 state.
 
 float32 copies of desk-shape float64 networks run the losses, the critic
 backward pass and Adam in float32 throughout, and agree with the float64
-networks to float32 tolerance.  A trained checkpoint is float64 holding
-float32 values, the same arrays that its file loads back.  The gradient
-tests elsewhere stay float64.
+networks to float32 tolerance.  In either dtype, the losses on rows that
+one generator forward computed for a whole step equal, bit for bit, the
+losses that run the generator on their own batch.  A trained checkpoint is
+float64 holding float32 values, the same arrays that its file loads back,
+and resumed training follows the documented per-step draw order.  The
+gradient tests elsewhere stay float64.
 """
 
 import dataclasses
-
+import importlib
 
 import numpy as np
 import pytest
 
 from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.gan import fastgrad
-from csigen.gan.fastgrad import CriticPass, critic_backward, critic_loss_fast, generator_loss_fast
-from csigen.gan.mlp import FlatArrays
+from csigen.gan.fastgrad import (
+    BatchRows,
+    CriticPass,
+    critic_backward,
+    critic_loss_fast,
+    generator_loss_fast,
+)
+from csigen.gan.mlp import FlatArrays, cache_rows
 from csigen.gan.nets import (
     DelaySpreadCache,
     delay_spread_flat,
+    flatten_csi,
+    generator_forward,
     init_critic,
     init_generator,
 )
@@ -38,6 +49,8 @@ from csigen.gan.train import (
 # 0.25, full-width critic, batch 64, noise_dim 128
 GEO = ArrayGeometry(1, 2, 4, 16, 1.272e9, 100e6)
 BATCH, NOISE_DIM = 64, 128
+# the module; the package's name ``train`` is the function
+TRAIN_MODULE = importlib.import_module("csigen.gan.train")
 # the kernels under test, each wrapped to record the arrays it sees
 KERNELS = ("mlp_forward", "mlp_backward", "_mlp_jvp", "generator_forward",
            "delay_spread_forward", "delay_spread_flat", "_ds_vjp", "_ds_jvp")
@@ -160,6 +173,43 @@ def test_critic_backward_runs_in_the_critic_dtype(setup, seen):
     assert_close(grads32.flat, grads64.flat)
 
 
+@pytest.mark.parametrize("ds_through_csi", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_precomputed_rows_give_the_losses_bits(setup, dtype, ds_through_csi):
+    """As train() runs a step: one generator forward over five critic
+    batches and a generator batch, the fakes' delay spreads over the critic
+    rows, and the real rows' spreads over the whole dataset, gathered."""
+    generator, critic, ds_scaler, _, _ = setup
+    generator, critic = generator.copy(dtype), critic.copy(dtype)
+    rng = np.random.default_rng(17)
+    n_critic, dataset_rows = 5, 300
+    real = rng.standard_normal((dataset_rows, 2 * GEO.num_antennas * GEO.num_taps)).astype(dtype)
+    ds_real = delay_spread_flat(real, GEO)
+    ds_real_scaled = ds_scaler.scale(ds_real).astype(dtype)
+    idx = rng.integers(0, dataset_rows, size=(n_critic + 1) * BATCH)
+    pos = rng.uniform(-1, 1, (dataset_rows, 2)).astype(dtype)
+    noise = rng.standard_normal((idx.size, NOISE_DIM))
+    fake, cache = generator_forward(generator, pos[idx], noise)
+    ds_fake = delay_spread_flat(fake[: n_critic * BATCH], GEO)
+
+    for k in range(n_critic):
+        rows = slice(k * BATCH, (k + 1) * BATCH)
+        batch = idx[rows]
+        args = (critic, generator, GEO, ds_scaler, real[batch], pos[batch], ds_real_scaled[batch],
+                noise[rows], rng.uniform(size=(BATCH, 1)), 10.0, ds_through_csi)
+        given = BatchRows(fake[rows], ds_fake=ds_fake[rows], ds_real=ds_real[batch])
+        loss, grads, diagnostics = critic_loss_fast(*args, rows=given)
+        theirs = critic_loss_fast(*args)
+        assert (loss, diagnostics) == (theirs[0], theirs[2])
+        assert grads.flat.tobytes() == theirs[1].flat.tobytes()
+    rows = slice(n_critic * BATCH, None)
+    args = (critic, generator, GEO, ds_scaler, pos[idx[rows]], noise[rows])
+    loss, grads = generator_loss_fast(*args, rows=BatchRows(fake[rows], cache_rows(cache, rows)))
+    theirs = generator_loss_fast(*args)
+    assert loss == theirs[0]
+    assert grads.flat.tobytes() == theirs[1].flat.tobytes()
+
+
 def test_adam_keeps_the_parameters_dtype(setup):
     generator, critic, ds_scaler, inputs32, inputs64 = setup
     config = TrainingConfig(generator_steps=1, learning_rate=1e-3, adam_beta1=0.5)
@@ -215,7 +265,9 @@ def test_trained_state_is_float64_holding_float32_values():
     assert np.any(checkpoint.gen_adam.v.flat > 0) and np.any(checkpoint.critic_adam.v.flat > 0)
 
 
-def test_trained_state_equals_its_saved_file(tmp_path):
+def test_trained_state_equals_its_saved_file(tmp_path, monkeypatch):
+    # a chunk smaller than every buffer: each one is widened in several writes
+    monkeypatch.setattr(TRAIN_MODULE, "SAVE_CHUNK", 7)
     dataset, config = small_run(checkpoint_every=3)
     result = train(dataset, config, out_dir=tmp_path)
     save_checkpoint(result.checkpoint, tmp_path / "final.wgck")
@@ -250,3 +302,53 @@ def test_resume_rounds_float64_state_once(tmp_path):
     assert result.checkpoint.step == 6
     assert all(np.isfinite([row["critic_loss"], row["gen_loss"]]).all() for row in result.log_rows)
     assert_float32_values(result.checkpoint)
+
+
+@pytest.mark.parametrize("ds_through_csi", [True, False])
+def test_resumed_steps_follow_the_documented_draw_order(ds_through_csi):
+    """A 0-step run's checkpoint resumed for 3 steps against a loop over the
+    per-batch kernels: per step, each critic batch draws (idx, noise, eps)
+    and updates the critic, then the generator batch draws (idx, noise)."""
+    dataset, config = small_run(generator_steps=0, gp_ds_through_csi=ds_through_csi)
+    start = train(dataset, config).checkpoint
+    steps = 3
+    start.config = dataclasses.replace(config, generator_steps=steps)
+    result = train(dataset, start.config, resume=start)
+
+    state = start.astype(np.float32)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = start.rng_state
+    geometry, ds_scaler = start.geometry, start.ds_scaler
+    real = flatten_csi(dataset.csi)
+    ds_real = ds_scaler.scale(delay_spread_flat(real, geometry)).astype(np.float32)
+    real = real.astype(np.float32)
+    pos = start.condition_scaler.scale(dataset.positions).astype(np.float32)
+    count, batch, losses = len(dataset), config.batch_size, []
+    for _ in range(steps):
+        for _ in range(config.n_critic):
+            idx = rng.integers(0, count, size=batch)
+            noise = rng.standard_normal((batch, config.noise_dim))
+            eps_mix = rng.uniform(size=(batch, 1))
+            closs, grads, _ = critic_loss_fast(
+                state.critic, state.generator, geometry, ds_scaler, real[idx], pos[idx],
+                ds_real[idx], noise, eps_mix, config.gp_lambda, ds_through_csi,
+            )
+            adam_update(state.critic.arrays(), grads, state.critic_adam, config)
+        idx = rng.integers(0, count, size=batch)
+        noise = rng.standard_normal((batch, config.noise_dim))
+        gloss, grads = generator_loss_fast(
+            state.critic, state.generator, geometry, ds_scaler, pos[idx], noise
+        )
+        adam_update(state.generator.arrays(), grads, state.gen_adam, config)
+        losses.append([closs, gloss])
+
+    assert [[row["critic_loss"], row["gen_loss"]] for row in result.log_rows] == [
+        pytest.approx(pair, rel=1e-5, abs=1e-6) for pair in losses
+    ]
+    # the steps taken, not the values: a draw out of order moves them by O(1);
+    # measured equal here, the tolerance allows rows that round differently
+    # in the step's one generator forward
+    for ours, theirs, before in zip(
+        state_arrays(result.checkpoint), state_arrays(state), state_arrays(start)
+    ):
+        assert_close(ours - before, theirs - before, 1e-3)

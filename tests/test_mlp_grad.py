@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from csigen.core import ArrayGeometry, MinMaxScaler
-from csigen.gan.mlp import DenseLayer, MlpParams, init_mlp, mlp_backward, mlp_forward
+from csigen.gan.fastgrad import CriticPass, critic_backward
+from csigen.gan.mlp import DenseLayer, FlatArrays, MlpParams, init_mlp, mlp_backward, mlp_forward
 from csigen.gan.nets import CriticParams, delay_spread_flat
 import graph_reference as ad
 from graph_reference import delay_spread_flat_var, gradient_penalty, mlp_apply, mlp_vars
@@ -135,6 +136,17 @@ class TestHandWrittenBackward:
         for total, single in zip(grads[2:], first):
             assert np.array_equal(total, single + single)
 
+    def test_skipped_input_adjoint_leaves_parameter_gradients_identical(self):
+        rng = np.random.default_rng(15)
+        params = random_mlp(rng, widths=[6, 9, 5, 2])
+        x = rng.standard_normal((4, 6))
+        adjoint = rng.standard_normal((4, 2))
+        _, cache = mlp_forward(params, x)
+        full, skipped = (FlatArrays.zeros_like(params.arrays()) for _ in range(2))
+        assert mlp_backward(params, cache, adjoint, full) is not None
+        assert mlp_backward(params, cache, adjoint, skipped, input_adjoint=False) is None
+        assert skipped.flat.tobytes() == full.flat.tobytes()
+
 
 class TestAutodiffOps:
     def test_elementwise_chain(self):
@@ -260,6 +272,26 @@ class TestDelaySpreadPath:
             return float(delay_spread_flat(flat_val, GEO_SMALL).sum())
 
         assert relative_error(grad_flat.value, central_difference(f, flat_val)) < 1e-5
+
+
+@pytest.mark.parametrize("ds_path", [True, False])
+def test_critic_backward_without_input_gradient_leaves_parameter_gradients_identical(ds_path):
+    rng = np.random.default_rng(16)
+    critic = small_critic(rng)
+    ds_scaler = MinMaxScaler(0.0, GEO_SMALL.num_taps * GEO_SMALL.tap_duration)
+    csi = rng.standard_normal((5, 2 * GEO_SMALL.num_antennas * GEO_SMALL.num_taps))
+    pos = rng.uniform(-1, 1, (5, 2))
+    # without ds_scaled the pass computes the delay spread, and the input
+    # gradient runs through it
+    ds_scaled = None if ds_path else ds_scaler.scale(delay_spread_flat(csi, GEO_SMALL))
+    forward = CriticPass(critic, GEO_SMALL, ds_scaler, csi, pos, ds_scaled)
+    seed = rng.standard_normal((5, 1))
+    full, skipped = (FlatArrays.zeros_like(critic.arrays()) for _ in range(2))
+    assert critic_backward(critic, GEO_SMALL, ds_scaler, forward, seed, full).shape == csi.shape
+    assert critic_backward(
+        critic, GEO_SMALL, ds_scaler, forward, seed, skipped, input_adjoint=False
+    ) is None
+    assert skipped.flat.tobytes() == full.flat.tobytes()
 
 
 class TestGradientPenalty:
