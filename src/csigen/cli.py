@@ -371,7 +371,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_import_hdf5(args) -> int:
-    dataset = import_hdf5(args.infile, args.out, n_tap=args.n_tap)
+    try:
+        dataset = import_hdf5(args.infile, args.out, n_tap=args.n_tap)
+    except ImportError as exc:  # the optional h5py is not installed
+        raise cfg.ConfigError(str(exc)) from exc
     print(f"converted {len(dataset)} datapoints -> {args.out}")
     return EXIT_OK
 
@@ -393,11 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="split a dataset into train/test")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--stride", type=int, default=4)
-    p.add_argument("--test-offset", type=int, default=0)
-    p.add_argument("--train-offset", type=int, default=2)
+    p.add_argument("--stride", type=int, default=SplitSpec.stride)
+    p.add_argument("--test-offset", type=int, default=SplitSpec.test_offset)
+    p.add_argument("--train-offset", type=int, default=SplitSpec.train_offset)
     p.add_argument("--hole-center", required=True, help="x,y in meters")
-    p.add_argument("--hole-diameter", type=float, default=4.0)
+    p.add_argument("--hole-diameter", type=float, default=SplitSpec.hole_diameter)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
     p.set_defaults(func=cmd_split)

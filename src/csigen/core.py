@@ -38,15 +38,12 @@ class ArrayGeometry:
     num_taps: int
     carrier_frequency: float
     bandwidth: float
-    element_spacing: float = 0.5  # in wavelengths; half-wavelength UPA only
 
     def __post_init__(self) -> None:
         for name in ("num_arrays", "rows_per_array", "cols_per_array", "num_taps"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if self.element_spacing != 0.5:
-            raise ValueError("only half-wavelength element spacing is supported")
         if not (self.bandwidth > 0.0 and np.isfinite(self.bandwidth)):
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth!r}")
         if not (self.carrier_frequency > 0.0 and np.isfinite(self.carrier_frequency)):

@@ -223,15 +223,19 @@ def import_hdf5(h5_path: str | Path, out_path: str | Path, n_tap: int) -> CsiDat
     (L, B, M_r, M_c, N_sub, 2) float (last axis real/imag, frequency
     domain), dataset ``positions`` of shape (L, 2) or (L, 3) (first two
     coordinates used), root attributes ``carrier_hz`` and ``bandwidth_hz``.
-    Subcarriers are converted to ``n_tap`` time-domain taps.
+    Subcarriers are converted to ``n_tap`` time-domain taps.  Raises
+    ImportError without h5py, and :class:`DatasetFormatError` naming each
+    dataset or attribute that the file lacks.
     """
     try:
         import h5py
-    except ImportError as exc:  # pragma: no cover - depends on environment
-        raise RuntimeError(
-            "the HDF5 converter requires h5py (install csigen[hdf5])"
-        ) from exc
+    except ImportError as exc:
+        raise ImportError("the HDF5 converter requires h5py (install csigen[hdf5])") from exc
     with h5py.File(h5_path, "r") as handle:
+        missing = [key for key in (HDF5_CSI_KEY, HDF5_POSITION_KEY) if key not in handle]
+        missing += [key for key in ("carrier_hz", "bandwidth_hz") if key not in handle.attrs]
+        if missing:
+            raise DatasetFormatError(f"{h5_path}: the HDF5 export lacks {', '.join(missing)}")
         raw = np.asarray(handle[HDF5_CSI_KEY])
         positions = np.asarray(handle[HDF5_POSITION_KEY], dtype=np.float64)[:, :2]
         carrier = float(handle.attrs["carrier_hz"])

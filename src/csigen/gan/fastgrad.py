@@ -20,13 +20,13 @@ gradient is exactly 0; the sweep's bias slots are zeroed before the merge.
 
 Both losses take the generator and a batch's noise.  A caller that already
 ran the generator over the batch, as :func:`csigen.gan.train.train` does
-once for all batches of a step, hands its rows in as :class:`BatchRows`
-instead, and the losses then run no generator forward.
+once for all batches of a step, hands its rows in as the keyword arguments
+``fake_flat`` (with ``ds_fake`` and ``ds_real`` for the critic loss, and
+``gen_cache`` for the generator loss) instead, and the losses then run no
+generator forward.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,24 +40,6 @@ from csigen.gan.nets import (
     delay_spread_forward,
     generator_forward,
 )
-
-
-@dataclass(frozen=True)
-class BatchRows:
-    """A batch's rows computed ahead of a loss call, in the networks' dtype.
-
-    ``fake_flat`` and ``gen_cache`` are :func:`generator_forward`'s output
-    and cache on the batch's noise and positions.  ``ds_fake`` and
-    ``ds_real`` are the delay spreads (seconds) of the fakes and of the
-    real rows.  :func:`critic_loss_fast` reads ``fake_flat``, ``ds_fake``
-    and, for a penalty without the delay-spread path, ``ds_real``;
-    :func:`generator_loss_fast` reads ``fake_flat`` and ``gen_cache``.
-    """
-
-    fake_flat: np.ndarray
-    gen_cache: tuple | None = None
-    ds_fake: np.ndarray | None = None
-    ds_real: np.ndarray | None = None
 
 
 def _ds_vjp(adjoint: np.ndarray, cache: DelaySpreadCache, geometry: ArrayGeometry) -> np.ndarray:
@@ -192,28 +174,29 @@ def critic_loss_fast(
     gp_lambda: float,
     ds_through_csi: bool = True,
     *,
-    rows: BatchRows | None = None,
+    fake_flat: np.ndarray | None = None,
+    ds_fake: np.ndarray | None = None,
+    ds_real: np.ndarray | None = None,
 ) -> tuple[float, list[np.ndarray], dict]:
     """Critic objective mean[C(fake)] - mean[C(real)] + lambda * penalty and
     its gradients with respect to the critic parameters only.
 
     Fake samples share the real samples' conditions.  The fakes are
-    ``generator``'s output on ``noise``, or, when ``rows`` is given, its
-    ``fake_flat`` with ``ds_fake`` and ``ds_real`` (``generator`` and
-    ``noise`` are then not read).  Returns (loss, gradients in canonical
-    parameter order, diagnostics); the gradients are a
-    :class:`~csigen.gan.mlp.FlatArrays`.
+    ``generator``'s output on ``noise``, or ``fake_flat`` when given, with
+    ``ds_fake`` their delay spreads in seconds (``generator`` and ``noise``
+    are then not read).  A penalty without the delay-spread path mixes
+    ``ds_real``, the real rows' delay spreads, computed from ``real_flat``
+    when not given.  Returns (loss, gradients in canonical parameter order,
+    diagnostics); the gradients are a :class:`~csigen.gan.mlp.FlatArrays`.
     """
     n = real_flat.shape[0]
     if n == 0:
         raise ValueError("empty batch")
     ones = np.ones((n, 1), critic.dtype)  # seeds on the scores
     grads = FlatArrays.zeros_like(critic.arrays())
-    if rows is None:
+    if fake_flat is None:
         fake_flat, _ = generator_forward(generator, pos_scaled, noise)
         ds_fake = delay_spread_flat(fake_flat, geometry)
-    else:
-        fake_flat, ds_fake = rows.fake_flat, rows.ds_fake
     ds_fake_scaled = ds_scaler.scale(ds_fake)
 
     # the passes on the fakes and the real rows discard their input gradient
@@ -230,7 +213,7 @@ def critic_loss_fast(
         if ds_through_csi:
             mixed_pass = CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled)
         else:
-            ds_real = delay_spread_flat(real_flat, geometry) if rows is None else rows.ds_real
+            ds_real = delay_spread_flat(real_flat, geometry) if ds_real is None else ds_real
             ds_mixed = ds_scaler.scale(eps_mix * ds_real + (1.0 - eps_mix) * ds_fake)
             mixed_pass = CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled, ds_mixed)
         input_grad = critic_backward(critic, geometry, ds_scaler, mixed_pass, ones)
@@ -278,20 +261,20 @@ def generator_loss_fast(
     pos_scaled: np.ndarray,
     noise: np.ndarray,
     *,
-    rows: BatchRows | None = None,
+    fake_flat: np.ndarray | None = None,
+    gen_cache: tuple | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Generator objective -mean[C(G(x, n))] and its gradients with respect
     to the generator parameters, including the path through the
-    delay-spread side input.  With ``rows`` given, the generator's output
-    and cache are its ``fake_flat`` and ``gen_cache`` (``noise`` is then
-    not read).  The gradients are a :class:`~csigen.gan.mlp.FlatArrays`."""
+    delay-spread side input.  With ``fake_flat`` given, it and
+    ``gen_cache`` stand for :func:`generator_forward`'s output and cache on
+    ``noise`` (``noise`` is then not read).  The gradients are a
+    :class:`~csigen.gan.mlp.FlatArrays`."""
     n = pos_scaled.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    if rows is None:
+    if fake_flat is None:
         fake_flat, gen_cache = generator_forward(generator, pos_scaled, noise)
-    else:
-        fake_flat, gen_cache = rows.fake_flat, rows.gen_cache
     critic_pass = CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled)
     loss = float(-critic_pass.scores.mean())
     seed = np.full((n, 1), -1.0 / n, critic.dtype)

@@ -22,8 +22,10 @@ Each network's parameters, gradients and Adam moments are
 of the network's dtype, so :func:`adam_update` is a fixed sequence of
 in-place vector operations over four ``.flat`` buffers.
 
-:func:`train` computes in ``TRAINING_DTYPE`` (float32): it casts the
-networks, the Adam moments and its inputs once, before the first step, and
+:func:`train` computes in ``TRAINING_DTYPE`` (float32).  Its whole state is
+one :class:`Checkpoint`: a resumed one narrowed to float32, or on a fresh
+start networks cast to float32 as soon as they are built, with Adam moments
+zeroed in float32.  It casts its inputs once, before the first step, and
 draws its noise and mixing coefficients in float64, which the kernels cast
 where they use them.  Everything outside the loop is float64: the returned
 state is widened to float64, the checkpoint payload is ``<f8`` (periodic
@@ -56,13 +58,7 @@ import numpy as np
 from csigen.atomic import atomic_write
 from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.gan.mlp import FlatArrays, MlpParams, cache_rows
-from csigen.gan.fastgrad import (
-    BatchRows,
-    CriticPass,
-    critic_backward,
-    critic_loss_fast,
-    generator_loss_fast,
-)
+from csigen.gan.fastgrad import CriticPass, critic_backward, critic_loss_fast, generator_loss_fast
 from csigen.gan.nets import (
     CriticParams,
     check_widths,
@@ -513,55 +509,46 @@ def train(
     ds_real = delay_spread_flat(real_flat, geometry)
 
     if resume is not None:
-        config = resume.config
         state = resume.astype(TRAINING_DTYPE)
-        generator, critic = state.generator, state.critic
-        gen_adam, critic_adam = state.gen_adam, state.critic_adam
-        cond_scaler = resume.condition_scaler
-        ds_scaler = resume.ds_scaler
         rng = np.random.default_rng()
         rng.bit_generator.state = resume.rng_state
-        start_step = resume.step
     else:
         rng = np.random.default_rng(config.seed)
         generator = init_generator(geometry, config.noise_dim, config.hidden_scale, rng)
         generator = generator.copy(TRAINING_DTYPE)
         critic = init_critic(geometry, config.critic_scale, rng).copy(TRAINING_DTYPE)
-        cond_scaler = MinMaxScaler.fit(dataset.positions)
-        ds_scaler = MinMaxScaler.fit(ds_real.ravel())
-        gen_adam = AdamState.zeros_like(generator.arrays())
-        critic_adam = AdamState.zeros_like(critic.arrays())
-        start_step = 0
-
-    # cast once, so that no float64 operand promotes the step's arithmetic
-    real_flat = real_flat.astype(TRAINING_DTYPE)
-    pos_scaled = cond_scaler.scale(dataset.positions).astype(TRAINING_DTYPE)
-    ds_real_scaled = ds_scaler.scale(ds_real).astype(TRAINING_DTYPE)
-    # the penalty without the delay-spread path mixes the real rows' spreads
-    ds_real_mix = None if config.gp_ds_through_csi else delay_spread_flat(real_flat, geometry)
-    if resume is None:
-        _calibrate_critic_scale(critic, geometry, ds_scaler, real_flat, pos_scaled)
-
-    def live_state(step: int) -> Checkpoint:
-        """The training state as it stands, sharing its arrays (no copy)."""
-        return Checkpoint(
+        state = Checkpoint(
             generator=generator,
             critic=critic,
             config=config,
             geometry=geometry,
-            condition_scaler=cond_scaler,
-            ds_scaler=ds_scaler,
-            step=step,
+            condition_scaler=MinMaxScaler.fit(dataset.positions),
+            ds_scaler=MinMaxScaler.fit(ds_real.ravel()),
+            step=0,
             rng_state=rng.bit_generator.state,
-            gen_adam=gen_adam,
-            critic_adam=critic_adam,
+            gen_adam=AdamState.zeros_like(generator.arrays()),
+            critic_adam=AdamState.zeros_like(critic.arrays()),
         )
+    config = state.config
+
+    # cast once, so that no float64 operand promotes the step's arithmetic
+    real_flat = real_flat.astype(TRAINING_DTYPE)
+    pos_scaled = state.condition_scaler.scale(dataset.positions).astype(TRAINING_DTYPE)
+    ds_real_scaled = state.ds_scaler.scale(ds_real).astype(TRAINING_DTYPE)
+    # the penalty without the delay-spread path mixes the real rows' spreads
+    ds_real_mix = None if config.gp_ds_through_csi else delay_spread_flat(real_flat, geometry)
+    if resume is None:
+        _calibrate_critic_scale(state.critic, geometry, state.ds_scaler, real_flat, pos_scaled)
+
+    def live_state(step: int) -> Checkpoint:
+        """The training state as it stands, sharing its arrays (no copy)."""
+        return dataclasses.replace(state, step=step, rng_state=rng.bit_generator.state)
 
     log_rows: list[dict] = []
     count, batch = len(dataset), config.batch_size
     critic_rows = config.n_critic * batch
 
-    for step in range(start_step + 1, start_step + config.generator_steps + 1):
+    for step in range(state.step + 1, state.step + config.generator_steps + 1):
         draws = [
             (
                 rng.integers(0, count, size=batch),
@@ -576,16 +563,18 @@ def train(
         # every batch of the step, critic batches first
         block_idx = np.concatenate([idx for idx, _, _ in draws] + [gen_idx])
         block_noise = np.concatenate([noise for _, noise, _ in draws] + [gen_noise])
-        fake_flat, gen_cache = generator_forward(generator, pos_scaled[block_idx], block_noise)
+        fake_flat, gen_cache = generator_forward(
+            state.generator, pos_scaled[block_idx], block_noise
+        )
         ds_fake = delay_spread_flat(fake_flat[:critic_rows], geometry)
 
         for k, (idx, noise, eps_mix) in enumerate(draws):
             part = slice(k * batch, (k + 1) * batch)
             closs, cgrads, last = critic_loss_fast(
-                critic,
-                generator,
+                state.critic,
+                state.generator,
                 geometry,
-                ds_scaler,
+                state.ds_scaler,
                 real_flat[idx],
                 pos_scaled[idx],
                 ds_real_scaled[idx],
@@ -593,24 +582,23 @@ def train(
                 eps_mix,
                 config.gp_lambda,
                 config.gp_ds_through_csi,
-                rows=BatchRows(
-                    fake_flat[part],
-                    ds_fake=ds_fake[part],
-                    ds_real=None if ds_real_mix is None else ds_real_mix[idx],
-                ),
+                fake_flat=fake_flat[part],
+                ds_fake=ds_fake[part],
+                ds_real=None if ds_real_mix is None else ds_real_mix[idx],
             )
-            adam_update(critic.arrays(), cgrads, critic_adam, config)
+            adam_update(state.critic.arrays(), cgrads, state.critic_adam, config)
         part = slice(critic_rows, None)
         gloss, ggrads = generator_loss_fast(
-            critic,
-            generator,
+            state.critic,
+            state.generator,
             geometry,
-            ds_scaler,
+            state.ds_scaler,
             pos_scaled[gen_idx],
             gen_noise,
-            rows=BatchRows(fake_flat[part], cache_rows(gen_cache, part)),
+            fake_flat=fake_flat[part],
+            gen_cache=cache_rows(gen_cache, part),
         )
-        adam_update(generator.arrays(), ggrads, gen_adam, config)
+        adam_update(state.generator.arrays(), ggrads, state.gen_adam, config)
 
         row = {
             "step": step,
@@ -627,4 +615,4 @@ def train(
         if out_dir is not None and config.checkpoint_every and step % config.checkpoint_every == 0:
             save_checkpoint(live_state(step), out_dir / f"checkpoint_{step:07d}.wgck")
 
-    return TrainResult(live_state(start_step + config.generator_steps).astype(np.float64), log_rows)
+    return TrainResult(live_state(state.step + config.generator_steps).astype(np.float64), log_rows)

@@ -471,14 +471,16 @@ def scenario_from_config(entries: dict[str, str]) -> Scenario:
     while f"obstacle.{index}.start" in remaining:
         start = pop_vector(remaining, f"obstacle.{index}.start", 2)
         end = pop_vector(remaining, f"obstacle.{index}.end", 2)
-        transmission = pop_float(remaining, f"obstacle.{index}.transmission", default=0.0)
+        transmission = pop_float(
+            remaining, f"obstacle.{index}.transmission", default=Obstacle.transmission
+        )
         obstacles.append(Obstacle(start, end, transmission))
         index += 1
-    noise_power = pop_float(remaining, "noise_power", default=0.0)
-    seed = pop_int(remaining, "seed", default=0)
+    noise_power = pop_float(remaining, "noise_power", default=Scenario.noise_power)
+    seed = pop_int(remaining, "seed", default=Scenario.seed)
     if seed < 0:
         raise ConfigError(f"config key 'seed': expected a non-negative integer, got {seed}")
-    delay_offset = pop_float(remaining, "delay_offset_taps", default=8.0)
+    delay_offset = pop_float(remaining, "delay_offset_taps", default=Scenario.delay_offset_taps)
     box = pop_vector(remaining, "bounds", 4)
     bounds = ((box[0], box[1]), (box[2], box[3]))
     if remaining:

@@ -6,7 +6,9 @@ on float64 numpy arrays, the MLP and critic forward passes built on it, the
 differentiable delay spread, and the graph-built critic and generator losses
 with the gradient penalty.  Nothing in the package imports this module; the
 tests compare the hand-written gradients against it, and central finite
-differences, so a fault in one route shows as a disagreement.
+differences, so a fault in one route shows as a disagreement.  The
+central-difference oracle and the small critic that those checks share
+live here too.
 
 Every kernel operation records a vector-Jacobian product built *from these
 same operations*, so gradients are themselves differentiable graph nodes and
@@ -27,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from csigen.core import ArrayGeometry, MinMaxScaler
-from csigen.gan.mlp import MlpParams
+from csigen.gan.mlp import MlpParams, init_mlp
 from csigen.gan.nets import (
     DS_VARIANCE_FLOOR,
     GRAD_NORM_FLOOR,
@@ -465,3 +467,40 @@ def generator_loss(
     param_vars = [v for pair in gen_vars for v in pair]
     grads = grad(loss, param_vars)
     return float(loss.value), [g.value for g in grads]
+
+
+# ---------------------------------------------------------------------------
+# the gradient checks' finite-difference oracle and toy critic
+
+
+def central_difference(func, array, h=1e-5):
+    """Finite-difference gradient oracle, one entry at a time."""
+    grad = np.zeros_like(array, dtype=np.float64)
+    flat = array.ravel()
+    out = grad.ravel()
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + h
+        upper = func()
+        flat[i] = original - h
+        lower = func()
+        flat[i] = original
+        out[i] = (upper - lower) / (2 * h)
+    return grad
+
+
+def relative_error(a, b):
+    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
+    return np.abs(a - b).max() / scale
+
+
+def small_critic(rng: np.random.Generator, geometry: ArrayGeometry) -> CriticParams:
+    # widths below init_critic's floor of 8: trunk (6, 5), fusion (4,)
+    csi_width = 2 * geometry.num_antennas * geometry.num_taps
+    trunk = init_mlp([csi_width, 6, 5], ["relu", "relu"], rng)
+    fusion = init_mlp([5 + geometry.num_antennas + 2, 4, 1], ["relu", "linear"], rng)
+    critic = CriticParams(trunk, fusion).copy()
+    for params in (critic.trunk, critic.fusion):
+        for layer in params.layers:
+            layer.bias += rng.uniform(-0.2, 0.2, size=layer.bias.shape)
+    return critic

@@ -26,7 +26,7 @@ from csigen.dataio import (
 )
 from csigen.gan.fastgrad import critic_loss_fast, generator_loss_fast
 from csigen.gan.mlp import init_mlp, mlp_backward, mlp_forward
-from csigen.gan.nets import CriticParams, delay_spread_flat
+from csigen.gan.nets import delay_spread_flat
 from csigen.gan.sample import sample_fixed, sample_variable
 from csigen.gan.train import (
     CheckpointBadMagicError,
@@ -65,27 +65,7 @@ from csigen.synth import (
     synth_csi,
     synth_dataset,
 )
-from graph_reference import gradient_penalty
-
-
-def central_difference(func, array, h=1e-5):
-    grad = np.zeros_like(array, dtype=np.float64)
-    flat = array.ravel()
-    out = grad.ravel()
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + h
-        upper = func()
-        flat[i] = original - h
-        lower = func()
-        flat[i] = original
-        out[i] = (upper - lower) / (2 * h)
-    return grad
-
-
-def relative_error(a, b):
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
-    return np.abs(a - b).max() / scale
+from graph_reference import central_difference, gradient_penalty, relative_error, small_critic
 
 
 def assert_matches_central_differences(value, arrays, grads, tolerance=1e-3, flat=1e-12):
@@ -97,18 +77,6 @@ def assert_matches_central_differences(value, arrays, grads, tolerance=1e-3, fla
         if np.abs(fd).max() < flat and np.abs(grad).max() < flat:
             continue
         assert relative_error(grad, fd) < tolerance
-
-
-def small_critic(geometry, rng):
-    # widths below init_critic's floor of 8: trunk (6, 5), fusion (4,)
-    csi_width = 2 * geometry.num_antennas * geometry.num_taps
-    trunk = init_mlp([csi_width, 6, 5], ["relu", "relu"], rng)
-    fusion = init_mlp([5 + geometry.num_antennas + 2, 4, 1], ["relu", "linear"], rng)
-    critic = CriticParams(trunk, fusion).copy()
-    for mats in (critic.trunk, critic.fusion):
-        for layer in mats.layers:
-            layer.bias += rng.uniform(-0.2, 0.2, size=layer.bias.shape)
-    return critic
 
 
 def test_criterion_1_gradient_correctness():
@@ -142,7 +110,7 @@ def test_criterion_1_gradient_correctness():
     scaler = MinMaxScaler(0.0, geometry.num_taps * geometry.tap_duration)
     csi_width = 2 * geometry.num_antennas * geometry.num_taps
     for trial in range(5):
-        critic = small_critic(geometry, rng)
+        critic = small_critic(rng, geometry)
         real = rng.standard_normal((3, csi_width)) * 1.5
         fake = rng.standard_normal((3, csi_width)) * 1.5
         pos = rng.uniform(-1, 1, (3, 2))
@@ -162,7 +130,7 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(1004)
     noise_dim = 4
     for trial in range(3):
-        critic = small_critic(geometry, rng)
+        critic = small_critic(rng, geometry)
         generator = init_mlp([noise_dim + 2, 7, csi_width], ["relu", "linear"], rng)
         for layer in generator.layers:
             layer.bias += rng.uniform(-0.2, 0.2, size=layer.bias.shape)

@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -669,7 +670,56 @@ class TestEvaluate:
         assert code == EXIT_USAGE
 
 
+def stub_h5py(datasets: dict, attrs: dict) -> types.ModuleType:
+    """An h5py stand-in: every ``File`` it opens holds ``datasets`` and ``attrs``."""
+
+    class File(dict):
+        def __init__(self, path, mode):
+            super().__init__(datasets)
+            self.attrs = attrs
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+    module = types.ModuleType("h5py")
+    module.File = File
+    return module
+
+
 class TestImportHdf5:
+    def test_without_h5py_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "h5py", None)
+        code = main(["import-hdf5", "--in", str(tmp_path / "export.h5"), "--n-tap", "8",
+                     "--out", str(tmp_path / "imported.csit")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "h5py" in err, err
+
+    @pytest.mark.parametrize("key", [None, "csi_freq", "positions", "carrier_hz", "bandwidth_hz"])
+    def test_a_missing_key_is_a_data_error(self, tmp_path, monkeypatch, capsys, key):
+        rng = np.random.default_rng(3)
+        datasets = {"csi_freq": rng.standard_normal((4, 1, 2, 2, 16, 2)),
+                    "positions": rng.uniform(0, 5, (4, 2))}
+        attrs = {"carrier_hz": 1.272e9, "bandwidth_hz": 50e6}
+        datasets.pop(key, None)
+        attrs.pop(key, None)
+        monkeypatch.setitem(sys.modules, "h5py", stub_h5py(datasets, attrs))
+        out = tmp_path / "imported.csit"
+        code = main(["import-hdf5", "--in", str(tmp_path / "export.h5"), "--n-tap", "8",
+                     "--out", str(out)])
+        if key is None:
+            assert code == EXIT_OK
+            assert load_dataset(out).geometry.num_taps == 8
+            return
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert f"lacks {key}" in err
+        assert not out.exists()
+
     def test_round_trip(self, tmp_path):
         h5py = pytest.importorskip("h5py")
         rng = np.random.default_rng(3)

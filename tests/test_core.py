@@ -150,7 +150,7 @@ class TestTypes:
             ArrayGeometry(0, 1, 1, 4, 1e9, 50e6)
         with pytest.raises(ValueError):
             ArrayGeometry(1, 1, 1, 4, 1e9, -50e6)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # half-wavelength spacing is not a parameter
             ArrayGeometry(1, 1, 1, 4, 1e9, 50e6, element_spacing=0.7)
 
     def test_tap_duration(self):

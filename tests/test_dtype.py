@@ -20,7 +20,6 @@ import pytest
 from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.gan import fastgrad
 from csigen.gan.fastgrad import (
-    BatchRows,
     CriticPass,
     critic_backward,
     critic_loss_fast,
@@ -197,14 +196,14 @@ def test_precomputed_rows_give_the_losses_bits(setup, dtype, ds_through_csi):
         batch = idx[rows]
         args = (critic, generator, GEO, ds_scaler, real[batch], pos[batch], ds_real_scaled[batch],
                 noise[rows], rng.uniform(size=(BATCH, 1)), 10.0, ds_through_csi)
-        given = BatchRows(fake[rows], ds_fake=ds_fake[rows], ds_real=ds_real[batch])
-        loss, grads, diagnostics = critic_loss_fast(*args, rows=given)
+        given = dict(fake_flat=fake[rows], ds_fake=ds_fake[rows], ds_real=ds_real[batch])
+        loss, grads, diagnostics = critic_loss_fast(*args, **given)
         theirs = critic_loss_fast(*args)
         assert (loss, diagnostics) == (theirs[0], theirs[2])
         assert grads.flat.tobytes() == theirs[1].flat.tobytes()
     rows = slice(n_critic * BATCH, None)
     args = (critic, generator, GEO, ds_scaler, pos[idx[rows]], noise[rows])
-    loss, grads = generator_loss_fast(*args, rows=BatchRows(fake[rows], cache_rows(cache, rows)))
+    loss, grads = generator_loss_fast(*args, fake_flat=fake[rows], gen_cache=cache_rows(cache, rows))
     theirs = generator_loss_fast(*args)
     assert loss == theirs[0]
     assert grads.flat.tobytes() == theirs[1].flat.tobytes()

@@ -10,28 +10,15 @@ from csigen.gan.fastgrad import CriticPass, critic_backward
 from csigen.gan.mlp import DenseLayer, FlatArrays, MlpParams, init_mlp, mlp_backward, mlp_forward
 from csigen.gan.nets import CriticParams, delay_spread_flat
 import graph_reference as ad
-from graph_reference import delay_spread_flat_var, gradient_penalty, mlp_apply, mlp_vars
-
-
-def central_difference(func, array, h=1e-5):
-    """Finite-difference gradient oracle, one entry at a time."""
-    grad = np.zeros_like(array, dtype=np.float64)
-    flat = array.ravel()
-    out = grad.ravel()
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + h
-        upper = func()
-        flat[i] = original - h
-        lower = func()
-        flat[i] = original
-        out[i] = (upper - lower) / (2 * h)
-    return grad
-
-
-def relative_error(a, b):
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
-    return np.abs(a - b).max() / scale
+from graph_reference import (
+    central_difference,
+    delay_spread_flat_var,
+    gradient_penalty,
+    mlp_apply,
+    mlp_vars,
+    relative_error,
+    small_critic,
+)
 
 
 def random_mlp(rng, widths=None, last="linear"):
@@ -241,18 +228,6 @@ class TestAutodiffVsHandWritten:
 GEO_SMALL = ArrayGeometry(1, 1, 2, 3, 1.272e9, 50e6)
 
 
-def small_critic(rng, geometry=GEO_SMALL):
-    # widths below init_critic's floor of 8: trunk (6, 5), fusion (4,)
-    csi_width = 2 * geometry.num_antennas * geometry.num_taps
-    trunk = init_mlp([csi_width, 6, 5], ["relu", "relu"], rng)
-    fusion = init_mlp([5 + geometry.num_antennas + 2, 4, 1], ["relu", "linear"], rng)
-    critic = CriticParams(trunk, fusion).copy()
-    for params in (critic.trunk, critic.fusion):
-        for layer in params.layers:
-            layer.bias += rng.uniform(-0.2, 0.2, size=layer.bias.shape)
-    return critic
-
-
 class TestDelaySpreadPath:
     def test_var_matches_numpy_twin(self):
         rng = np.random.default_rng(13)
@@ -277,7 +252,7 @@ class TestDelaySpreadPath:
 @pytest.mark.parametrize("ds_path", [True, False])
 def test_critic_backward_without_input_gradient_leaves_parameter_gradients_identical(ds_path):
     rng = np.random.default_rng(16)
-    critic = small_critic(rng)
+    critic = small_critic(rng, GEO_SMALL)
     ds_scaler = MinMaxScaler(0.0, GEO_SMALL.num_taps * GEO_SMALL.tap_duration)
     csi = rng.standard_normal((5, 2 * GEO_SMALL.num_antennas * GEO_SMALL.num_taps))
     pos = rng.uniform(-1, 1, (5, 2))
@@ -339,7 +314,7 @@ class TestGradientPenalty:
 
     def test_double_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(17)
-        critic = small_critic(rng)
+        critic = small_critic(rng, GEO_SMALL)
         csi_width = 2 * GEO_SMALL.num_antennas * GEO_SMALL.num_taps
         real = rng.standard_normal((3, csi_width)) * 2.0
         fake = rng.standard_normal((3, csi_width)) * 2.0
