@@ -6,17 +6,26 @@ the generator input layout that sampling shares
 (:func:`csigen.gan.nets.generator_forward`) and
 :func:`csigen.gan.nets.delay_spread_forward`.
 
+:func:`critic_loss_fast` runs the critic once over the stacked rows
+[fakes; real; interpolates], forward and backward.  The parameter
+gradients sum the fakes' rows, then the real rows', each part on its own,
+so every gradient entry is summed in the order of separate passes over
+each batch.  Only the interpolates get a first-layer input adjoint.
+
 The penalty's parameter gradient uses the directional-derivative identity:
 with u = d(penalty)/d(gradient) held constant,
 
     d(penalty)/d(theta) = d/d(theta) [ u . grad_x C(x) ]
 
 and u . grad_x C equals the forward-mode derivative of C along u, so one
-JVP pass through the frozen activation masks followed by one
-:func:`~csigen.gan.mlp.mlp_backward` sweep over that pass (the tangents
-standing in for the layer inputs) yields exact double backpropagation for
-the piecewise-linear critic.  The biases' tangent is zero, so their penalty
-gradient is exactly 0; the sweep's bias slots are zeroed before the merge.
+JVP pass through the frozen activation masks followed by one backward
+sweep over that pass (the tangents standing in for the layer inputs)
+yields exact double backpropagation for the piecewise-linear critic.  That
+sweep has the interpolates' seed (ones), masks and weights, so its
+post-mask adjoints are the ones the stacked backward already computed for
+those rows: the sweep reuses them and runs one ``adjoint.T @ tangent`` GEMM
+per layer.  The biases' tangent is zero, so their penalty gradient is
+exactly 0 and their slots stay zero.
 
 Both losses take the generator and a batch's noise.  A caller that already
 ran the generator over the batch, as :func:`csigen.gan.train.train` does
@@ -24,6 +33,10 @@ once for all batches of a step, hands its rows in as the keyword arguments
 ``fake_flat`` (with ``ds_fake`` and ``ds_real`` for the critic loss, and
 ``gen_cache`` for the generator loss) instead, and the losses then run no
 generator forward.
+
+A row's bits can depend on the number of rows in a GEMM (see README), so
+the stacked pass may round differently from separate passes at batch
+sizes other than the ones checked.
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from csigen.core import ArrayGeometry, MinMaxScaler
-from csigen.gan.mlp import FlatArrays, MlpParams, mlp_backward, mlp_forward
+from csigen.gan.mlp import FlatArrays, MlpParams, cache_rows, mlp_backward, mlp_forward
 from csigen.gan.nets import (
     CriticParams,
     GRAD_NORM_FLOOR,
@@ -83,11 +96,10 @@ def _ds_jvp(direction: np.ndarray, cache: DelaySpreadCache, geometry: ArrayGeome
     return d_ds_taps * geometry.tap_duration
 
 
-def _mlp_jvp(params: MlpParams, cache: tuple, direction: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Forward-mode pass through the frozen masks of a :func:`mlp_forward`
-    cache.  Returns the output perturbation and a cache of the same form,
-    holding the per-layer input perturbations, for :func:`mlp_backward`."""
-    _, masks = cache
+def _mlp_jvp(params: MlpParams, masks: list, direction: np.ndarray) -> tuple[np.ndarray, list]:
+    """Forward-mode pass through the frozen ReLU ``masks`` of a
+    :func:`mlp_forward` cache.  Returns the output perturbation and each
+    layer's input perturbation."""
     tangents = []
     tangent = direction
     for layer, mask in zip(params.layers, masks):
@@ -95,18 +107,13 @@ def _mlp_jvp(params: MlpParams, cache: tuple, direction: np.ndarray) -> tuple[np
         tangent = tangent @ layer.weights.T
         if mask is not None:
             tangent = tangent * mask
-    return tangent, (tangents, masks)
+    return tangent, tangents
 
 
 class CriticPass:
-    """One critic evaluation: the scores (N, 1) and everything the backward
-    passes need.
-
-    With ``ds_scaled`` given, the delay-spread side input is that constant;
-    without it, the pass computes it from ``csi_flat`` (cast to the critic's
-    dtype) and :func:`critic_backward` then carries the input gradient
-    through it.
-    """
+    """One critic evaluation of ``csi_flat`` (cast to the critic's dtype)
+    with its delay spreads as the side input: the scores (N, 1) and
+    everything :func:`critic_backward` needs."""
 
     __slots__ = ("trunk", "fusion", "ds_cache", "scores")
 
@@ -117,16 +124,11 @@ class CriticPass:
         ds_scaler: MinMaxScaler,
         csi_flat: np.ndarray,
         pos_scaled: np.ndarray,
-        ds_scaled: np.ndarray | None = None,
     ) -> None:
         csi_flat = np.asarray(csi_flat, dtype=critic.dtype)
         trunk_out, self.trunk = mlp_forward(critic.trunk, csi_flat)
-        if ds_scaled is None:
-            ds_seconds, self.ds_cache = delay_spread_forward(csi_flat, geometry)
-            ds_scaled = ds_scaler.scale(ds_seconds)
-        else:
-            self.ds_cache = None
-        fused = np.concatenate([trunk_out, ds_scaled, pos_scaled], axis=1)
+        ds_seconds, self.ds_cache = delay_spread_forward(csi_flat, geometry)
+        fused = np.concatenate([trunk_out, ds_scaler.scale(ds_seconds), pos_scaled], axis=1)
         self.scores, self.fusion = mlp_forward(critic.fusion, fused)
 
 
@@ -136,29 +138,14 @@ def critic_backward(
     ds_scaler: MinMaxScaler,
     forward: CriticPass,
     seed: np.ndarray,
-    grads: list[np.ndarray] | None = None,
-    *,
-    input_adjoint: bool = True,
-) -> np.ndarray | None:
-    """Backward pass seeded on the scores.
-
-    Adds the critic parameter gradients to ``grads`` (canonical order) when
-    a list is given, and returns the CSI input gradient, including the
-    delay-spread side path when ``forward`` computed the delay spread.
-    With ``input_adjoint`` False it computes no input gradient and returns
-    None.
-    """
-    fusion_offset = 2 * len(critic.trunk.layers)
-    adj_fused = mlp_backward(critic.fusion, forward.fusion, seed, grads, fusion_offset)
+) -> np.ndarray:
+    """The CSI input gradient of the scores seeded with ``seed``, including
+    the path through the delay-spread side input."""
+    adj_fused = mlp_backward(critic.fusion, forward.fusion, seed)
     trunk_width = critic.trunk.output_width
-    input_grad = mlp_backward(
-        critic.trunk, forward.trunk, adj_fused[:, :trunk_width], grads, input_adjoint=input_adjoint
-    )
-    if input_adjoint and forward.ds_cache is not None:
-        adj_ds_scaled = adj_fused[:, trunk_width : trunk_width + geometry.num_antennas]
-        adj_ds = ds_scaler.times_gain(adj_ds_scaled)
-        input_grad = input_grad + _ds_vjp(adj_ds, forward.ds_cache, geometry)
-    return input_grad
+    input_grad = mlp_backward(critic.trunk, forward.trunk, adj_fused[:, :trunk_width])
+    adj_ds = ds_scaler.times_gain(adj_fused[:, trunk_width : trunk_width + geometry.num_antennas])
+    return input_grad + _ds_vjp(adj_ds, forward.ds_cache, geometry)
 
 
 def critic_loss_fast(
@@ -188,6 +175,12 @@ def critic_loss_fast(
     ``ds_real``, the real rows' delay spreads, computed from ``real_flat``
     when not given.  Returns (loss, gradients in canonical parameter order,
     diagnostics); the gradients are a :class:`~csigen.gan.mlp.FlatArrays`.
+
+    The critic runs once over the stacked rows [fakes; real; interpolates]
+    (no interpolates when ``gp_lambda`` is 0), forward and backward, with
+    the seeds [1/n; -1/n; 1] on the scores.  The parameter gradients sum
+    the fakes' rows, then the real rows', as separate passes over each
+    batch would; the interpolates' adjoints feed the penalty.
     """
     n = real_flat.shape[0]
     if n == 0:
@@ -197,57 +190,88 @@ def critic_loss_fast(
     if fake_flat is None:
         fake_flat, _ = generator_forward(generator, pos_scaled, noise)
         ds_fake = delay_spread_flat(fake_flat, geometry)
-    ds_fake_scaled = ds_scaler.scale(ds_fake)
+    rows = [fake_flat, real_flat]
+    ds_scaled = [ds_scaler.scale(ds_fake), ds_real_scaled]
+    seeds = [ones / n, -ones / n]
+    penalty = gp_lambda != 0.0
+    if penalty:
+        eps_mix = np.asarray(eps_mix, dtype=critic.dtype).reshape(-1, 1)
+        rows.append(eps_mix * real_flat + (1.0 - eps_mix) * fake_flat)
+        seeds.append(ones)
+    fake, real, mixed = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
 
-    # the passes on the fakes and the real rows discard their input gradient
-    fake_pass = CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled, ds_fake_scaled)
-    critic_backward(critic, geometry, ds_scaler, fake_pass, ones / n, grads, input_adjoint=False)
-    real_pass = CriticPass(critic, geometry, ds_scaler, real_flat, pos_scaled, ds_real_scaled)
-    critic_backward(critic, geometry, ds_scaler, real_pass, -ones / n, grads, input_adjoint=False)
-    loss = float(fake_pass.scores.mean() - real_pass.scores.mean())
+    # one forward over the stacked rows; the interpolates' delay spreads
+    # are computed from their rows (and differentiated) or mixed
+    stacked = np.concatenate(rows, dtype=critic.dtype)
+    trunk_out, trunk_cache = mlp_forward(critic.trunk, stacked)
+    if penalty and ds_through_csi:
+        ds_mixed, ds_cache = delay_spread_forward(stacked[mixed], geometry)
+        ds_scaled.append(ds_scaler.scale(ds_mixed))
+    elif penalty:
+        ds_real = delay_spread_flat(real_flat, geometry) if ds_real is None else ds_real
+        ds_scaled.append(ds_scaler.scale(eps_mix * ds_real + (1.0 - eps_mix) * ds_fake))
+    fused = np.concatenate(
+        [trunk_out, np.concatenate(ds_scaled), np.concatenate([pos_scaled] * len(rows))], axis=1
+    )
+    scores, fusion_cache = mlp_forward(critic.fusion, fused)
+    fake_score, real_score = scores[fake].mean(), scores[real].mean()
+    loss = float(fake_score - real_score)
+
+    # one backward; only the interpolates need the first layer's input adjoint
+    fusion_offset = 2 * len(critic.trunk.layers)
+    trunk_width = critic.trunk.output_width
+    trunk_adjoints: list[np.ndarray] = []
+    fusion_adjoints: list[np.ndarray] = []
+    adj_fused = mlp_backward(
+        critic.fusion, fusion_cache, np.concatenate(seeds), grads, fusion_offset,
+        parts=(fake, real), adjoints=fusion_adjoints,
+    )
+    input_grad = mlp_backward(
+        critic.trunk, trunk_cache, adj_fused[:, :trunk_width], grads,
+        parts=(fake, real), input_rows=mixed if penalty else None, adjoints=trunk_adjoints,
+    )
 
     penalty_value = 0.0
-    if gp_lambda != 0.0:
-        eps_mix = np.asarray(eps_mix, dtype=critic.dtype).reshape(-1, 1)
-        mixed = eps_mix * real_flat + (1.0 - eps_mix) * fake_flat
+    if penalty:
         if ds_through_csi:
-            mixed_pass = CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled)
-        else:
-            ds_real = delay_spread_flat(real_flat, geometry) if ds_real is None else ds_real
-            ds_mixed = ds_scaler.scale(eps_mix * ds_real + (1.0 - eps_mix) * ds_fake)
-            mixed_pass = CriticPass(critic, geometry, ds_scaler, mixed, pos_scaled, ds_mixed)
-        input_grad = critic_backward(critic, geometry, ds_scaler, mixed_pass, ones)
+            adj_ds_scaled = adj_fused[mixed, trunk_width : trunk_width + geometry.num_antennas]
+            adj_ds = ds_scaler.times_gain(adj_ds_scaled)
+            input_grad = input_grad + _ds_vjp(adj_ds, ds_cache, geometry)
         norm = np.sqrt((input_grad * input_grad).sum(axis=1) + GRAD_NORM_FLOOR)
         penalty_value = float(((norm - 1.0) ** 2).mean())
         u = (2.0 / n) * ((norm - 1.0) / norm)[:, None] * input_grad
 
-        # JVP along u through the frozen masks, then one backward sweep
-        trunk_tangent_out, trunk_jvp = _mlp_jvp(critic.trunk, mixed_pass.trunk, u)
-        if mixed_pass.ds_cache is not None:
-            ds_tangent = ds_scaler.times_gain(_ds_jvp(u, mixed_pass.ds_cache, geometry))
+        # JVP along u through the interpolates' frozen masks
+        _, trunk_masks = cache_rows(trunk_cache, mixed)
+        _, fusion_masks = cache_rows(fusion_cache, mixed)
+        trunk_tangent_out, trunk_tangents = _mlp_jvp(critic.trunk, trunk_masks, u)
+        if ds_through_csi:
+            ds_tangent = ds_scaler.times_gain(_ds_jvp(u, ds_cache, geometry))
         else:
             ds_tangent = np.zeros((n, geometry.num_antennas))
         fused_tangent = np.concatenate(
             [trunk_tangent_out, ds_tangent, np.zeros((n, 2))], axis=1, dtype=critic.dtype
         )
-        _, fusion_jvp = _mlp_jvp(critic.fusion, mixed_pass.fusion, fused_tangent)
+        _, fusion_tangents = _mlp_jvp(critic.fusion, fusion_masks, fused_tangent)
 
-        # backward over the JVP pass: its layer inputs are the tangents
+        # the backward over the JVP pass has the interpolates' seed, masks
+        # and weights, so its post-mask adjoints are the ones above; its
+        # layer inputs are the tangents.  The biases' tangent is zero, so
+        # their penalty gradient is exactly 0 and their slots stay zero.
         pgrads = FlatArrays.zeros_like(grads)
-        fusion_offset = 2 * len(critic.trunk.layers)
-        adj = mlp_backward(critic.fusion, fusion_jvp, ones, pgrads, fusion_offset)
-        trunk_width = critic.trunk.output_width
-        mlp_backward(critic.trunk, trunk_jvp, adj[:, :trunk_width], pgrads, input_adjoint=False)
-        # the biases' tangent is zero, so their penalty gradient is exactly 0
-        for bias_grad in pgrads[1::2]:
-            bias_grad[...] = 0.0
+        for offset, adjoints, tangents in (
+            (0, trunk_adjoints, trunk_tangents),
+            (fusion_offset, fusion_adjoints, fusion_tangents),
+        ):
+            for index, (adjoint, tangent) in enumerate(zip(adjoints, tangents)):
+                pgrads[offset + 2 * index] += adjoint[mixed].T @ tangent
         pgrads.flat *= gp_lambda
         grads.flat += pgrads.flat
         loss += gp_lambda * penalty_value
 
     diagnostics = {
-        "real_score": float(real_pass.scores.mean()),
-        "fake_score": float(fake_pass.scores.mean()),
+        "real_score": float(real_score),
+        "fake_score": float(fake_score),
         "penalty": penalty_value,
     }
     return loss, grads, diagnostics
@@ -280,5 +304,5 @@ def generator_loss_fast(
     seed = np.full((n, 1), -1.0 / n, critic.dtype)
     adj_fake = critic_backward(critic, geometry, ds_scaler, critic_pass, seed)
     grads = FlatArrays.zeros_like(generator.arrays())
-    mlp_backward(generator, gen_cache, adj_fake, grads, input_adjoint=False)
+    mlp_backward(generator, gen_cache, adj_fake, grads, input_rows=None)
     return loss, grads

@@ -185,27 +185,36 @@ def mlp_backward(
     grads: list[np.ndarray] | None = None,
     offset: int = 0,
     *,
-    input_adjoint: bool = True,
+    parts: tuple[slice, ...] = (slice(None),),
+    input_rows: slice | None = slice(None),
+    adjoints: list[np.ndarray] | None = None,
 ) -> np.ndarray | None:
-    """Exact reverse-mode pass from the cache of :func:`mlp_forward` (or
-    from a forward-mode pass's cache of the same form, whose tangents stand
-    in for the layer inputs).
+    """Exact reverse-mode pass from the cache of :func:`mlp_forward`.
 
     Adds the parameter gradients to ``grads[offset:]`` (canonical order
     W0, b0, W1, b1, ...) when a list is given, and skips their GEMMs when
-    ``grads`` is None.  Returns the input adjoint; with ``input_adjoint``
-    False it skips the first layer's input-adjoint GEMM and returns None.
-    The ReLU subgradient at exactly 0 is 0.
+    ``grads`` is None.  Each gradient sums the rows of ``parts`` one part
+    after the other, each part's sum added on its own; rows in no part add
+    nothing.  Each layer's mask and adjoint GEMM run once over all rows,
+    except the first layer's input-adjoint GEMM, which runs over
+    ``input_rows`` alone and is skipped when that is None.  Returns the
+    input adjoint of ``input_rows``, or None.  A list given as ``adjoints``
+    receives each layer's adjoint after its mask, in layer order.  The ReLU
+    subgradient at exactly 0 is 0.
     """
     inputs, masks = cache
     for index in range(len(params.layers) - 1, -1, -1):
         if masks[index] is not None:
             adjoint = adjoint * masks[index]
+        if adjoints is not None:
+            adjoints.insert(0, adjoint)
         if grads is not None:
-            grads[offset + 2 * index] += adjoint.T @ inputs[index]
-            grads[offset + 2 * index + 1] += adjoint.sum(axis=0)
-        if index == 0 and not input_adjoint:
-            return None
+            for rows in parts:
+                grads[offset + 2 * index] += adjoint[rows].T @ inputs[index][rows]
+                grads[offset + 2 * index + 1] += adjoint[rows].sum(axis=0)
+        if index == 0:
+            if input_rows is None:
+                return None
+            adjoint = adjoint[input_rows]
         adjoint = adjoint @ params.layers[index].weights
     return adjoint
-

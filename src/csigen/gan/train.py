@@ -9,12 +9,13 @@ input scalers, so a resumed run continues bit-identically.
 One generator step draws from the run's random generator, for each of the
 ``n_critic`` critic batches in turn, its indices, noise and mixing
 coefficients, then the generator batch's indices and noise.  The generator
-is frozen while the critic updates, so the step runs one generator forward
-over all ``(n_critic + 1) * batch_size`` rows, critic batches first, and
-the delay spreads of the critic rows in one call.  Each critic update reads
-its rows of that block, and the generator update backpropagates through the
-block's last rows.  A row's bits can depend on its place in a GEMM block
-(see README), so a network shape other than the ones checked may round
+is frozen while the critic updates, so the step gathers each input's rows
+once, runs one generator forward over all ``(n_critic + 1) * batch_size``
+rows, critic batches first, and the delay spreads of the critic rows in one
+call.  Each critic update reads its rows of that block, and the generator
+update backpropagates through the block's last rows.  A row's bits can
+depend on its place in a GEMM block and on the block's size (see README),
+so a network shape or batch size other than the ones checked may round
 differently from running each batch alone.
 
 Each network's parameters, gradients and Adam moments are
@@ -29,9 +30,19 @@ zeroed in float32.  It casts its inputs once, before the first step, and
 draws its noise and mixing coefficients in float64, which the kernels cast
 where they use them.  Everything outside the loop is float64: the returned
 state is widened to float64, the checkpoint payload is ``<f8`` (periodic
-and diverged saves widen the live float32 state chunk by chunk), and a
-resume narrows a checkpoint back, exactly for one that float32 training
-wrote.
+and diverged saves widen the float32 state chunk by chunk), and a resume
+narrows a checkpoint back, exactly for one that float32 training wrote.
+
+A periodic save copies the float32 state and hands the copy to a worker
+thread, which writes it while the next steps run (:class:`_CheckpointWriter`).
+At most one write is in flight: :func:`train` waits for it before the next
+save, before writing ``checkpoint_diverged.wgck`` (on the training thread),
+and before it returns or raises, so no writer thread outlives it and every
+file it leaves is whole.  A write that failed raises its error on the
+training thread at the next of those points.  The worker calls
+``_write_checkpoint``, the body of :func:`save_checkpoint`, so that
+wrappers installed over ``save_checkpoint`` run on the training thread
+only.
 
 WGCK file layout: magic b"WGCK", version u16 LE, meta-JSON length u32 LE,
 meta JSON (config, geometry, scalers, layer tables, step, RNG state,
@@ -50,6 +61,7 @@ import math
 import numbers
 import os
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -218,7 +230,10 @@ def adam_update(
 
     evaluated in that order, in place, over the flat buffers in blocks of
     ``ADAM_BLOCK`` bytes per operand, with two work vectors of the
-    parameters' dtype kept in ``state``.
+    parameters' dtype kept in ``state``.  A multiplication or division by a
+    factor of exactly 1.0 is skipped, as ``(1 - b1)`` and ``1 - b1**t`` are
+    at ``b1 = 0``; that changes no bit.  ``b1 * m`` always runs, so a
+    non-finite ``m`` still turns into NaN.
     """
     if not (isinstance(arrays, FlatArrays) and isinstance(grads, FlatArrays)):
         raise ValueError("adam_update needs parameters and gradients that are each a FlatArrays")
@@ -232,6 +247,7 @@ def adam_update(
 
     state.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
+    gain1, gain2 = 1.0 - b1, 1.0 - b2
     correction1 = 1.0 - b1**state.t
     correction2 = 1.0 - b2**state.t
     for start in range(0, params.size, block_size):
@@ -239,14 +255,20 @@ def adam_update(
         p, g, mb, vb = params[block], gradient[block], m[block], v[block]
         step, denominator = state.work[:, : p.size]
         np.multiply(mb, b1, out=mb)
-        np.multiply(g, 1.0 - b1, out=step)
-        np.add(mb, step, out=mb)
+        if gain1 == 1.0:
+            np.add(mb, g, out=mb)
+        else:
+            np.multiply(g, gain1, out=step)
+            np.add(mb, step, out=mb)
         np.multiply(vb, b2, out=vb)
-        np.multiply(g, 1.0 - b2, out=step)
+        np.multiply(g, gain2, out=step)
         np.multiply(step, g, out=step)
         np.add(vb, step, out=vb)
-        np.divide(mb, correction1, out=step)
-        np.multiply(step, config.learning_rate, out=step)
+        if correction1 == 1.0:
+            np.multiply(mb, config.learning_rate, out=step)
+        else:
+            np.divide(mb, correction1, out=step)
+            np.multiply(step, config.learning_rate, out=step)
         np.divide(vb, correction2, out=denominator)
         np.sqrt(denominator, out=denominator)
         np.add(denominator, config.adam_eps, out=denominator)
@@ -315,6 +337,12 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     temporary file beside it, which then replaces ``path``.  ``<f8``
     arrays are written as they lie in memory; arrays of another dtype are
     widened through one reused ``<f8`` chunk of ``SAVE_CHUNK`` elements."""
+    _write_checkpoint(checkpoint, path)
+
+
+def _write_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
+    """The body of :func:`save_checkpoint`, under a name that tracers
+    leave alone: :class:`_CheckpointWriter`'s thread calls it."""
     meta = {
         "config": checkpoint.config.to_dict(),
         "geometry": _geometry_dict(checkpoint.geometry),
@@ -354,6 +382,47 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
                 widened = chunk[: part.size]
                 widened[...] = part
                 handle.write(widened)
+
+
+class _CheckpointWriter:
+    """Writes checkpoints on a worker thread, one at a time, while training
+    goes on.  The caller must not change a checkpoint it handed over.
+
+    :meth:`submit` first waits for the write in flight.  :meth:`wait`
+    blocks until no write is in flight and raises, on the calling thread,
+    the exception of a write that failed; leaving a ``with`` block waits
+    too, so no writer thread outlives it."""
+
+    def __init__(self) -> None:
+        self._thread: threading.Thread | None = None
+        self._error: BaseException | None = None
+
+    def __enter__(self) -> "_CheckpointWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.wait()
+
+    def submit(self, checkpoint: Checkpoint, path: Path) -> None:
+        self.wait()
+        self._thread = threading.Thread(
+            target=self._write, args=(checkpoint, path), name=f"write {path.name}"
+        )
+        self._thread.start()
+
+    def _write(self, checkpoint: Checkpoint, path: Path) -> None:
+        try:
+            _write_checkpoint(checkpoint, path)
+        except BaseException as error:  # raised again by wait()
+            self._error = error
+
+    def wait(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
 
 
 def _layer_shapes(table: list) -> list[tuple[int, ...]]:
@@ -493,7 +562,8 @@ def train(
     one; the fakes of all these batches come from one generator forward
     (see the module docstring for the draw order).  Emits one log row per
     generator step; writes periodic checkpoints into ``out_dir`` when a
-    cadence is configured, and a diagnostic checkpoint on divergence.
+    cadence is configured, each on a worker thread while the next steps
+    run, and a diagnostic checkpoint on divergence.
     Steps run in ``TRAINING_DTYPE``; the returned checkpoint is float64.
     """
     if len(dataset) == 0:
@@ -548,71 +618,82 @@ def train(
     count, batch = len(dataset), config.batch_size
     critic_rows = config.n_critic * batch
 
-    for step in range(state.step + 1, state.step + config.generator_steps + 1):
-        draws = [
-            (
-                rng.integers(0, count, size=batch),
-                rng.standard_normal((batch, config.noise_dim)),
-                rng.uniform(size=(batch, 1)),
-            )
-            for _ in range(config.n_critic)
-        ]
-        gen_idx = rng.integers(0, count, size=batch)
-        gen_noise = rng.standard_normal((batch, config.noise_dim))
-        # the generator is frozen while the critic updates: one forward over
-        # every batch of the step, critic batches first
-        block_idx = np.concatenate([idx for idx, _, _ in draws] + [gen_idx])
-        block_noise = np.concatenate([noise for _, noise, _ in draws] + [gen_noise])
-        fake_flat, gen_cache = generator_forward(
-            state.generator, pos_scaled[block_idx], block_noise
-        )
-        ds_fake = delay_spread_flat(fake_flat[:critic_rows], geometry)
+    with _CheckpointWriter() as writer:
+        for step in range(state.step + 1, state.step + config.generator_steps + 1):
+            draws = [
+                (
+                    rng.integers(0, count, size=batch),
+                    rng.standard_normal((batch, config.noise_dim)),
+                    rng.uniform(size=(batch, 1)),
+                )
+                for _ in range(config.n_critic)
+            ]
+            gen_idx = rng.integers(0, count, size=batch)
+            gen_noise = rng.standard_normal((batch, config.noise_dim))
+            # the generator is frozen while the critic updates: one forward
+            # over every batch of the step, critic batches first, and one
+            # gather of each input for all of them
+            block_idx = np.concatenate([idx for idx, _, _ in draws] + [gen_idx])
+            block_noise = np.concatenate([noise for _, noise, _ in draws] + [gen_noise])
+            block_pos = pos_scaled[block_idx]
+            critic_idx = block_idx[:critic_rows]
+            block_real = real_flat[critic_idx]
+            block_ds_real = ds_real_scaled[critic_idx]
+            block_ds_mix = None if ds_real_mix is None else ds_real_mix[critic_idx]
+            fake_flat, gen_cache = generator_forward(state.generator, block_pos, block_noise)
+            ds_fake = delay_spread_flat(fake_flat[:critic_rows], geometry)
 
-        for k, (idx, noise, eps_mix) in enumerate(draws):
-            part = slice(k * batch, (k + 1) * batch)
-            closs, cgrads, last = critic_loss_fast(
+            for k, (_, noise, eps_mix) in enumerate(draws):
+                part = slice(k * batch, (k + 1) * batch)
+                closs, cgrads, last = critic_loss_fast(
+                    state.critic,
+                    state.generator,
+                    geometry,
+                    state.ds_scaler,
+                    block_real[part],
+                    block_pos[part],
+                    block_ds_real[part],
+                    noise,
+                    eps_mix,
+                    config.gp_lambda,
+                    config.gp_ds_through_csi,
+                    fake_flat=fake_flat[part],
+                    ds_fake=ds_fake[part],
+                    ds_real=None if block_ds_mix is None else block_ds_mix[part],
+                )
+                adam_update(state.critic.arrays(), cgrads, state.critic_adam, config)
+            part = slice(critic_rows, None)
+            gloss, ggrads = generator_loss_fast(
                 state.critic,
                 state.generator,
                 geometry,
                 state.ds_scaler,
-                real_flat[idx],
-                pos_scaled[idx],
-                ds_real_scaled[idx],
-                noise,
-                eps_mix,
-                config.gp_lambda,
-                config.gp_ds_through_csi,
+                block_pos[part],
+                gen_noise,
                 fake_flat=fake_flat[part],
-                ds_fake=ds_fake[part],
-                ds_real=None if ds_real_mix is None else ds_real_mix[idx],
+                gen_cache=cache_rows(gen_cache, part),
             )
-            adam_update(state.critic.arrays(), cgrads, state.critic_adam, config)
-        part = slice(critic_rows, None)
-        gloss, ggrads = generator_loss_fast(
-            state.critic,
-            state.generator,
-            geometry,
-            state.ds_scaler,
-            pos_scaled[gen_idx],
-            gen_noise,
-            fake_flat=fake_flat[part],
-            gen_cache=cache_rows(gen_cache, part),
-        )
-        adam_update(state.generator.arrays(), ggrads, state.gen_adam, config)
+            adam_update(state.generator.arrays(), ggrads, state.gen_adam, config)
 
-        row = {
-            "step": step,
-            "critic_loss": closs,
-            "gen_loss": gloss,
-            "real_score": last["real_score"],
-            "fake_score": last["fake_score"],
-        }
-        log_rows.append(row)
-        if not (math.isfinite(closs) and math.isfinite(gloss)):
-            if out_dir is not None:
-                save_checkpoint(live_state(step), out_dir / "checkpoint_diverged.wgck")
-            raise TrainingDivergedError(f"non-finite loss at generator step {step}")
-        if out_dir is not None and config.checkpoint_every and step % config.checkpoint_every == 0:
-            save_checkpoint(live_state(step), out_dir / f"checkpoint_{step:07d}.wgck")
+            row = {
+                "step": step,
+                "critic_loss": closs,
+                "gen_loss": gloss,
+                "real_score": last["real_score"],
+                "fake_score": last["fake_score"],
+            }
+            log_rows.append(row)
+            if not (math.isfinite(closs) and math.isfinite(gloss)):
+                if out_dir is not None:
+                    writer.wait()
+                    save_checkpoint(live_state(step), out_dir / "checkpoint_diverged.wgck")
+                raise TrainingDivergedError(f"non-finite loss at generator step {step}")
+            every = config.checkpoint_every
+            if out_dir is not None and every and step % every == 0:
+                # a float32 copy, written while the next steps run; waiting
+                # first keeps at most one copy alive
+                writer.wait()
+                path = out_dir / f"checkpoint_{step:07d}.wgck"
+                writer.submit(live_state(step).astype(TRAINING_DTYPE), path)
 
     return TrainResult(live_state(state.step + config.generator_steps).astype(np.float64), log_rows)

@@ -1,7 +1,13 @@
 """Atomic writes: an exception in the middle of a write leaves the previous
-file intact and no temporary file behind."""
+file intact and no temporary file behind.  Periodic checkpoints, which
+``train()`` writes on a worker thread while its next steps run, keep that
+promise too, and no worker thread outlives ``train()``."""
 
 import builtins
+import importlib
+import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,9 +17,17 @@ from csigen.atomic import atomic_write
 from csigen.cli import EXIT_DATA, main
 from csigen.core import ArrayGeometry, CsiDataset
 from csigen.dataio import save_dataset
-from csigen.gan.train import TrainingConfig, save_checkpoint, train
+from csigen.gan.train import (
+    TrainingConfig,
+    TrainingDivergedError,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 
 GEO = ArrayGeometry(1, 2, 2, 8, 1.272e9, 50e6)
+# the module; the package's name ``train`` is the function
+TRAIN_MODULE = importlib.import_module("csigen.gan.train")
 
 
 class DiskFull(OSError):
@@ -137,3 +151,96 @@ def test_failed_train_config_write_keeps_the_old_config(tmp_path, fail_writes_to
     fail_writes_to("resolved_config.cfg")
     assert main(argv + ["--resume", str(run / "checkpoint_final.wgck")]) == EXIT_DATA
     assert snapshot(run) == before  # old config kept, no temporary file left
+
+
+def small_config(**overrides):
+    settings = dict(generator_steps=4, checkpoint_every=1, batch_size=4, noise_dim=4,
+                    hidden_scale=0.01, seed=3)
+    return TrainingConfig(**{**settings, **overrides})
+
+
+@pytest.fixture
+def slow_writes(monkeypatch):
+    """Checkpoint writes that take 0.2 s longer; returns the list of
+    ("start" | "end", file name) events they record, in order."""
+    events = []
+    write = TRAIN_MODULE._write_checkpoint
+
+    def slow_write(checkpoint, path):
+        events.append(("start", path.name))
+        time.sleep(0.2)
+        write(checkpoint, path)
+        events.append(("end", path.name))
+
+    monkeypatch.setattr(TRAIN_MODULE, "_write_checkpoint", slow_write)
+    return events
+
+
+def test_failed_periodic_checkpoint_write_is_raised_by_train(tmp_path, fail_writes_to):
+    data, config = dataset(12, seed=3), small_config()
+    train(data, config, out_dir=tmp_path / "clean")
+    clean = snapshot(tmp_path / "clean")
+    fail_writes_to("checkpoint_0000003.wgck")
+    threads = set(threading.enumerate())
+    # the write fails on the worker thread; the next save raises its error
+    with pytest.raises(DiskFull):
+        train(data, config, out_dir=tmp_path / "run")
+    assert set(threading.enumerate()) == threads
+    after = snapshot(tmp_path / "run")
+    assert set(after) == {"checkpoint_0000001.wgck", "checkpoint_0000002.wgck"}
+    for name, content in after.items():
+        assert content == clean[name]
+
+
+def test_failed_periodic_checkpoint_write_exits_3(tmp_path, fail_writes_to, capsys):
+    save_dataset(dataset(12, seed=6), tmp_path / "train.csit")
+    config = tmp_path / "train.cfg"
+    config.write_text("generator_steps = 3\ncheckpoint_every = 1\nbatch_size = 4\n"
+                      "noise_dim = 4\nhidden_scale = 0.01\n")
+    run = tmp_path / "run"
+    fail_writes_to("checkpoint_0000003.wgck")  # the last step's save
+    argv = ["train", "--train", str(tmp_path / "train.csit"), "--config", str(config),
+            "--out", str(run)]
+    assert main(argv) == EXIT_DATA
+    assert "no space left on device" in capsys.readouterr().err
+    assert set(snapshot(run)) == {
+        "resolved_config.cfg", "checkpoint_0000001.wgck", "checkpoint_0000002.wgck"
+    }
+    assert load_checkpoint(run / "checkpoint_0000002.wgck").step == 2
+
+
+def test_divergence_during_a_periodic_write_leaves_both_files_whole(
+    tmp_path, slow_writes, monkeypatch
+):
+    losses = []
+    generator_loss = TRAIN_MODULE.generator_loss_fast
+
+    def nan_at_step_2(*args, **kwargs):
+        loss, grads = generator_loss(*args, **kwargs)
+        losses.append(loss)
+        return (math.nan if len(losses) == 2 else loss), grads
+
+    monkeypatch.setattr(TRAIN_MODULE, "generator_loss_fast", nan_at_step_2)
+    threads = set(threading.enumerate())
+    with pytest.raises(TrainingDivergedError):
+        train(dataset(12, seed=7), small_config(), out_dir=tmp_path)
+    assert set(threading.enumerate()) == threads
+    # step 1's write ends before the diverged save starts
+    assert slow_writes == [
+        ("start", "checkpoint_0000001.wgck"), ("end", "checkpoint_0000001.wgck"),
+        ("start", "checkpoint_diverged.wgck"), ("end", "checkpoint_diverged.wgck"),
+    ]
+    assert set(snapshot(tmp_path)) == {"checkpoint_0000001.wgck", "checkpoint_diverged.wgck"}
+    assert load_checkpoint(tmp_path / "checkpoint_0000001.wgck").step == 1
+    assert load_checkpoint(tmp_path / "checkpoint_diverged.wgck").step == 2
+
+
+def test_no_writer_thread_outlives_train(tmp_path, slow_writes):
+    threads = set(threading.enumerate())
+    result = train(dataset(12, seed=8), small_config(generator_steps=2), out_dir=tmp_path)
+    # the last step's write was still running when the steps ended
+    assert set(threading.enumerate()) == threads
+    assert slow_writes[-1] == ("end", "checkpoint_0000002.wgck")
+    save_checkpoint(result.checkpoint, tmp_path / "final.wgck")
+    final = tmp_path / "final.wgck"
+    assert (tmp_path / "checkpoint_0000002.wgck").read_bytes() == final.read_bytes()

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from csigen.core import ArrayGeometry, MinMaxScaler
-from csigen.gan.fastgrad import CriticPass, critic_backward
-from csigen.gan.mlp import DenseLayer, FlatArrays, MlpParams, init_mlp, mlp_backward, mlp_forward
+from csigen.gan import fastgrad
+from csigen.gan.fastgrad import critic_loss_fast
+from csigen.gan.mlp import (
+    DenseLayer,
+    FlatArrays,
+    MlpParams,
+    cache_rows,
+    init_mlp,
+    mlp_backward,
+    mlp_forward,
+)
 from csigen.gan.nets import CriticParams, delay_spread_flat
 import graph_reference as ad
 from graph_reference import (
@@ -131,8 +140,34 @@ class TestHandWrittenBackward:
         _, cache = mlp_forward(params, x)
         full, skipped = (FlatArrays.zeros_like(params.arrays()) for _ in range(2))
         assert mlp_backward(params, cache, adjoint, full) is not None
-        assert mlp_backward(params, cache, adjoint, skipped, input_adjoint=False) is None
+        assert mlp_backward(params, cache, adjoint, skipped, input_rows=None) is None
         assert skipped.flat.tobytes() == full.flat.tobytes()
+
+    def test_parts_sum_their_rows_and_input_rows_pick_the_input_adjoint(self):
+        rng = np.random.default_rng(18)
+        params = random_mlp(rng, widths=[6, 9, 5, 2])
+        x = rng.standard_normal((9, 6))
+        adjoint = rng.standard_normal((9, 2))
+        _, cache = mlp_forward(params, x)
+        first, second, rest = slice(0, 3), slice(3, 6), slice(6, None)
+        grads = FlatArrays.zeros_like(params.arrays())
+        adjoints = []
+        dx = mlp_backward(params, cache, adjoint, grads, parts=(first, second), input_rows=rest,
+                          adjoints=adjoints)
+        # against each part's rows alone: rows in no part add nothing
+        separate = FlatArrays.zeros_like(params.arrays())
+        for rows in (first, second):
+            mlp_backward(params, cache_rows(cache, rows), adjoint[rows], separate)
+        assert relative_error(grads.flat, separate.flat) < 1e-12
+        alone = mlp_backward(params, cache_rows(cache, rest), adjoint[rest])
+        assert relative_error(dx, alone) < 1e-12
+        # the recorded adjoints, one per layer after its mask, times the
+        # layer inputs give the weight gradients over all rows
+        full = FlatArrays.zeros_like(params.arrays())
+        mlp_backward(params, cache, adjoint, full)
+        assert len(adjoints) == len(params.layers)
+        for recorded, inputs, weight_grad in zip(adjoints, cache[0], full[::2]):
+            assert relative_error(recorded.T @ inputs, weight_grad) < 1e-12
 
 
 class TestAutodiffOps:
@@ -250,23 +285,37 @@ class TestDelaySpreadPath:
 
 
 @pytest.mark.parametrize("ds_path", [True, False])
-def test_critic_backward_without_input_gradient_leaves_parameter_gradients_identical(ds_path):
+def test_critic_backward_without_input_gradient_leaves_parameter_gradients_identical(
+    ds_path, monkeypatch
+):
+    """The critic loss computes the first layer's input adjoint for the
+    interpolates alone; computing it for every row changes no gradient bit."""
     rng = np.random.default_rng(16)
     critic = small_critic(rng, GEO_SMALL)
     ds_scaler = MinMaxScaler(0.0, GEO_SMALL.num_taps * GEO_SMALL.tap_duration)
-    csi = rng.standard_normal((5, 2 * GEO_SMALL.num_antennas * GEO_SMALL.num_taps))
+    csi_width = 2 * GEO_SMALL.num_antennas * GEO_SMALL.num_taps
+    real, fake = rng.standard_normal((2, 5, csi_width))
     pos = rng.uniform(-1, 1, (5, 2))
-    # without ds_scaled the pass computes the delay spread, and the input
-    # gradient runs through it
-    ds_scaled = None if ds_path else ds_scaler.scale(delay_spread_flat(csi, GEO_SMALL))
-    forward = CriticPass(critic, GEO_SMALL, ds_scaler, csi, pos, ds_scaled)
-    seed = rng.standard_normal((5, 1))
-    full, skipped = (FlatArrays.zeros_like(critic.arrays()) for _ in range(2))
-    assert critic_backward(critic, GEO_SMALL, ds_scaler, forward, seed, full).shape == csi.shape
-    assert critic_backward(
-        critic, GEO_SMALL, ds_scaler, forward, seed, skipped, input_adjoint=False
-    ) is None
-    assert skipped.flat.tobytes() == full.flat.tobytes()
+    ds_real_scaled = ds_scaler.scale(delay_spread_flat(real, GEO_SMALL))
+    eps_mix = rng.uniform(size=(5, 1))
+
+    def loss():
+        # ds_path: the interpolates' input gradient runs through their delay spreads
+        return critic_loss_fast(
+            critic, None, GEO_SMALL, ds_scaler, real, pos, ds_real_scaled, None,
+            eps_mix, 10.0, ds_path, fake_flat=fake, ds_fake=delay_spread_flat(fake, GEO_SMALL),
+        )
+
+    skipped = loss()
+
+    def every_row(*args, input_rows=slice(None), **kwargs):
+        adjoint = mlp_backward(*args, input_rows=slice(None), **kwargs)
+        return None if input_rows is None else adjoint[input_rows]
+
+    monkeypatch.setattr(fastgrad, "mlp_backward", every_row)
+    full = loss()
+    assert skipped[0] == full[0] and skipped[2] == full[2]
+    assert skipped[1].flat.tobytes() == full[1].flat.tobytes()
 
 
 class TestGradientPenalty:

@@ -527,6 +527,29 @@ class TestFlatBuffers:
             for ours, theirs in ((arrays, ref_arrays), (state.m, ref_m), (state.v, ref_v)):
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
 
+    def test_adam_at_beta1_zero_keeps_signed_zeros_and_non_finite_moments(self):
+        # at beta1 = 0 adam_update skips its multiplications and divisions by
+        # exactly 1.0; the reference runs them
+        rng = np.random.default_rng(27)
+        config = toy_config(learning_rate=3e-3, adam_beta1=0.0)
+        arrays = FlatArrays.packed(init_generator(GEO, 6, 0.05, rng).arrays(), np.float32)
+        state = AdamState.zeros_like(arrays)
+        state.m.flat[:4] = [-0.0, 0.0, np.inf, np.nan]
+        state.v.flat[:4] = [0.0, -0.0, 1.0, np.nan]
+        groups = (arrays, state.m, state.v)
+        ref_arrays, ref_m, ref_v = ([a.copy() for a in group] for group in groups)
+        for step in range(1, 4):
+            flat = rng.standard_normal(arrays.flat.size).astype(np.float32)
+            flat[:6] = [-0.0, 0.0, -0.0, 1.0, 0.0, -0.0]
+            grads = FlatArrays(flat, [a.shape for a in arrays])
+            with np.errstate(invalid="ignore"):  # 0 * inf
+                adam_update(arrays, grads, state, config)
+                reference_adam(ref_arrays, grads, ref_m, ref_v, step, config)
+            for ours, theirs in ((arrays, ref_arrays), (state.m, ref_m), (state.v, ref_v)):
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
+        # -0 * 0 + -0 stays -0; 0 * inf is NaN
+        assert np.signbit(state.m.flat[0]) and np.isnan(state.m.flat[2:4]).all()
+
     def test_adam_rejects_parameters_outside_one_buffer(self):
         arrays = [np.zeros((2, 3)), np.zeros(2)]
         state = AdamState.zeros_like(arrays)
