@@ -1,6 +1,6 @@
 """Conditional Wasserstein GAN with gradient penalty for CSI generation."""
 
-from csigen.gan.fastgrad import CriticPass, critic_loss_fast, generator_loss_fast
+from csigen.gan.fastgrad import critic_loss_fast, generator_loss_fast
 from csigen.gan.mlp import DenseLayer, MlpParams, init_mlp, mlp_backward, mlp_forward
 from csigen.gan.nets import CriticParams, init_critic, init_generator
 from csigen.gan.train import (
@@ -16,7 +16,6 @@ from csigen.gan.sample import sample_fixed, sample_variable
 __all__ = [
     "Checkpoint",
     "CriticParams",
-    "CriticPass",
     "DenseLayer",
     "MlpParams",
     "TrainingConfig",

@@ -6,11 +6,19 @@ the generator input layout that sampling shares
 (:func:`csigen.gan.nets.generator_forward`) and
 :func:`csigen.gan.nets.delay_spread_forward`.
 
-:func:`critic_loss_fast` runs the critic once over the stacked rows
-[fakes; real; interpolates], forward and backward.  The parameter
-gradients sum the fakes' rows, then the real rows', each part on its own,
-so every gradient entry is summed in the order of separate passes over
-each batch.  Only the interpolates get a first-layer input adjoint.
+The critic has one forward, :func:`critic_forward`, and one backward,
+:func:`critic_backward`.  The forward's ``_fusion_input`` is the only code
+that lays out the fusion input [trunk output | scaled delay spreads |
+scaled position], and it lays out the penalty's tangent of it too; the
+backward is the only code that splits the fusion adjoint into its trunk
+and delay-spread parts.
+:func:`critic_loss_fast` runs the pair once over the stacked rows [fakes;
+real; interpolates].  The parameter gradients sum the fakes' rows, then
+the real rows', each part on its own, so every gradient entry is summed in
+the order of separate passes over each batch.  Only the interpolates get a
+first-layer input adjoint.  :func:`generator_loss_fast` and the critic's
+calibration in training read the scores and the CSI input gradient
+through the delay spreads from :func:`critic_input_gradient`.
 
 The penalty's parameter gradient uses the directional-derivative identity:
 with u = d(penalty)/d(gradient) held constant,
@@ -110,42 +118,64 @@ def _mlp_jvp(params: MlpParams, masks: list, direction: np.ndarray) -> tuple[np.
     return tangent, tangents
 
 
-class CriticPass:
-    """One critic evaluation of ``csi_flat`` (cast to the critic's dtype)
-    with its delay spreads as the side input: the scores (N, 1) and
-    everything :func:`critic_backward` needs."""
+def _fusion_input(
+    trunk_out: np.ndarray, ds_scaled: np.ndarray, pos_scaled: np.ndarray, dtype: np.dtype
+) -> np.ndarray:
+    """The critic's fusion input, or its tangent: the trunk output, one
+    scaled delay spread per antenna, then the two scaled position columns."""
+    return np.concatenate([trunk_out, ds_scaled, pos_scaled], axis=1, dtype=dtype)
 
-    __slots__ = ("trunk", "fusion", "ds_cache", "scores")
 
-    def __init__(
-        self,
-        critic: CriticParams,
-        geometry: ArrayGeometry,
-        ds_scaler: MinMaxScaler,
-        csi_flat: np.ndarray,
-        pos_scaled: np.ndarray,
-    ) -> None:
-        csi_flat = np.asarray(csi_flat, dtype=critic.dtype)
-        trunk_out, self.trunk = mlp_forward(critic.trunk, csi_flat)
-        ds_seconds, self.ds_cache = delay_spread_forward(csi_flat, geometry)
-        fused = np.concatenate([trunk_out, ds_scaler.scale(ds_seconds), pos_scaled], axis=1)
-        self.scores, self.fusion = mlp_forward(critic.fusion, fused)
+def critic_forward(
+    critic: CriticParams, csi_flat: np.ndarray, ds_scaled: np.ndarray, pos_scaled: np.ndarray
+) -> tuple[np.ndarray, tuple]:
+    """The critic's scores (N, 1) of ``csi_flat`` with the side inputs
+    ``ds_scaled`` (N, num_antennas) and ``pos_scaled`` (N, 2), in the
+    critic's dtype, and the (trunk, fusion) caches of
+    :func:`mlp_forward` that :func:`critic_backward` reads."""
+    trunk_out, trunk_cache = mlp_forward(critic.trunk, csi_flat)
+    fused = _fusion_input(trunk_out, ds_scaled, pos_scaled, critic.dtype)
+    scores, fusion_cache = mlp_forward(critic.fusion, fused)
+    return scores, (trunk_cache, fusion_cache)
 
 
 def critic_backward(
-    critic: CriticParams,
-    geometry: ArrayGeometry,
-    ds_scaler: MinMaxScaler,
-    forward: CriticPass,
-    seed: np.ndarray,
-) -> np.ndarray:
-    """The CSI input gradient of the scores seeded with ``seed``, including
-    the path through the delay-spread side input."""
-    adj_fused = mlp_backward(critic.fusion, forward.fusion, seed)
+    critic: CriticParams, cache: tuple, seed: np.ndarray, grads: list[np.ndarray] | None = None,
+    *, parts: tuple[slice, ...] = (slice(None),), input_rows: slice = slice(None),
+    adjoints: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse pass of :func:`critic_forward` from its ``cache`` with
+    ``seed`` on the scores: the fusion's :func:`mlp_backward`, then the
+    trunk's.  ``grads``, ``parts``, ``input_rows`` and ``adjoints`` go to
+    both, ``grads`` in the critic's canonical order and ``adjoints`` then
+    holding every critic layer's post-mask adjoint in that order.  Returns
+    the adjoints of ``input_rows`` on the CSI through the trunk and on the
+    scaled delay spreads."""
+    trunk_cache, fusion_cache = cache
+    adj_fused = mlp_backward(
+        critic.fusion, fusion_cache, seed, grads, 2 * len(critic.trunk.layers),
+        parts=parts, adjoints=adjoints,
+    )
     trunk_width = critic.trunk.output_width
-    input_grad = mlp_backward(critic.trunk, forward.trunk, adj_fused[:, :trunk_width])
-    adj_ds = ds_scaler.times_gain(adj_fused[:, trunk_width : trunk_width + geometry.num_antennas])
-    return input_grad + _ds_vjp(adj_ds, forward.ds_cache, geometry)
+    adj_csi = mlp_backward(
+        critic.trunk, trunk_cache, adj_fused[:, :trunk_width], grads,
+        parts=parts, input_rows=input_rows, adjoints=adjoints,
+    )
+    return adj_csi, adj_fused[input_rows, trunk_width:-2]
+
+
+def critic_input_gradient(
+    critic: CriticParams, geometry: ArrayGeometry, ds_scaler: MinMaxScaler,
+    csi_flat: np.ndarray, pos_scaled: np.ndarray, seed: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scores of ``csi_flat`` (cast to the critic's dtype) with its own
+    delay spreads as the side input, and their CSI input gradient seeded
+    with ``seed``, including the path through the delay spreads."""
+    csi_flat = np.asarray(csi_flat, dtype=critic.dtype)
+    ds_seconds, ds_cache = delay_spread_forward(csi_flat, geometry)
+    scores, cache = critic_forward(critic, csi_flat, ds_scaler.scale(ds_seconds), pos_scaled)
+    adj_csi, adj_ds = critic_backward(critic, cache, seed)
+    return scores, adj_csi + _ds_vjp(ds_scaler.times_gain(adj_ds), ds_cache, geometry)
 
 
 def critic_loss_fast(
@@ -203,38 +233,29 @@ def critic_loss_fast(
     # one forward over the stacked rows; the interpolates' delay spreads
     # are computed from their rows (and differentiated) or mixed
     stacked = np.concatenate(rows, dtype=critic.dtype)
-    trunk_out, trunk_cache = mlp_forward(critic.trunk, stacked)
     if penalty and ds_through_csi:
         ds_mixed, ds_cache = delay_spread_forward(stacked[mixed], geometry)
         ds_scaled.append(ds_scaler.scale(ds_mixed))
     elif penalty:
         ds_real = delay_spread_flat(real_flat, geometry) if ds_real is None else ds_real
         ds_scaled.append(ds_scaler.scale(eps_mix * ds_real + (1.0 - eps_mix) * ds_fake))
-    fused = np.concatenate(
-        [trunk_out, np.concatenate(ds_scaled), np.concatenate([pos_scaled] * len(rows))], axis=1
+    scores, cache = critic_forward(
+        critic, stacked, np.concatenate(ds_scaled), np.concatenate([pos_scaled] * len(rows))
     )
-    scores, fusion_cache = mlp_forward(critic.fusion, fused)
     fake_score, real_score = scores[fake].mean(), scores[real].mean()
     loss = float(fake_score - real_score)
 
-    # one backward; only the interpolates need the first layer's input adjoint
-    fusion_offset = 2 * len(critic.trunk.layers)
-    trunk_width = critic.trunk.output_width
-    trunk_adjoints: list[np.ndarray] = []
-    fusion_adjoints: list[np.ndarray] = []
-    adj_fused = mlp_backward(
-        critic.fusion, fusion_cache, np.concatenate(seeds), grads, fusion_offset,
-        parts=(fake, real), adjoints=fusion_adjoints,
-    )
-    input_grad = mlp_backward(
-        critic.trunk, trunk_cache, adj_fused[:, :trunk_width], grads,
-        parts=(fake, real), input_rows=mixed if penalty else None, adjoints=trunk_adjoints,
+    # one backward; only the interpolates (no rows without a penalty) need
+    # the first layer's input adjoint
+    adjoints: list[np.ndarray] = []
+    input_grad, adj_ds_scaled = critic_backward(
+        critic, cache, np.concatenate(seeds), grads,
+        parts=(fake, real), input_rows=mixed, adjoints=adjoints,
     )
 
     penalty_value = 0.0
     if penalty:
         if ds_through_csi:
-            adj_ds_scaled = adj_fused[mixed, trunk_width : trunk_width + geometry.num_antennas]
             adj_ds = ds_scaler.times_gain(adj_ds_scaled)
             input_grad = input_grad + _ds_vjp(adj_ds, ds_cache, geometry)
         norm = np.sqrt((input_grad * input_grad).sum(axis=1) + GRAD_NORM_FLOOR)
@@ -242,6 +263,7 @@ def critic_loss_fast(
         u = (2.0 / n) * ((norm - 1.0) / norm)[:, None] * input_grad
 
         # JVP along u through the interpolates' frozen masks
+        trunk_cache, fusion_cache = cache
         _, trunk_masks = cache_rows(trunk_cache, mixed)
         _, fusion_masks = cache_rows(fusion_cache, mixed)
         trunk_tangent_out, trunk_tangents = _mlp_jvp(critic.trunk, trunk_masks, u)
@@ -249,9 +271,7 @@ def critic_loss_fast(
             ds_tangent = ds_scaler.times_gain(_ds_jvp(u, ds_cache, geometry))
         else:
             ds_tangent = np.zeros((n, geometry.num_antennas))
-        fused_tangent = np.concatenate(
-            [trunk_tangent_out, ds_tangent, np.zeros((n, 2))], axis=1, dtype=critic.dtype
-        )
+        fused_tangent = _fusion_input(trunk_tangent_out, ds_tangent, np.zeros((n, 2)), critic.dtype)
         _, fusion_tangents = _mlp_jvp(critic.fusion, fusion_masks, fused_tangent)
 
         # the backward over the JVP pass has the interpolates' seed, masks
@@ -259,12 +279,9 @@ def critic_loss_fast(
         # layer inputs are the tangents.  The biases' tangent is zero, so
         # their penalty gradient is exactly 0 and their slots stay zero.
         pgrads = FlatArrays.zeros_like(grads)
-        for offset, adjoints, tangents in (
-            (0, trunk_adjoints, trunk_tangents),
-            (fusion_offset, fusion_adjoints, fusion_tangents),
-        ):
-            for index, (adjoint, tangent) in enumerate(zip(adjoints, tangents)):
-                pgrads[offset + 2 * index] += adjoint[mixed].T @ tangent
+        tangents = trunk_tangents + fusion_tangents
+        for index, (adjoint, tangent) in enumerate(zip(adjoints, tangents)):
+            pgrads[2 * index] += adjoint[mixed].T @ tangent
         pgrads.flat *= gp_lambda
         grads.flat += pgrads.flat
         loss += gp_lambda * penalty_value
@@ -299,10 +316,11 @@ def generator_loss_fast(
         raise ValueError("empty batch")
     if fake_flat is None:
         fake_flat, gen_cache = generator_forward(generator, pos_scaled, noise)
-    critic_pass = CriticPass(critic, geometry, ds_scaler, fake_flat, pos_scaled)
-    loss = float(-critic_pass.scores.mean())
     seed = np.full((n, 1), -1.0 / n, critic.dtype)
-    adj_fake = critic_backward(critic, geometry, ds_scaler, critic_pass, seed)
+    scores, adj_fake = critic_input_gradient(
+        critic, geometry, ds_scaler, fake_flat, pos_scaled, seed
+    )
+    loss = float(-scores.mean())
     grads = FlatArrays.zeros_like(generator.arrays())
     mlp_backward(generator, gen_cache, adj_fake, grads, input_rows=None)
     return loss, grads

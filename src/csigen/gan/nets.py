@@ -54,6 +54,12 @@ def _csi_width(geometry: ArrayGeometry) -> int:
     return 2 * geometry.num_antennas * geometry.num_taps
 
 
+def _fusion_width(trunk_width: int, geometry: ArrayGeometry) -> int:
+    """The critic fusion's input: the trunk output, one scaled delay spread
+    per antenna, the scaled position."""
+    return trunk_width + geometry.num_antennas + 2
+
+
 @dataclass
 class CriticParams:
     """Trunk then fusion over one buffer; built without one, a packed copy."""
@@ -100,9 +106,8 @@ def init_critic(
     trunk = [_scaled(width, hidden_scale) for width in CRITIC_TRUNK]
     fusion = [_scaled(width, hidden_scale) for width in CRITIC_FUSION_HIDDEN]
     trunk_params = init_mlp([_csi_width(geometry), *trunk], ["relu"] * len(trunk), rng)
-    fusion_input = trunk[-1] + geometry.num_antennas + 2
     fusion_params = init_mlp(
-        [fusion_input, *fusion, 1], ["relu"] * len(fusion) + ["linear"], rng
+        [_fusion_width(trunk[-1], geometry), *fusion, 1], ["relu"] * len(fusion) + ["linear"], rng
     )
     return CriticParams(trunk_params, fusion_params)
 
@@ -113,7 +118,7 @@ def check_widths(
     """Raise ``ValueError`` naming the first outer width of the networks that
     does not fit ``geometry`` and ``noise_dim`` as in :func:`init_generator`
     and :func:`init_critic`."""
-    fusion_input = critic.trunk.output_width + geometry.num_antennas + 2
+    fusion_input = _fusion_width(critic.trunk.output_width, geometry)
     for name, width, expected in (
         ("generator input", generator.input_width, noise_dim + 2),
         ("generator output", generator.output_width, _csi_width(geometry)),

@@ -33,13 +33,14 @@ state is widened to float64, the checkpoint payload is ``<f8`` (periodic
 and diverged saves widen the float32 state chunk by chunk), and a resume
 narrows a checkpoint back, exactly for one that float32 training wrote.
 
-A periodic save copies the float32 state and hands the copy to a worker
-thread, which writes it while the next steps run (:class:`_CheckpointWriter`).
-At most one write is in flight: :func:`train` waits for it before the next
-save, before writing ``checkpoint_diverged.wgck`` (on the training thread),
-and before it returns or raises, so no writer thread outlives it and every
-file it leaves is whole.  A write that failed raises its error on the
-training thread at the next of those points.  The worker calls
+A periodic save copies the float32 state and submits the copy to a
+one-thread ``ThreadPoolExecutor``, held by :func:`train`'s ``with`` block,
+which writes it while the next steps run.  At most one write is in flight:
+:func:`train` waits on its future's ``result()`` before the next save,
+before writing ``checkpoint_diverged.wgck`` (on the training thread), and
+before it returns or raises, so no writer thread outlives it and every
+file it leaves is whole.  The wait raises the error of a write that failed
+on the training thread.  The worker calls
 ``_write_checkpoint``, the body of :func:`save_checkpoint`, so that
 wrappers installed over ``save_checkpoint`` run on the training thread
 only.
@@ -61,7 +62,7 @@ import math
 import numbers
 import os
 import struct
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,7 +71,7 @@ import numpy as np
 from csigen.atomic import atomic_write
 from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.gan.mlp import FlatArrays, MlpParams, cache_rows
-from csigen.gan.fastgrad import CriticPass, critic_backward, critic_loss_fast, generator_loss_fast
+from csigen.gan.fastgrad import critic_input_gradient, critic_loss_fast, generator_loss_fast
 from csigen.gan.nets import (
     CriticParams,
     check_widths,
@@ -342,7 +343,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
 
 def _write_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     """The body of :func:`save_checkpoint`, under a name that tracers
-    leave alone: :class:`_CheckpointWriter`'s thread calls it."""
+    leave alone: :func:`train`'s writer thread calls it."""
     meta = {
         "config": checkpoint.config.to_dict(),
         "geometry": _geometry_dict(checkpoint.geometry),
@@ -382,47 +383,6 @@ def _write_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
                 widened = chunk[: part.size]
                 widened[...] = part
                 handle.write(widened)
-
-
-class _CheckpointWriter:
-    """Writes checkpoints on a worker thread, one at a time, while training
-    goes on.  The caller must not change a checkpoint it handed over.
-
-    :meth:`submit` first waits for the write in flight.  :meth:`wait`
-    blocks until no write is in flight and raises, on the calling thread,
-    the exception of a write that failed; leaving a ``with`` block waits
-    too, so no writer thread outlives it."""
-
-    def __init__(self) -> None:
-        self._thread: threading.Thread | None = None
-        self._error: BaseException | None = None
-
-    def __enter__(self) -> "_CheckpointWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.wait()
-
-    def submit(self, checkpoint: Checkpoint, path: Path) -> None:
-        self.wait()
-        self._thread = threading.Thread(
-            target=self._write, args=(checkpoint, path), name=f"write {path.name}"
-        )
-        self._thread.start()
-
-    def _write(self, checkpoint: Checkpoint, path: Path) -> None:
-        try:
-            _write_checkpoint(checkpoint, path)
-        except BaseException as error:  # raised again by wait()
-            self._error = error
-
-    def wait(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
 
 
 def _layer_shapes(table: list) -> list[tuple[int, ...]]:
@@ -539,9 +499,10 @@ def _calibrate_critic_scale(
     onto the constraint without changing the function class.
     """
     probe = min(256, real_flat.shape[0])
-    forward = CriticPass(critic, geometry, ds_scaler, real_flat[:probe], pos_scaled[:probe])
     seed = np.ones((probe, 1), critic.dtype)
-    input_grad = critic_backward(critic, geometry, ds_scaler, forward, seed)
+    _, input_grad = critic_input_gradient(
+        critic, geometry, ds_scaler, real_flat[:probe], pos_scaled[:probe], seed
+    )
     median = float(np.median(np.linalg.norm(input_grad, axis=1)))
     if median > 0.0 and np.isfinite(median):
         critic.fusion.layers[-1].weights /= median
@@ -618,82 +579,93 @@ def train(
     count, batch = len(dataset), config.batch_size
     critic_rows = config.n_critic * batch
 
-    with _CheckpointWriter() as writer:
-        for step in range(state.step + 1, state.step + config.generator_steps + 1):
-            draws = [
-                (
-                    rng.integers(0, count, size=batch),
-                    rng.standard_normal((batch, config.noise_dim)),
-                    rng.uniform(size=(batch, 1)),
-                )
-                for _ in range(config.n_critic)
-            ]
-            gen_idx = rng.integers(0, count, size=batch)
-            gen_noise = rng.standard_normal((batch, config.noise_dim))
-            # the generator is frozen while the critic updates: one forward
-            # over every batch of the step, critic batches first, and one
-            # gather of each input for all of them
-            block_idx = np.concatenate([idx for idx, _, _ in draws] + [gen_idx])
-            block_noise = np.concatenate([noise for _, noise, _ in draws] + [gen_noise])
-            block_pos = pos_scaled[block_idx]
-            critic_idx = block_idx[:critic_rows]
-            block_real = real_flat[critic_idx]
-            block_ds_real = ds_real_scaled[critic_idx]
-            block_ds_mix = None if ds_real_mix is None else ds_real_mix[critic_idx]
-            fake_flat, gen_cache = generator_forward(state.generator, block_pos, block_noise)
-            ds_fake = delay_spread_flat(fake_flat[:critic_rows], geometry)
+    # the periodic write in flight, if any; its result() is the wait, and
+    # raises the error of a write that failed
+    pending = None
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="checkpoint writer") as writer:
+        try:
+            for step in range(state.step + 1, state.step + config.generator_steps + 1):
+                draws = [
+                    (
+                        rng.integers(0, count, size=batch),
+                        rng.standard_normal((batch, config.noise_dim)),
+                        rng.uniform(size=(batch, 1)),
+                    )
+                    for _ in range(config.n_critic)
+                ]
+                gen_idx = rng.integers(0, count, size=batch)
+                gen_noise = rng.standard_normal((batch, config.noise_dim))
+                # the generator is frozen while the critic updates: one forward
+                # over every batch of the step, critic batches first, and one
+                # gather of each input for all of them
+                block_idx = np.concatenate([idx for idx, _, _ in draws] + [gen_idx])
+                block_noise = np.concatenate([noise for _, noise, _ in draws] + [gen_noise])
+                block_pos = pos_scaled[block_idx]
+                critic_idx = block_idx[:critic_rows]
+                block_real = real_flat[critic_idx]
+                block_ds_real = ds_real_scaled[critic_idx]
+                block_ds_mix = None if ds_real_mix is None else ds_real_mix[critic_idx]
+                fake_flat, gen_cache = generator_forward(state.generator, block_pos, block_noise)
+                ds_fake = delay_spread_flat(fake_flat[:critic_rows], geometry)
 
-            for k, (_, noise, eps_mix) in enumerate(draws):
-                part = slice(k * batch, (k + 1) * batch)
-                closs, cgrads, last = critic_loss_fast(
+                for k, (_, noise, eps_mix) in enumerate(draws):
+                    part = slice(k * batch, (k + 1) * batch)
+                    closs, cgrads, last = critic_loss_fast(
+                        state.critic,
+                        state.generator,
+                        geometry,
+                        state.ds_scaler,
+                        block_real[part],
+                        block_pos[part],
+                        block_ds_real[part],
+                        noise,
+                        eps_mix,
+                        config.gp_lambda,
+                        config.gp_ds_through_csi,
+                        fake_flat=fake_flat[part],
+                        ds_fake=ds_fake[part],
+                        ds_real=None if block_ds_mix is None else block_ds_mix[part],
+                    )
+                    adam_update(state.critic.arrays(), cgrads, state.critic_adam, config)
+                part = slice(critic_rows, None)
+                gloss, ggrads = generator_loss_fast(
                     state.critic,
                     state.generator,
                     geometry,
                     state.ds_scaler,
-                    block_real[part],
                     block_pos[part],
-                    block_ds_real[part],
-                    noise,
-                    eps_mix,
-                    config.gp_lambda,
-                    config.gp_ds_through_csi,
+                    gen_noise,
                     fake_flat=fake_flat[part],
-                    ds_fake=ds_fake[part],
-                    ds_real=None if block_ds_mix is None else block_ds_mix[part],
+                    gen_cache=cache_rows(gen_cache, part),
                 )
-                adam_update(state.critic.arrays(), cgrads, state.critic_adam, config)
-            part = slice(critic_rows, None)
-            gloss, ggrads = generator_loss_fast(
-                state.critic,
-                state.generator,
-                geometry,
-                state.ds_scaler,
-                block_pos[part],
-                gen_noise,
-                fake_flat=fake_flat[part],
-                gen_cache=cache_rows(gen_cache, part),
-            )
-            adam_update(state.generator.arrays(), ggrads, state.gen_adam, config)
+                adam_update(state.generator.arrays(), ggrads, state.gen_adam, config)
 
-            row = {
-                "step": step,
-                "critic_loss": closs,
-                "gen_loss": gloss,
-                "real_score": last["real_score"],
-                "fake_score": last["fake_score"],
-            }
-            log_rows.append(row)
-            if not (math.isfinite(closs) and math.isfinite(gloss)):
-                if out_dir is not None:
-                    writer.wait()
-                    save_checkpoint(live_state(step), out_dir / "checkpoint_diverged.wgck")
-                raise TrainingDivergedError(f"non-finite loss at generator step {step}")
-            every = config.checkpoint_every
-            if out_dir is not None and every and step % every == 0:
-                # a float32 copy, written while the next steps run; waiting
-                # first keeps at most one copy alive
-                writer.wait()
-                path = out_dir / f"checkpoint_{step:07d}.wgck"
-                writer.submit(live_state(step).astype(TRAINING_DTYPE), path)
+                row = {
+                    "step": step,
+                    "critic_loss": closs,
+                    "gen_loss": gloss,
+                    "real_score": last["real_score"],
+                    "fake_score": last["fake_score"],
+                }
+                log_rows.append(row)
+                if not (math.isfinite(closs) and math.isfinite(gloss)):
+                    if out_dir is not None:
+                        if pending is not None:
+                            pending.result()
+                        save_checkpoint(live_state(step), out_dir / "checkpoint_diverged.wgck")
+                    raise TrainingDivergedError(f"non-finite loss at generator step {step}")
+                every = config.checkpoint_every
+                if out_dir is not None and every and step % every == 0:
+                    # a float32 copy, written while the next steps run; waiting
+                    # first keeps at most one copy alive
+                    if pending is not None:
+                        pending.result()
+                    path = out_dir / f"checkpoint_{step:07d}.wgck"
+                    pending = writer.submit(
+                        _write_checkpoint, live_state(step).astype(TRAINING_DTYPE), path
+                    )
+        finally:
+            if pending is not None:
+                pending.result()
 
     return TrainResult(live_state(state.step + config.generator_steps).astype(np.float64), log_rows)

@@ -7,7 +7,12 @@ import pytest
 
 from csigen.core import ArrayGeometry, MinMaxScaler
 from csigen.gan import fastgrad
-from csigen.gan.fastgrad import critic_loss_fast
+from csigen.gan.fastgrad import (
+    critic_backward,
+    critic_forward,
+    critic_input_gradient,
+    critic_loss_fast,
+)
 from csigen.gan.mlp import (
     DenseLayer,
     FlatArrays,
@@ -282,6 +287,38 @@ class TestDelaySpreadPath:
             return float(delay_spread_flat(flat_val, GEO_SMALL).sum())
 
         assert relative_error(grad_flat.value, central_difference(f, flat_val)) < 1e-5
+
+
+def test_critic_backward_matches_finite_differences_of_the_forward_scores():
+    """The one critic backward against central differences of the one
+    forward's seeded scores: the adjoints on the CSI (through the trunk) and
+    on the scaled delay spreads with the side inputs held, then the CSI
+    input gradient through the CSI's own delay spreads."""
+    rng = np.random.default_rng(18)
+    critic = small_critic(rng, GEO_SMALL)
+    ds_scaler = MinMaxScaler(0.0, GEO_SMALL.num_taps * GEO_SMALL.tap_duration)
+    csi = rng.standard_normal((4, 2 * GEO_SMALL.num_antennas * GEO_SMALL.num_taps))
+    ds_scaled = rng.uniform(-1, 1, (4, GEO_SMALL.num_antennas))
+    pos = rng.uniform(-1, 1, (4, 2))
+    seed = rng.standard_normal((4, 1))
+
+    def seeded_scores(side_input):
+        return float((seed * critic_forward(critic, csi, side_input, pos)[0]).sum())
+
+    _, cache = critic_forward(critic, csi, ds_scaled, pos)
+    adj_csi, adj_ds = critic_backward(critic, cache, seed)
+    def held():
+        return seeded_scores(ds_scaled)
+
+    assert relative_error(adj_csi, central_difference(held, csi)) < 1e-4
+    assert relative_error(adj_ds, central_difference(held, ds_scaled)) < 1e-4
+
+    _, input_grad = critic_input_gradient(critic, GEO_SMALL, ds_scaler, csi, pos, seed)
+    own = central_difference(
+        lambda: seeded_scores(ds_scaler.scale(delay_spread_flat(csi, GEO_SMALL))), csi
+    )
+    assert relative_error(own, adj_csi) > 1e-2  # the delay-spread path counts
+    assert relative_error(input_grad, own) < 1e-4
 
 
 @pytest.mark.parametrize("ds_path", [True, False])

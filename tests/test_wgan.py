@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
-from csigen.gan.fastgrad import CriticPass, critic_loss_fast, generator_loss_fast
+from csigen.gan.fastgrad import critic_forward, critic_loss_fast, generator_loss_fast
 from csigen.gan.mlp import DenseLayer, FlatArrays, MlpParams, init_mlp, mlp_forward
 from csigen.gan.nets import (
     CriticParams,
@@ -897,11 +897,10 @@ class TestToyDistribution:
         fake = sample_variable(checkpoint, held_pos, seed=31337)
 
         def scores(csi_batch):
+            flat = flatten_csi(csi_batch)
+            ds_scaled = checkpoint.ds_scaler.scale(delay_spread_flat(flat, checkpoint.geometry))
             pos_scaled = checkpoint.condition_scaler.scale(held_pos)
-            return CriticPass(
-                checkpoint.critic, checkpoint.geometry, checkpoint.ds_scaler,
-                flatten_csi(csi_batch), pos_scaled,
-            ).scores
+            return critic_forward(checkpoint.critic, flat, ds_scaled, pos_scaled)[0]
 
         assert scores(held.csi).mean() > scores(fake.csi).mean()
 
