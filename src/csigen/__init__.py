@@ -10,14 +10,12 @@ from csigen.core import (
     ArrayGeometry,
     CsiDataset,
     freq_to_time,
-    total_rx_power,
 )
 
 __all__ = [
     "ArrayGeometry",
     "CsiDataset",
     "freq_to_time",
-    "total_rx_power",
 ]
 
 __version__ = "0.1.0"

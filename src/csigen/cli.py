@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import math
 import sys
 from pathlib import Path
@@ -33,6 +34,7 @@ from csigen.dataio import (
     split_train_test,
 )
 from csigen.gan.train import (
+    LOG_COLUMNS,
     CheckpointFormatError,
     TrainingConfig,
     TrainingDivergedError,
@@ -211,21 +213,17 @@ def cmd_train(args) -> int:
     result = train(dataset, config, out_dir=out_dir, resume=resume)
     save_checkpoint(result.checkpoint, out_dir / "checkpoint_final.wgck")
     log_path = out_dir / "training_log.csv"
-    write_header = not (args.resume and log_path.exists())
-    with open(log_path, "a" if args.resume else "w", newline="") as handle:
-        writer = csv.writer(handle)
-        if write_header:
-            writer.writerow(["step", "critic_loss", "gen_loss", "real_score", "fake_score"])
-        for row in result.log_rows:
-            writer.writerow(
-                [
-                    row["step"],
-                    repr(row["critic_loss"]),
-                    repr(row["gen_loss"]),
-                    repr(row["real_score"]),
-                    repr(row["fake_score"]),
-                ]
-            )
+    # a resume into the same directory extends the log it finds there
+    old_log = log_path.read_bytes() if args.resume and log_path.exists() else None
+    lines = io.StringIO()
+    writer = csv.writer(lines)
+    if old_log is None:
+        writer.writerow(LOG_COLUMNS)
+    writer.writerows([repr(row[column]) for column in LOG_COLUMNS] for row in result.log_rows)
+    with atomic_write(log_path) as handle:
+        if old_log is not None:
+            handle.write(old_log)
+        handle.write(lines.getvalue().encode())
     print(f"trained to step {result.checkpoint.step}; checkpoint in {out_dir}")
     return EXIT_OK
 
@@ -294,7 +292,7 @@ def _write_points_csv(
     header = ["x1", "x2"]
     for b in range(num_arrays):
         header += [f"power_db_b{b}", f"mean_ds_ns_b{b}", f"aoa_rad_b{b}"]
-    db = power_db(dataset_powers(dataset, basis="array"), power_reference)
+    db = power_db(dataset_powers(dataset), power_reference)
     per_array = (len(dataset), num_arrays, geometry.rows_per_array * geometry.cols_per_array)
     mean_ds_ns = spreads.reshape(per_array).mean(axis=-1) * 1e9
     azimuths = [root_music_azimuth(array_correlation(dataset.csi, b)) for b in range(num_arrays)]
@@ -322,7 +320,7 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # 0 dB reference: maximum per-array power pooled over all datasets
-    pooled_max = max(float(dataset_powers(ds, basis="array").max()) for _, ds in named)
+    pooled_max = max(float(dataset_powers(ds).max()) for _, ds in named)
 
     spreads = [dataset_delay_spreads(ds) for _, ds in named]
     ds_pools = [(label, s.ravel() * 1e9) for (label, _), s in zip(named, spreads)]

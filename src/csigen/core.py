@@ -150,11 +150,6 @@ class MinMaxScaler:
         scaled = 2.0 * (values - self.minimum) / (self.maximum - self.minimum) - 1.0
         return scaled.astype(values.dtype, copy=False)
 
-    def unscale(self, scaled: np.ndarray) -> np.ndarray:
-        scaled = as_floating(scaled)
-        values = (scaled + 1.0) / 2.0 * (self.maximum - self.minimum) + self.minimum
-        return values.astype(scaled.dtype, copy=False)
-
 
 # numpy's SeedSequence hash (numpy.random.bit_generator): the pool size and
 # the constants of its hashmix, mix and generate_state steps
@@ -282,28 +277,12 @@ def freq_to_time(freq_csi: np.ndarray, n_tap: int) -> np.ndarray:
     return np.ascontiguousarray(time[..., :n_tap])
 
 
-def total_rx_power(csi: np.ndarray, b: int) -> float:
-    """Total received power over all antennas and taps of array ``b`` of one
-    CSI tensor (squared Frobenius norm of the array's slice)."""
-    csi = np.asarray(csi)
-    if not (0 <= b < csi.shape[0]):
-        raise IndexError(f"array index {b} out of range [0, {csi.shape[0]})")
-    slice_b = csi[b]
-    return float(np.sum(slice_b.real**2 + slice_b.imag**2))
-
-
-def dataset_powers(dataset: CsiDataset, basis: str = "tensor") -> np.ndarray:
-    """Linear received powers per datapoint.
-
-    basis="tensor" gives one value per datapoint (whole-tensor norm);
-    basis="array" gives shape (L, B) with per-array norms.
-    """
+def dataset_powers(dataset: CsiDataset) -> np.ndarray:
+    """Linear received power of each array of each datapoint, shape
+    (L, B): the squared norm of the array's slice over its antennas and
+    taps."""
     mags = dataset.csi.real**2 + dataset.csi.imag**2
-    if basis == "tensor":
-        return mags.sum(axis=(1, 2, 3, 4))
-    if basis == "array":
-        return mags.sum(axis=(2, 3, 4))
-    raise ValueError(f"unknown power basis {basis!r} (expected 'tensor' or 'array')")
+    return mags.sum(axis=(2, 3, 4))
 
 
 def power_db(power, reference: float = 1.0) -> np.ndarray:

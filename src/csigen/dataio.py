@@ -215,6 +215,16 @@ def split_train_test(dataset: CsiDataset, spec: SplitSpec) -> tuple[CsiDataset, 
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
+def _real_scalar(attrs, key: str, h5_path) -> float:
+    """The HDF5 attribute ``key`` as a float; it must hold one real number."""
+    value = np.asarray(attrs[key])
+    if value.ndim != 0 or value.dtype.kind not in "iuf":
+        raise DatasetFormatError(
+            f"{h5_path}: attribute {key} must be a real scalar, got {value.dtype} of shape {value.shape}"
+        )
+    return float(value)
+
+
 def import_hdf5(h5_path: str | Path, out_path: str | Path, n_tap: int) -> CsiDataset:
     """Convert an HDF5 channel-sounder export into a CSIT dataset (optional
     converter; requires h5py).
@@ -225,7 +235,8 @@ def import_hdf5(h5_path: str | Path, out_path: str | Path, n_tap: int) -> CsiDat
     coordinates used), root attributes ``carrier_hz`` and ``bandwidth_hz``.
     Subcarriers are converted to ``n_tap`` time-domain taps.  Raises
     ImportError without h5py, and :class:`DatasetFormatError` naming each
-    dataset or attribute that the file lacks.
+    dataset or attribute that the file lacks, a ``positions`` dataset of
+    another shape, or an attribute that is not a real scalar.
     """
     try:
         import h5py
@@ -237,9 +248,15 @@ def import_hdf5(h5_path: str | Path, out_path: str | Path, n_tap: int) -> CsiDat
         if missing:
             raise DatasetFormatError(f"{h5_path}: the HDF5 export lacks {', '.join(missing)}")
         raw = np.asarray(handle[HDF5_CSI_KEY])
-        positions = np.asarray(handle[HDF5_POSITION_KEY], dtype=np.float64)[:, :2]
-        carrier = float(handle.attrs["carrier_hz"])
-        bandwidth = float(handle.attrs["bandwidth_hz"])
+        positions = np.asarray(handle[HDF5_POSITION_KEY], dtype=np.float64)
+        if positions.ndim != 2 or positions.shape[1] < 2:
+            raise DatasetFormatError(
+                f"{h5_path}: {HDF5_POSITION_KEY} must have shape (L, k) with k >= 2, "
+                f"got {positions.shape}"
+            )
+        carrier, bandwidth = (
+            _real_scalar(handle.attrs, key, h5_path) for key in ("carrier_hz", "bandwidth_hz")
+        )
     if raw.ndim != 6 or raw.shape[-1] != 2:
         raise ValueError(
             f"expected frequency CSI of shape (L, B, M_r, M_c, N_sub, 2), got {raw.shape}"
@@ -254,6 +271,6 @@ def import_hdf5(h5_path: str | Path, out_path: str | Path, n_tap: int) -> CsiDat
         carrier_frequency=carrier,
         bandwidth=bandwidth,
     )
-    dataset = CsiDataset(geometry, time, positions)
+    dataset = CsiDataset(geometry, time, positions[:, :2])
     save_dataset(dataset, out_path, provenance={"source": str(h5_path)})
     return dataset

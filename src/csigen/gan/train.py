@@ -301,10 +301,14 @@ class Checkpoint:
         )
 
 
+# The columns of a training log row, in the order the CLI writes them.
+LOG_COLUMNS = ("step", "critic_loss", "gen_loss", "real_score", "fake_score")
+
+
 @dataclass
 class TrainResult:
     checkpoint: Checkpoint
-    log_rows: list[dict]
+    log_rows: list[dict]  # one dict per generator step, keyed by LOG_COLUMNS
 
 
 def _layer_table(params: MlpParams) -> list[list]:
@@ -640,14 +644,8 @@ def train(
                 )
                 adam_update(state.generator.arrays(), ggrads, state.gen_adam, config)
 
-                row = {
-                    "step": step,
-                    "critic_loss": closs,
-                    "gen_loss": gloss,
-                    "real_score": last["real_score"],
-                    "fake_score": last["fake_score"],
-                }
-                log_rows.append(row)
+                values = (step, closs, gloss, last["real_score"], last["fake_score"])
+                log_rows.append(dict(zip(LOG_COLUMNS, values)))
                 if not (math.isfinite(closs) and math.isfinite(gloss)):
                     if out_dir is not None:
                         if pending is not None:

@@ -64,15 +64,15 @@ class BarycentricCoords:
 
 @dataclass
 class BlendResult:
-    """Outcome of :func:`phase_aligned_blend`.  For a stack of blends every
-    field carries a leading row axis, and ``objectives[i]`` holds each row's
-    objective after iteration i (a row that stopped keeps its last value)."""
+    """Outcome of :func:`phase_aligned_blend`.  Every field carries a
+    leading row axis, and ``objectives[i]`` holds each row's objective after
+    iteration i (a row that stopped keeps its last value)."""
 
     csi: np.ndarray
-    phases: np.ndarray  # (3,) aligned vertex phases
-    objectives: list  # objective value after every iteration
-    converged: bool | np.ndarray
-    zero_input: bool | np.ndarray
+    phases: np.ndarray  # (rows, 3) aligned vertex phases
+    objectives: list  # (rows,) objectives after every iteration
+    converged: np.ndarray
+    zero_input: np.ndarray
 
 
 def barycentric(vertices: np.ndarray, x: np.ndarray) -> BarycentricCoords:
@@ -127,7 +127,7 @@ def _gram_step(
 def phase_aligned_blend(
     h1: np.ndarray, h2: np.ndarray, h3: np.ndarray, coords: BarycentricCoords
 ) -> BlendResult:
-    """Weighted phase-aligned average of three CSI tensors.
+    """Weighted phase-aligned average of three CSI tensors, row by row.
 
     Minimizes sum_i s_i ||h_i - exp(j phi_i) H||^2 over (H, phi) by
     coordinate descent, starting from phi = 0:
@@ -144,29 +144,31 @@ def phase_aligned_blend(
     sum_i s_i G_ii + ||H||^2 sum_i s_i - 2 ||H||^2.  So the iterations never
     touch the tensors, and H is built from them once, from the final phases.
 
-    With stacked weights (rows, 3), ``h1``-``h3`` are stacks (rows, ...) and
-    each row is blended on its own: a row stops at its own convergence, and
-    its result is bit-identical to the blend of that row alone.  The sums
+    ``coords`` holds one weight triple per row (rows, 3), and ``h1``-``h3``
+    are stacks (rows, ...) of tensors.  Each row is blended on its own: a
+    row stops at its own convergence, and its result is bit-identical to
+    the blend of that row in a stack of one.  The sums
     are elementwise products and last-axis reductions, never a BLAS call,
     so they round the same way at every stack size.  The vertices are
     combined in descending weight order, so listing them in another order
     gives the same bits (for distinct weights).
     """
     weights = coords.weights
-    stacked = weights.ndim == 2
+    if weights.ndim != 2:
+        raise ValueError(f"blend weights must be a stack (rows, 3), got shape {weights.shape}")
     arrays = [np.asarray(h, dtype=np.complex128) for h in (h1, h2, h3)]
     shape = arrays[0].shape
     if not (arrays[1].shape == shape and arrays[2].shape == shape):
         raise ValueError("blended tensors must share a shape")
-    rows = len(weights) if stacked else 1
-    if stacked and (len(shape) == 0 or shape[0] != rows):
+    rows = len(weights)
+    if len(shape) == 0 or shape[0] != rows:
         raise ValueError("blended stacks need one row per weight triple")
     # each row blends its vertices in descending weight order, so the result
     # does not depend on the order the vertices are listed in
-    order = np.argsort(-weights.reshape(rows, 3), axis=1, kind="stable")
+    order = np.argsort(-weights, axis=1, kind="stable")
     tensors = np.stack([a.reshape(rows, -1) for a in arrays], axis=1)
     tensors = tensors[np.arange(rows)[:, None], order]
-    weights = np.take_along_axis(weights.reshape(rows, 3), order, axis=1)
+    weights = np.take_along_axis(weights, order, axis=1)
 
     # the Hermitian Gram matrix G_ik = <h_i, h_k> of each row's vertices
     power = np.sum(tensors.real**2 + tensors.imag**2, axis=-1)
@@ -207,15 +209,7 @@ def phase_aligned_blend(
     nonzero = np.flatnonzero(~zero)
     h[nonzero] = _combine(weights[nonzero] * np.exp(-1j * phases[nonzero]), tensors[nonzero])
     np.put_along_axis(phases, order, phases.copy(), axis=1)
-    if stacked:
-        return BlendResult(h.reshape(shape), phases, objectives, converged, zero)
-    return BlendResult(
-        h.reshape(shape),
-        phases[0],
-        [float(o[0]) for o in objectives],
-        converged=bool(converged[0]),
-        zero_input=bool(zero[0]),
-    )
+    return BlendResult(h.reshape(shape), phases, objectives, converged, zero)
 
 
 @dataclass

@@ -51,7 +51,6 @@ class CorrelationMatrix:
     """
 
     entries: np.ndarray  # (..., M_c, M_c) complex
-    array_index: int
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=np.complex128)
@@ -141,7 +140,7 @@ def array_correlation(csi: np.ndarray, b: int) -> CorrelationMatrix:
         entries[start : start + len(block)] = np.einsum("...rit,...rjt->...ij", block, block.conj())
     # enforce exact Hermitian symmetry against floating-point asymmetry
     entries = (entries + _adjoint(entries)) / 2.0
-    return CorrelationMatrix(entries.reshape(lead + (m, m)), b)
+    return CorrelationMatrix(entries.reshape(lead + (m, m)))
 
 
 def _polish_spectrum_minimum(diagonal_sums: np.ndarray, omega: np.ndarray) -> np.ndarray:

@@ -8,11 +8,10 @@ into the tap-delay line; element phases follow the half-wavelength UPA
 steering model with phase increment pi*sin(azimuth) along columns and
 pi*sin(elevation) along rows.
 
-:func:`synth_dataset` works on blocks of ``SYNTH_BLOCK_ROWS`` positions,
-one path at a time; :func:`synth_csi`, :func:`enumerate_paths` and
-:func:`csi_from_paths` run the same kernels on a batch of one.  Row i of a
-dataset is bit-identical to :func:`synth_csi` at that position with the
-index-i noise stream, whatever the block size.  The position-dependent
+:func:`synth_dataset` is the one entry point.  It works on blocks of
+``SYNTH_BLOCK_ROWS`` positions, one path at a time, and draws the noise of
+row i from the index-i stream of :func:`csigen.core.index_rngs`, so no row
+depends on the block size or on the other rows.  The position-dependent
 ``atan2`` and ``sin`` are scalar :mod:`math` calls, because numpy's array
 versions round some inputs differently and every output byte depends on
 them.
@@ -38,25 +37,6 @@ SINC_HALF_WIDTH = 8
 # 16-tap arrays at this size; 1024 rows ran no faster and raised the peak
 # memory of a 10,000-point synth by 6 MB.  Results do not depend on it.
 SYNTH_BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    """One propagation path: arrival angles at the array, absolute delay,
-    and complex gain (amplitude decay already applied)."""
-
-    azimuth: float  # rad, relative to array broadside, |azimuth| < pi/2
-    elevation: float  # rad
-    delay: float  # seconds
-    gain: complex
-
-    def __post_init__(self) -> None:
-        if not abs(self.azimuth) < math.pi / 2:
-            raise ValueError(
-                f"path azimuth {self.azimuth:.4f} rad outside the front hemisphere"
-            )
-        if self.delay < 0:
-            raise ValueError(f"path delay must be >= 0, got {self.delay}")
 
 
 @dataclass(frozen=True)
@@ -258,22 +238,6 @@ def _path_rows(
     return paths
 
 
-def enumerate_paths(scenario: Scenario, b: int, ue_position: np.ndarray) -> list[PathSpec]:
-    """All propagation paths from the transmitter to array ``b``: the LoS
-    path plus one bounce per reflector.
-
-    Gains carry free-space 1/distance amplitude decay and the carrier phase
-    exp(-2j pi f_c tau) of the physical delay; the recorded PathSpec delay
-    additionally includes the scenario's fixed alignment offset.
-    """
-    ue = np.asarray(ue_position, dtype=np.float64).reshape(1, 2)
-    return [
-        PathSpec(float(azimuth[0]), 0.0, float(delay[0]), complex(gain[0]))
-        for azimuth, delay, gain, present in _path_rows(scenario, b, ue)
-        if present[0]
-    ]
-
-
 def _fractional_delay_pulses(delay_taps: np.ndarray, num_taps: int) -> np.ndarray:
     """Unit-energy windowed-sinc pulses centered at fractional tap
     positions, one per row, on the observed taps: shape (rows, num_taps).
@@ -324,25 +288,6 @@ def _deposit(
     values += gain[:, None, None, None] * steer[..., None] * pulses[:, None, None, :]
 
 
-def csi_from_paths(geometry: ArrayGeometry, paths_per_array: list[list[PathSpec]]) -> np.ndarray:
-    """Assemble a noiseless CSI tensor of shape ``geometry.csi_shape`` from
-    explicit per-array path lists."""
-    if len(paths_per_array) != geometry.num_arrays:
-        raise ValueError("need one path list per array")
-    values = np.zeros((1,) + geometry.csi_shape, dtype=np.complex128)
-    for b, paths in enumerate(paths_per_array):
-        for path in paths:
-            _deposit(
-                values[:, b],
-                geometry,
-                np.array([path.azimuth]),
-                np.array([path.elevation]),
-                np.array([path.delay]),
-                np.array([path.gain]),
-            )
-    return values[0]
-
-
 def _synth_rows(
     scenario: Scenario, positions: np.ndarray, rngs: list[np.random.Generator] | None
 ) -> np.ndarray:
@@ -372,33 +317,18 @@ def _synth_rows(
     return values + noise
 
 
-def synth_csi(
-    scenario: Scenario,
-    ue_position: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """CSI tensor at one transmitter position, shape ``geometry.csi_shape``.
-
-    Deterministic given (scenario, position, rng state); with rng=None a
-    fresh generator seeded from the scenario seed is used.
-    """
-    ue_position = np.asarray(ue_position, dtype=np.float64).reshape(1, 2)
-    if scenario.noise_power == 0.0:
-        return _synth_rows(scenario, ue_position, None)[0]
-    if rng is None:
-        rng = np.random.default_rng(scenario.seed)
-    return _synth_rows(scenario, ue_position, [rng])[0]
-
-
 def synth_dataset(scenario: Scenario, positions: np.ndarray) -> CsiDataset:
-    """:func:`synth_csi` over positions with independent per-position
-    noise streams from :func:`csigen.core.index_rngs` (scenario seed, index);
-    bit-reproducible for a fixed scenario.
+    """CSI tensors at the transmitter positions (rows, 2), one row each,
+    with independent per-position noise streams from
+    :func:`csigen.core.index_rngs` (scenario seed, index); bit-reproducible
+    for a fixed scenario.
 
-    Row i equals ``synth_csi(scenario, positions[i], rng)`` bit for bit,
-    with ``rng`` the index-i stream.  Positions are worked in blocks of
-    ``SYNTH_BLOCK_ROWS``, which bounds the temporaries and leaves the
-    output unchanged.
+    Row i carries the noiseless paths at ``positions[i]`` plus complex
+    Gaussian noise drawn from the index-i stream.  Positions are worked in
+    blocks of ``SYNTH_BLOCK_ROWS``, which bounds the temporaries and leaves
+    the output unchanged.  Raises ``ValueError`` for a position outside the
+    scenario bounds or on an array or reflector, and for a path that
+    arrives after the observation window.
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
     shape = scenario.geometry.csi_shape

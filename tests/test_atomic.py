@@ -153,6 +153,20 @@ def test_failed_train_config_write_keeps_the_old_config(tmp_path, fail_writes_to
     assert snapshot(run) == before  # old config kept, no temporary file left
 
 
+def test_failed_resume_log_write_keeps_the_old_log(tmp_path, fail_writes_to):
+    save_dataset(dataset(12, seed=6), tmp_path / "train.csit")
+    config = tmp_path / "train.cfg"
+    config.write_text("generator_steps = 2\nbatch_size = 4\nnoise_dim = 4\nhidden_scale = 0.01\n")
+    run = tmp_path / "run"
+    argv = ["train", "--train", str(tmp_path / "train.csit"), "--out", str(run)]
+    assert main(argv + ["--config", str(config)]) == 0
+    log = (run / "training_log.csv").read_bytes()
+    fail_writes_to("training_log.csv")
+    assert main(argv + ["--resume", str(run / "checkpoint_final.wgck")]) == EXIT_DATA
+    assert (run / "training_log.csv").read_bytes() == log
+    assert not [path.name for path in run.iterdir() if path.name.startswith(".")]
+
+
 def small_config(**overrides):
     settings = dict(generator_steps=4, checkpoint_every=1, batch_size=4, noise_dim=4,
                     hidden_scale=0.01, seed=3)

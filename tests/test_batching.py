@@ -1,5 +1,6 @@
-"""The batched kernels of synth, generate, interpolate and evaluate against
-their batch of one: every row of a stacked call is bit-identical to the
+"""The batched kernels of synth, generate, interpolate and evaluate, row by
+row: a synth row's noise is its index's own stream, and every row of a
+stacked generate, interpolate or evaluate call is bit-identical to the
 single call on that row.  No result of synth, interpolate or evaluate
 depends on the block size a stage works in; generate's bits do depend on
 ``SAMPLE_BLOCK_ROWS``, and every call runs blocks of exactly that shape."""
@@ -24,7 +25,7 @@ from csigen.gan.sample import SAMPLE_BLOCK_ROWS, _generate, sample_fixed, sample
 from csigen.gan.train import TrainingConfig, save_checkpoint, train
 from csigen.interp import Interpolant, interpolate_dataset
 from csigen.metrics import CorrelationMatrix, array_correlation, root_music_azimuth
-from csigen.synth import ArrayPlacement, Obstacle, Reflector, Scenario, synth_csi, synth_dataset
+from csigen.synth import ArrayPlacement, Obstacle, Reflector, Scenario, synth_dataset
 from test_metrics import noisy_correlation, wrapped_phase_probe_csi
 
 GEO = ArrayGeometry(2, 2, 4, 16, 1.272e9, 100e6)
@@ -62,15 +63,30 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("noise_power", [0.0, 1e-7])
-def test_synth_dataset_rows_are_single_calls(noise_power):
-    scenario = scene(noise_power)
-    positions = scene_positions()
-    assert np.any(positions[:, 0] < 0.0)  # some LoS arrivals behind the second array
+@pytest.mark.parametrize("block", [1, 7, "default"])
+def test_synth_noise_rows_are_index_streams(monkeypatch, block):
+    """Positions behind both arrays of a scene without reflectors receive
+    no path, so each row is pure noise: sigma (re + j im) from one draw of
+    numpy's own index-i stream, whichever block the row falls in."""
+    if block != "default":
+        monkeypatch.setattr(csigen.synth, "SYNTH_BLOCK_ROWS", block)
+    scenario = Scenario(
+        geometry=GEO,
+        placements=(
+            ArrayPlacement(np.array([0.0, 0.0]), math.pi / 2),  # faces +y
+            ArrayPlacement(np.array([-1.0, 5.0]), 0.0),  # faces +x
+        ),
+        noise_power=1e-7,
+        seed=7,
+        bounds=((-10.0, -10.0), (10.0, 10.0)),
+    )
+    positions = np.random.default_rng(5).uniform([-10.0, -10.0], [-2.0, -1.0], size=(20, 2))
     dataset = synth_dataset(scenario, positions)
-    for index, position in enumerate(positions):
+    sigma = math.sqrt(scenario.noise_power / 2.0)
+    for index in range(len(positions)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed, spawn_key=(index,)))
-        assert same_bits(dataset.csi[index], synth_csi(scenario, position, rng=rng)), index
+        draws = rng.standard_normal((2,) + GEO.csi_shape)
+        assert same_bits(dataset.csi[index], sigma * (draws[0] + 1j * draws[1])), index
 
 
 def interpolation_case():
@@ -149,11 +165,11 @@ KINDS = ["zero", "rank-one", "rank-two", "noisy", "probe", "one-column", "non-fi
 )
 def test_stacked_root_music_rows_are_single_calls(m, rows):
     stack = np.stack([correlation(kind, seed, m) for kind, seed in rows])
-    stacked = root_music_azimuth(CorrelationMatrix(stack, 0))
+    stacked = root_music_azimuth(CorrelationMatrix(stack))
     assert stacked.shape == (len(rows),)
     for index, entries in enumerate(stack):
         try:
-            single = root_music_azimuth(CorrelationMatrix(entries, 0))
+            single = root_music_azimuth(CorrelationMatrix(entries))
         except ValueError:  # NoSignalError and LinAlgError included
             assert math.isnan(stacked[index]), rows[index]
         else:
@@ -161,10 +177,10 @@ def test_stacked_root_music_rows_are_single_calls(m, rows):
 
 
 def test_stacked_root_music_with_one_column_is_all_nan():
-    stacked = root_music_azimuth(CorrelationMatrix(np.ones((3, 1, 1), dtype=complex), 0))
+    stacked = root_music_azimuth(CorrelationMatrix(np.ones((3, 1, 1), dtype=complex)))
     assert np.all(np.isnan(stacked))
     with pytest.raises(ValueError):
-        root_music_azimuth(CorrelationMatrix(np.ones((1, 1), dtype=complex), 0))
+        root_music_azimuth(CorrelationMatrix(np.ones((1, 1), dtype=complex)))
 
 
 def stage_outputs():

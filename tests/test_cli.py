@@ -286,6 +286,19 @@ class TestTrain:
         checkpoint = load_checkpoint(second / "checkpoint_final.wgck")
         assert checkpoint.step == 6
 
+    def test_resume_in_place_extends_the_log(self, tmp_path, small_dataset):
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_CONFIG)
+        run = tmp_path / "run"
+        argv = ["train", "--train", str(small_dataset), "--out", str(run)]
+        assert main(argv + ["--config", str(config)]) == EXIT_OK
+        first = (run / "training_log.csv").read_bytes()
+        assert main(argv + ["--resume", str(run / "checkpoint_final.wgck")]) == EXIT_OK
+        log = (run / "training_log.csv").read_bytes()
+        assert log.startswith(first)
+        rows = list(csv.reader(log.decode().splitlines()))
+        assert rows[0][0] == "step" and [row[0] for row in rows[1:]] == [str(k) for k in range(1, 7)]
+
     def test_resume_with_config_is_a_config_error(self, tmp_path, small_dataset, capsys):
         config = tmp_path / "train.cfg"
         config.write_text(TRAIN_CONFIG)
@@ -718,6 +731,36 @@ class TestImportHdf5:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1, err
         assert f"lacks {key}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("positions", np.arange(4.0)),  # 1-D
+            ("positions", np.float64(1.0)),  # 0-D
+            ("positions", np.ones((4, 1))),  # one coordinate per point
+            ("carrier_hz", np.array([1.272e9, 1.3e9])),
+            ("carrier_hz", 1.272e9 + 1j),
+            ("bandwidth_hz", np.array([[50e6]])),
+            ("bandwidth_hz", "50e6"),
+        ],
+        ids=["positions-1d", "positions-0d", "positions-one-column", "carrier-array",
+             "carrier-complex", "bandwidth-array", "bandwidth-text"],
+    )
+    def test_a_malformed_value_is_a_data_error(self, tmp_path, monkeypatch, capsys, key, value):
+        rng = np.random.default_rng(3)
+        datasets = {"csi_freq": rng.standard_normal((4, 1, 2, 2, 16, 2)),
+                    "positions": rng.uniform(0, 5, (4, 2))}
+        attrs = {"carrier_hz": 1.272e9, "bandwidth_hz": 50e6}
+        (datasets if key in datasets else attrs)[key] = value
+        monkeypatch.setitem(sys.modules, "h5py", stub_h5py(datasets, attrs))
+        out = tmp_path / "imported.csit"
+        code = main(["import-hdf5", "--in", str(tmp_path / "export.h5"), "--n-tap", "8",
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1, err
+        assert key in err
         assert not out.exists()
 
     def test_round_trip(self, tmp_path):

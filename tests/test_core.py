@@ -12,7 +12,6 @@ from csigen.core import (
     freq_to_time,
     index_rngs,
     power_db,
-    total_rx_power,
 )
 
 GEO = ArrayGeometry(
@@ -65,40 +64,51 @@ class TestFreqToTime:
             freq_to_time(freq, n_tap=0)
 
 
+def _one_point(values):
+    """A one-datapoint dataset on GEO holding the tensor ``values``."""
+    return CsiDataset(GEO, np.asarray(values)[None], np.zeros((1, 2)))
+
+
+def _brute_force_powers(csi):
+    """sum |h|^2 over each array's slice of each tensor, entry by entry."""
+    return np.array(
+        [[sum(abs(complex(h)) ** 2 for h in tensor[b].ravel()) for b in range(tensor.shape[0])]
+         for tensor in csi]
+    )
+
+
 class TestTotalRxPower:
+    """The total received power of each array, as ``dataset_powers`` reports it."""
+
     def test_zero_tensor(self):
-        csi = np.zeros(GEO.csi_shape, dtype=complex)
-        assert total_rx_power(csi, 0) == 0.0
+        powers = dataset_powers(_one_point(np.zeros(GEO.csi_shape, dtype=complex)))
+        assert np.array_equal(powers, [[0.0, 0.0]])
 
     def test_single_unit_entry(self):
         values = np.zeros(GEO.csi_shape, dtype=complex)
         values[1, 0, 2, 5] = 1j
-        assert total_rx_power(values, 1) == pytest.approx(1.0)
-        assert total_rx_power(values, 0) == 0.0
+        assert np.array_equal(dataset_powers(_one_point(values)), [[0.0, 1.0]])
 
     def test_all_unit_magnitude_counts_entries(self):
         values = np.exp(1j * 0.3) * np.ones(GEO.csi_shape)
-        assert total_rx_power(values, 0) == pytest.approx(2 * 4 * 48)
-
-    def test_index_out_of_range(self):
-        csi = np.zeros(GEO.csi_shape, dtype=complex)
-        with pytest.raises(IndexError):
-            total_rx_power(csi, 2)
-        with pytest.raises(IndexError):
-            total_rx_power(csi, -1)
+        powers = dataset_powers(_one_point(values))
+        assert np.allclose(powers, 2 * 4 * 48, rtol=1e-12)
 
     def test_global_phase_invariance(self):
         rng = np.random.default_rng(3)
         values = rng.standard_normal(GEO.csi_shape) + 1j * rng.standard_normal(GEO.csi_shape)
         rotated = values * np.exp(1j * 1.234)
-        assert total_rx_power(rotated, 0) == pytest.approx(total_rx_power(values, 0), rel=1e-12)
+        powers = dataset_powers(_one_point(values))
+        assert np.allclose(dataset_powers(_one_point(rotated)), powers, rtol=1e-12, atol=0.0)
+        assert np.allclose(powers, _brute_force_powers(values[None]), rtol=1e-12, atol=0.0)
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(4)
         values = rng.standard_normal(GEO.csi_shape) + 1j * rng.standard_normal(GEO.csi_shape)
         alpha = 0.37 - 1.1j
-        scaled = total_rx_power(alpha * values, 0)
-        assert scaled == pytest.approx(abs(alpha) ** 2 * total_rx_power(values, 0), rel=1e-12)
+        scaled = dataset_powers(_one_point(alpha * values))
+        expected = abs(alpha) ** 2 * _brute_force_powers(values[None])
+        assert np.allclose(scaled, expected, rtol=1e-12, atol=0.0)
 
 
 def _dataset_with_powers(powers):
@@ -113,22 +123,27 @@ def _dataset_with_powers(powers):
 
 class TestDatasetPowers:
     def test_tensor_and_array_bases(self):
+        # one power per array; over the arrays they sum to the tensor's power
         geo = ArrayGeometry(2, 1, 1, 2, 1e9, 50e6)
         csi = np.zeros((1, 2, 1, 1, 2), dtype=complex)
         csi[0, 0, 0, 0, 0] = 1.0
         csi[0, 1, 0, 0, 0] = 3.0
-        dataset = CsiDataset(geo, csi, np.zeros((1, 2)))
-        assert np.allclose(dataset_powers(dataset, basis="tensor"), [10.0], rtol=1e-15)
-        assert np.allclose(dataset_powers(dataset, basis="array"), [[1.0, 9.0]], rtol=1e-15)
-        with pytest.raises(ValueError):
-            dataset_powers(dataset, basis="antenna")
+        powers = dataset_powers(CsiDataset(geo, csi, np.zeros((1, 2))))
+        assert np.allclose(powers, [[1.0, 9.0]], rtol=1e-15)
+        assert np.allclose(powers.sum(axis=1), [10.0], rtol=1e-15)
+        rng = np.random.default_rng(5)
+        shape = (3,) + GEO.csi_shape
+        csi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        powers = dataset_powers(CsiDataset(GEO, csi, np.zeros((3, 2))))
+        assert powers.shape == (3, GEO.num_arrays)
+        assert np.allclose(powers, _brute_force_powers(csi), rtol=1e-12, atol=0.0)
 
 
 class TestNormalizeDatasetPower:
     """Dataset powers in dB below the dataset maximum, the 0 dB reference of reports."""
 
     def test_two_point_reference(self):
-        linear = dataset_powers(_dataset_with_powers([2.0, 8.0]))
+        linear = dataset_powers(_dataset_with_powers([2.0, 8.0]))[:, 0]
         db = power_db(linear, linear.max())
         assert db[1] == pytest.approx(0.0, abs=1e-12)
         assert db[0] == pytest.approx(10 * np.log10(0.25), abs=1e-12)
@@ -137,7 +152,7 @@ class TestNormalizeDatasetPower:
     def test_max_zero_and_order_preserved(self):
         rng = np.random.default_rng(11)
         powers = rng.uniform(0.1, 50.0, size=100)
-        linear = dataset_powers(_dataset_with_powers(powers))
+        linear = dataset_powers(_dataset_with_powers(powers))[:, 0]
         db = power_db(linear, linear.max())
         assert db.max() == pytest.approx(0.0, abs=1e-9)
         assert np.array_equal(np.argsort(db), np.argsort(powers))
@@ -191,7 +206,6 @@ class TestMinMaxScaler:
         scaler = MinMaxScaler(2.0, 6.0)
         values = np.array([[2.0, 4.0], [6.0, 10.0]])
         assert np.array_equal(scaler.scale(values), [[-1.0, 0.0], [1.0, 3.0]])
-        assert np.array_equal(scaler.unscale(scaler.scale(values)), values)
         assert np.array_equal(scaler.times_gain(np.array([1.0, -4.0])), [0.5, -2.0])
 
     def test_vector_bounds_scale_the_last_axis(self):
@@ -204,7 +218,7 @@ class TestMinMaxScaler:
         for values, dtype in ((np.ones((3, 2), np.float32), np.float32),
                               (np.ones((3, 2), np.float64), np.float64),
                               (np.ones((3, 2), np.int64), np.float64)):
-            for mapped in (scaler.scale(values), scaler.unscale(values), scaler.times_gain(values)):
+            for mapped in (scaler.scale(values), scaler.times_gain(values)):
                 assert mapped.dtype == dtype
         assert np.array_equal(scaler.scale(np.array([[2, 0]])), [[0.0, 0.0]])
 

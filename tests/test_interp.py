@@ -115,66 +115,73 @@ def random_tensor(rng, shape=(1, 2, 2, 8)):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def blend_rows(h1, h2, h3, weights):
+    """The blend of stacks ``h1``-``h3`` (rows, ...) with weights (rows, 3)."""
+    return phase_aligned_blend(h1, h2, h3, BarycentricCoords(np.asarray(weights, dtype=float)))
+
+
 class TestPhaseAlignedBlend:
     def test_consensus_fixed_point(self):
         rng = np.random.default_rng(11)
         h0 = random_tensor(rng)
-        coords = BarycentricCoords(np.array([0.2, 0.5, 0.3]))
-        result = phase_aligned_blend(h0, h0, h0, coords)
-        assert phase_aligned_nmse(result.csi, h0) < 1e-24
-        assert result.objectives[-1] < 1e-12 * np.sum(np.abs(h0) ** 2)
+        result = blend_rows(h0[None], h0[None], h0[None], [[0.2, 0.5, 0.3]])
+        assert phase_aligned_nmse(result.csi[0], h0) < 1e-24
+        assert result.objectives[-1][0] < 1e-12 * np.sum(np.abs(h0) ** 2)
 
     def test_distinct_phases_recovered(self):
         rng = np.random.default_rng(13)
         h0 = random_tensor(rng)
-        coords = BarycentricCoords(np.array([0.25, 0.4, 0.35]))
-        result = phase_aligned_blend(
-            h0 * np.exp(0.7j), h0 * np.exp(-1.9j), h0 * np.exp(2.4j), coords
+        result = blend_rows(
+            h0[None] * np.exp(0.7j), h0[None] * np.exp(-1.9j), h0[None] * np.exp(2.4j), [[0.25, 0.4, 0.35]]
         )
-        assert result.objectives[-1] < 1e-12 * np.sum(np.abs(h0) ** 2)
-        assert phase_aligned_nmse(result.csi, h0) < 1e-12
+        assert result.objectives[-1][0] < 1e-12 * np.sum(np.abs(h0) ** 2)
+        assert phase_aligned_nmse(result.csi[0], h0) < 1e-12
 
     def test_single_active_vertex_exact(self):
         rng = np.random.default_rng(17)
-        h1, h2, h3 = (random_tensor(rng) for _ in range(3))
-        coords = BarycentricCoords(np.array([1.0, 0.0, 0.0]))
-        result = phase_aligned_blend(h1, h2, h3, coords)
-        aligned = np.exp(-1j * result.phases[0]) * h1
+        h1, h2, h3 = (random_tensor(rng)[None] for _ in range(3))
+        result = blend_rows(h1, h2, h3, [[1.0, 0.0, 0.0]])
+        aligned = np.exp(-1j * result.phases[0, 0]) * h1
         assert np.allclose(result.csi, aligned, atol=1e-12)
 
     def test_objective_monotone_on_random_triples(self):
         rng = np.random.default_rng(19)
-        for _ in range(100):
-            h1, h2, h3 = (random_tensor(rng) for _ in range(3))
-            w = rng.dirichlet(np.ones(3))
-            result = phase_aligned_blend(h1, h2, h3, BarycentricCoords(w))
-            diffs = np.diff(result.objectives)
-            assert np.all(diffs <= 1e-12 * max(result.objectives[0], 1.0))
+        h1, h2, h3 = (random_tensor(rng, (100, 1, 2, 2, 8)) for _ in range(3))
+        result = blend_rows(h1, h2, h3, rng.dirichlet(np.ones(3), size=100))
+        objectives = np.stack(result.objectives, axis=1)  # (rows, iterations + 1)
+        diffs = np.diff(objectives, axis=1)
+        assert np.all(diffs <= 1e-12 * np.maximum(objectives[:, :1], 1.0))
 
     def test_all_zero_tensors_flagged(self):
-        zero = np.zeros((1, 2, 2, 8), dtype=complex)
-        result = phase_aligned_blend(zero, zero, zero, BarycentricCoords(np.array([0.3, 0.3, 0.4])))
-        assert result.zero_input
+        zero = np.zeros((1, 1, 2, 2, 8), dtype=complex)
+        result = blend_rows(zero, zero, zero, [[0.3, 0.3, 0.4]])
+        assert result.zero_input.tolist() == [True]
         assert np.all(result.csi == 0)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(23)
-        h = [random_tensor(rng) for _ in range(3)]
+        h = [random_tensor(rng)[None] for _ in range(3)]
         w = np.array([0.5, 0.2, 0.3])
-        base = phase_aligned_blend(h[0], h[1], h[2], BarycentricCoords(w))
-        permuted = phase_aligned_blend(
-            h[2], h[0], h[1], BarycentricCoords(w[[2, 0, 1]])
-        )
+        base = blend_rows(h[0], h[1], h[2], w[None])
+        permuted = blend_rows(h[2], h[0], h[1], w[None, [2, 0, 1]])
         assert phase_aligned_nmse(permuted.csi, base.csi) < 1e-18
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            phase_aligned_blend(
-                np.zeros((1, 2, 2, 8), complex),
-                np.zeros((1, 2, 2, 4), complex),
-                np.zeros((1, 2, 2, 8), complex),
-                BarycentricCoords(np.array([0.3, 0.3, 0.4])),
+            blend_rows(
+                np.zeros((1, 1, 2, 2, 8), complex),
+                np.zeros((1, 1, 2, 2, 4), complex),
+                np.zeros((1, 1, 2, 2, 8), complex),
+                [[0.3, 0.3, 0.4]],
             )
+        with pytest.raises(ValueError):  # a stack of two with one weight triple
+            blend_rows(*(np.zeros((2, 1, 2, 2, 8), complex),) * 3, [[0.3, 0.3, 0.4]])
+
+    def test_one_triple_without_a_row_axis_is_rejected(self):
+        rng = np.random.default_rng(29)
+        h1, h2, h3 = (random_tensor(rng) for _ in range(3))
+        with pytest.raises(ValueError, match="stack"):
+            blend_rows(h1, h2, h3, [0.3, 0.3, 0.4])
 
 
 def _dense_scene_triples(count=300):

@@ -188,7 +188,7 @@ class TestRootMusic:
         steer = np.exp(1j * math.pi * np.arange(4) * math.sin(math.radians(30)))
         entries = np.stack([np.outer(steer, steer.conj())] * 2)
         entries[1, 0, 1] = entries[1, 1, 0] = np.inf
-        azimuths = root_music_azimuth(CorrelationMatrix(entries, 0))
+        azimuths = root_music_azimuth(CorrelationMatrix(entries))
         assert math.degrees(azimuths[0]) == pytest.approx(30.0, abs=0.1)
         assert math.isnan(azimuths[1])
 
@@ -196,7 +196,7 @@ class TestRootMusic:
         target = math.radians(30)
         cols = np.arange(4)
         steer = np.exp(1j * math.pi * cols * math.sin(target))
-        corr = CorrelationMatrix(np.outer(steer, steer.conj()), 0)
+        corr = CorrelationMatrix(np.outer(steer, steer.conj()))
         assert math.degrees(root_music_azimuth(corr)) == pytest.approx(30.0, abs=0.1)
 
     def test_minus_45_at_20db_snr(self):
@@ -214,23 +214,23 @@ class TestRootMusic:
         # R[c1, c2] = sum_s H[s, c1] conj(H[s, c2])
         entries = data.T @ data.conj()
         entries = (entries + entries.conj().T) / 2
-        estimate = math.degrees(root_music_azimuth(CorrelationMatrix(entries, 0)))
+        estimate = math.degrees(root_music_azimuth(CorrelationMatrix(entries)))
         assert estimate == pytest.approx(-45.0, abs=1.0)
 
     def test_scaling_invariance(self):
         corr = array_correlation(steering_csi(math.radians(17.0)), 0)
         base = root_music_azimuth(corr)
         for factor in (1e-6, 1.0, 1e6):
-            scaled = CorrelationMatrix(corr.entries * factor, 0)
+            scaled = CorrelationMatrix(corr.entries * factor)
             assert abs(root_music_azimuth(scaled) - base) < 1e-9
 
     def test_no_signal_error(self):
         with pytest.raises(NoSignalError):
-            root_music_azimuth(CorrelationMatrix(np.zeros((4, 4), dtype=complex), 0))
+            root_music_azimuth(CorrelationMatrix(np.zeros((4, 4), dtype=complex)))
 
     def test_needs_two_columns(self):
         with pytest.raises(ValueError):
-            root_music_azimuth(CorrelationMatrix(np.ones((1, 1), dtype=complex), 0))
+            root_music_azimuth(CorrelationMatrix(np.ones((1, 1), dtype=complex)))
 
     def test_polished_phase_past_pi_wraps_onto_a_spectrum_minimum(self):
         csi = wrapped_phase_probe_csi()
@@ -257,7 +257,7 @@ def noisy_correlation(seed):
         0.2, 2, size=(4, 1)
     )
     entries = x @ x.conj().T
-    return CorrelationMatrix((entries + entries.conj().T) / 2.0, 0)
+    return CorrelationMatrix((entries + entries.conj().T) / 2.0)
 
 
 SCAN_STEP = 2.0 * math.pi / 4096

@@ -3,105 +3,124 @@ import math
 import numpy as np
 import pytest
 
-from csigen.core import ArrayGeometry, total_rx_power
+from csigen.core import ArrayGeometry
 from csigen.metrics import array_correlation, delay_spread_taps, root_music_azimuth
 from csigen.synth import (
+    SPEED_OF_LIGHT,
     ArrayPlacement,
     Obstacle,
-    PathSpec,
     Reflector,
     Scenario,
-    csi_from_paths,
-    enumerate_paths,
+    _fractional_delay_pulses,
     grid_positions,
-    synth_csi,
     synth_dataset,
 )
 
 GEO = ArrayGeometry(1, 2, 4, 48, 1.272e9, 50e6)
 
 
-def scenario(noise_power=0.0, reflectors=(), geometry=GEO, seed=0):
+def scenario(noise_power=0.0, reflectors=(), geometry=GEO, seed=0, bounds=((-60.0, 0.5), (60.0, 120.0))):
     return Scenario(
         geometry=geometry,
         placements=(ArrayPlacement(np.array([0.0, 0.0]), math.pi / 2),),  # faces +y
         reflectors=tuple(reflectors),
         noise_power=noise_power,
         seed=seed,
-        bounds=((-60.0, 0.5), (60.0, 120.0)),
+        bounds=bounds,
     )
 
 
+def synth_at(sc, position):
+    """The CSI tensor ``synth_dataset`` writes for one position."""
+    return synth_dataset(sc, np.asarray(position, dtype=float)[None, :]).csi[0]
+
+
+def array_power(csi, b=0):
+    """Brute-force received power of array ``b``: sum of |h|^2 over its slice."""
+    return sum(abs(complex(h)) ** 2 for h in csi[b].ravel())
+
+
+def delay_taps(distance):
+    """Recorded path delay in taps: the flight time plus the default offset."""
+    return distance / SPEED_OF_LIGHT * GEO.bandwidth + Scenario.delay_offset_taps
+
+
 class TestCsiFromPaths:
+    """Paths into the tap-delay line: the pulse kernel directly, and
+    ``synth_dataset`` on scenes whose paths the test lays out."""
+
     def test_integer_delay_lands_on_single_tap(self):
-        for k in (0, 3, 40):
-            path = PathSpec(0.0, 0.0, k * GEO.tap_duration, 1.0)
-            csi = csi_from_paths(GEO, [[path]])
-            profile = np.abs(csi[0, 0, 0]) ** 2
-            assert np.argmax(profile) == k
-            spread, _ = delay_spread_taps(csi[0, 0, 0])
+        pulses = _fractional_delay_pulses(np.array([0.0, 3.0, 40.0]), GEO.num_taps)
+        for k, pulse in zip((0, 3, 40), pulses):
+            assert np.argmax(pulse**2) == k
+            spread, _ = delay_spread_taps(pulse)
             assert spread < 0.05
 
     def test_fractional_delay_peak_and_leakage(self):
-        path = PathSpec(0.0, 0.0, 8.4 * GEO.tap_duration, 1.0)
-        csi = csi_from_paths(GEO, [[path]])
-        profile = np.abs(csi[0, 0, 0]) ** 2
+        (pulse,) = _fractional_delay_pulses(np.array([8.4]), GEO.num_taps)
+        profile = pulse**2
         assert np.argmax(profile) == 8
         assert profile.sum() == pytest.approx(1.0, rel=1e-12)  # unit-energy pulse
-        spread, _ = delay_spread_taps(csi[0, 0, 0])
+        spread, _ = delay_spread_taps(pulse)
         assert spread < 1.0
 
     def test_two_equal_paths_delay_spread(self):
-        paths = [
-            PathSpec(0.0, 0.0, 1 * GEO.tap_duration, 1.0),
-            PathSpec(0.0, 0.0, 3 * GEO.tap_duration, 1.0),
-        ]
-        csi = csi_from_paths(GEO, [paths])
-        spread, _ = delay_spread_taps(csi[0, 0, 0])
+        pulses = _fractional_delay_pulses(np.array([1.0, 3.0]), GEO.num_taps)
+        spread, _ = delay_spread_taps(pulses.sum(axis=0))
         assert spread == pytest.approx(1.0, rel=0.02)
 
     def test_doubling_gains_quadruples_power(self):
-        paths = [
-            PathSpec(math.radians(10), 0.0, 2.2 * GEO.tap_duration, 0.8 + 0.1j),
-            PathSpec(math.radians(-30), 0.0, 7.9 * GEO.tap_duration, 0.3 - 0.2j),
-        ]
-        doubled = [PathSpec(p.azimuth, p.elevation, p.delay, 2 * p.gain) for p in paths]
-        base = total_rx_power(csi_from_paths(GEO, [paths]), 0)
-        scaled = total_rx_power(csi_from_paths(GEO, [doubled]), 0)
-        assert scaled == pytest.approx(4.0 * base, rel=1e-9)
+        # the transmitter stands behind the array, so only the two
+        # reflector bounces arrive
+        def bounces(scale):
+            reflectors = [Reflector(np.array([10.0, 10.0]), scale * (0.8 + 0.1j)),
+                          Reflector(np.array([-20.0, 15.0]), scale * (0.3 - 0.2j))]
+            sc = scenario(reflectors=reflectors, bounds=((-60.0, -10.0), (60.0, 120.0)))
+            return array_power(synth_at(sc, [3.0, -4.0]))
+
+        base = bounces(1.0)
+        assert base > 0.0
+        assert bounces(2.0) == pytest.approx(4.0 * base, rel=1e-9)
 
     def test_delay_outside_window_rejected(self):
-        with pytest.raises(ValueError):
-            csi_from_paths(GEO, [[PathSpec(0.0, 0.0, 48 * GEO.tap_duration, 1.0)]])
+        # 250 m of flight is 41.7 taps, past the 47-tap window with the offset
+        sc = scenario(bounds=((-60.0, 0.5), (60.0, 300.0)))
+        with pytest.raises(ValueError, match="observation window"):
+            synth_dataset(sc, np.array([[0.0, 20.0], [0.0, 250.0]]))
 
     def test_path_behind_array_rejected(self):
-        with pytest.raises(ValueError):
-            PathSpec(math.radians(95), 0.0, 0.0, 1.0)
+        # the array takes no arrival from behind its broadside half-plane
+        sc = scenario(bounds=((-60.0, -60.0), (60.0, 120.0)))
+        dataset = synth_dataset(sc, np.array([[0.0, -7.0], [30.0, -1.0], [0.0, 7.0]]))
+        assert np.all(dataset.csi[:2] == 0.0)
+        assert array_power(dataset.csi[2]) > 0.0
 
 
 class TestSynthCsi:
+    """The CSI ``synth_dataset`` writes at single positions, against the
+    scene geometry."""
+
     def test_broadside_ue_gives_zero_azimuth(self):
-        sc = scenario()
-        csi = synth_csi(sc, np.array([0.0, 7.0]))  # straight ahead of the array
+        csi = synth_at(scenario(), [0.0, 7.0])  # straight ahead of the array
         estimate = root_music_azimuth(array_correlation(csi, 0))
         assert abs(estimate) < 1e-3
 
     def test_azimuth_sweep_recovery(self):
         sc = scenario()
+        placement = sc.placements[0]
         distance = 20.0
-        for deg in range(-60, 61, 10):
-            azimuth = math.radians(deg)
-            # scene azimuth is measured counterclockwise from broadside (+y)
-            ue = distance * np.array([-math.sin(azimuth), math.cos(azimuth)])
-            csi = synth_csi(sc, ue)
-            estimate = root_music_azimuth(array_correlation(csi, 0))
-            geometric = enumerate_paths(sc, 0, ue)[0].azimuth
+        sweep = np.radians(np.arange(-60, 61, 10))
+        # scene azimuth is measured counterclockwise from broadside (+y)
+        positions = distance * np.stack([-np.sin(sweep), np.cos(sweep)], axis=1)
+        dataset = synth_dataset(sc, positions)
+        estimates = root_music_azimuth(array_correlation(dataset.csi, 0))
+        for position, estimate in zip(positions, estimates):
+            offset = position - placement.position
+            geometric = math.atan2(offset[1], offset[0]) - placement.broadside
             assert math.degrees(abs(estimate - geometric)) < 0.5
 
     def test_rank_one_spatial_structure(self):
-        sc = scenario()
-        csi = synth_csi(sc, np.array([4.0, 11.0]))
-        corr = array_correlation(csi, 0)
+        corr = array_correlation(synth_at(scenario(), [4.0, 11.0]), 0)
         eigenvalues = np.linalg.eigvalsh(corr.entries)
         assert eigenvalues[-1] / eigenvalues.sum() > 0.999
 
@@ -112,23 +131,31 @@ class TestSynthCsi:
             bounds=((-10.0, 0.0), (10.0, 20.0)),
         )
         with pytest.raises(ValueError):
-            synth_csi(sc, np.array([0.0, 1.0]))
+            synth_dataset(sc, np.array([[0.0, 1.0]]))
 
     def test_position_outside_bounds_rejected(self):
         with pytest.raises(ValueError):
-            synth_csi(scenario(), np.array([0.0, 121.0]))
+            synth_dataset(scenario(), np.array([[0.0, 121.0]]))
 
     def test_reflector_adds_second_path(self):
-        sc = scenario(reflectors=[Reflector(np.array([10.0, 10.0]), 0.9)])
-        paths = enumerate_paths(sc, 0, np.array([-5.0, 8.0]))
-        assert len(paths) == 2
-        assert paths[1].delay > paths[0].delay
+        reflector = np.array([10.0, 10.0])
+        ue = np.array([-5.0, 8.0])
+        los = synth_at(scenario(), ue)
+        both = synth_at(scenario(reflectors=[Reflector(reflector, 0.9)]), ue)
+        # what the reflector adds peaks at the tap nearest the bounce delay,
+        # after the line of sight
+        los_taps = delay_taps(np.linalg.norm(ue))
+        bounce_taps = delay_taps(np.linalg.norm(ue - reflector) + np.linalg.norm(reflector))
+        los_peak = np.argmax(np.sum(np.abs(los[0]) ** 2, axis=(0, 1)))
+        bounce_peak = np.argmax(np.sum(np.abs(both[0] - los[0]) ** 2, axis=(0, 1)))
+        assert los_peak == round(los_taps)
+        assert bounce_peak == round(bounce_taps)
+        assert bounce_peak > los_peak
 
     def test_free_space_amplitude_decay(self):
-        sc = scenario()
-        near = enumerate_paths(sc, 0, np.array([0.0, 5.0]))[0]
-        far = enumerate_paths(sc, 0, np.array([0.0, 50.0]))[0]
-        assert abs(far.gain) == pytest.approx(abs(near.gain) / 10.0, rel=1e-12)
+        dataset = synth_dataset(scenario(), np.array([[0.0, 5.0], [0.0, 50.0]]))
+        near, far = (array_power(csi) for csi in dataset.csi)
+        assert far / near == pytest.approx(1.0 / 100.0, rel=1e-12)
 
 
 class TestSynthDataset:
@@ -151,14 +178,14 @@ class TestSynthDataset:
         distances = np.linspace(3.0, 60.0, 100)
         positions = np.stack([np.zeros(100), distances], axis=1)
         dataset = synth_dataset(sc, positions)
-        powers = [total_rx_power(dataset.csi[i], 0) for i in range(100)]
+        powers = [array_power(csi) for csi in dataset.csi]
         assert all(p1 >= p2 for p1, p2 in zip(powers, powers[1:]))
 
     def test_inverse_square_law(self):
         sc = scenario()
         dataset = synth_dataset(sc, np.array([[0.0, 5.0], [0.0, 10.0]]))
-        p_near = total_rx_power(dataset.csi[0], 0)
-        p_far = total_rx_power(dataset.csi[1], 0)
+        p_near = array_power(dataset.csi[0])
+        p_far = array_power(dataset.csi[1])
         assert p_near / p_far == pytest.approx(4.0, rel=1e-6)
 
     def test_empty_positions(self):
@@ -181,33 +208,35 @@ class TestSynthDataset:
 
 
 class TestObstacles:
-    def wall_scenario(self, transmission=0.0):
+    WALL = (np.array([-5.0, 5.0]), np.array([5.0, 5.0]))
+
+    def wall_scenario(self, transmission=0.0, reflectors=(Reflector(np.array([30.0, 10.0]), 1.0),)):
         return Scenario(
             geometry=GEO,
             placements=(ArrayPlacement(np.array([0.0, 0.0]), math.pi / 2),),
-            reflectors=(Reflector(np.array([30.0, 10.0]), 1.0),),
-            obstacles=(Obstacle(np.array([-5.0, 5.0]), np.array([5.0, 5.0]), transmission),),
+            reflectors=reflectors,
+            obstacles=(Obstacle(*self.WALL, transmission),),
             bounds=((-60.0, 0.5), (60.0, 120.0)),
         )
 
     def test_blocked_los_is_attenuated(self):
-        blocked = self.wall_scenario(transmission=0.1)
-        paths = enumerate_paths(blocked, 0, np.array([0.0, 10.0]))  # LoS crosses the wall
-        clear = enumerate_paths(self.wall_scenario(0.1), 0, np.array([20.0, 10.0]))
-        assert abs(paths[0].gain) < abs(clear[0].gain)
-        # the reflector leg from (0,10) to (30,10) does not cross the wall
-        direct_ratio = abs(paths[0].gain) / abs(clear[0].gain)
-        assert direct_ratio == pytest.approx(0.1 * np.linalg.norm([20.0, 10.0]) / 10.0, rel=1e-9)
+        los_only = self.wall_scenario(transmission=0.1, reflectors=())
+        # the LoS from (0, 10) crosses the wall, the one from (20, 10) does not
+        blocked, clear = synth_dataset(los_only, np.array([[0.0, 10.0], [20.0, 10.0]])).csi
+        ratio = array_power(blocked) / array_power(clear)
+        assert ratio < 1.0
+        assert ratio == pytest.approx((0.1 * np.linalg.norm([20.0, 10.0]) / 10.0) ** 2, rel=1e-9)
 
     def test_shadow_changes_power_and_spread(self):
         # behind the wall only the single echo path remains: lower power,
         # and a near-single-path delay spread instead of the two-path mix
-        shadowed = synth_csi(self.wall_scenario(0.0), np.array([0.0, 10.0]))
-        lit = synth_csi(self.wall_scenario(0.0), np.array([-20.0, 10.0]))
+        shadowed, lit = synth_dataset(
+            self.wall_scenario(0.0), np.array([[0.0, 10.0], [-20.0, 10.0]])
+        ).csi
         ds_shadow, _ = delay_spread_taps(shadowed[0, 0, 0])
         ds_lit, _ = delay_spread_taps(lit[0, 0, 0])
         assert ds_shadow < 1.0 < ds_lit
-        assert total_rx_power(shadowed, 0) < total_rx_power(lit, 0)
+        assert array_power(shadowed) < array_power(lit)
 
     def test_segment_intersection_is_proper(self):
         wall = Obstacle(np.array([0.0, 0.0]), np.array([10.0, 0.0]), 0.0)
