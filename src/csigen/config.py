@@ -2,11 +2,12 @@
 
 Syntax: one ``key = value`` pair per line, ``#`` starts a comment, blank
 lines are ignored.  Consumers pop the keys they know; leftover keys are a
-hard error so typos never pass silently.
+hard error so typos never pass silently.  Every number must be finite.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -70,14 +71,21 @@ def pop_int(entries: dict[str, str], key: str, default=_MISSING) -> int:
         raise ConfigError(f"config key {key!r}: expected integer, got {raw!r}") from exc
 
 
+def _finite(text: str, key: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: expected number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r}: expected a finite number, got {text!r}")
+    return value
+
+
 def pop_float(entries: dict[str, str], key: str, default=_MISSING) -> float:
     raw = _pop_raw(entries, key, default)
     if raw is _MISSING:
         return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: expected number, got {raw!r}") from exc
+    return _finite(raw, key)
 
 
 def pop_bool(entries: dict[str, str], key: str, default=_MISSING) -> bool:
@@ -101,7 +109,4 @@ def pop_vector(entries: dict[str, str], key: str, length: int, default=_MISSING)
         raise ConfigError(
             f"config key {key!r}: expected {length} comma-separated numbers, got {raw!r}"
         )
-    try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: expected numbers, got {raw!r}") from exc
+    return np.array([_finite(p, key) for p in parts])

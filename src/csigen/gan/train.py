@@ -29,21 +29,23 @@ start networks cast to float32 as soon as they are built, with Adam moments
 zeroed in float32.  It casts its inputs once, before the first step, and
 draws its noise and mixing coefficients in float64, which the kernels cast
 where they use them.  Everything outside the loop is float64: the returned
-state is widened to float64, the checkpoint payload is ``<f8`` (periodic
-and diverged saves widen the float32 state chunk by chunk), and a resume
-narrows a checkpoint back, exactly for one that float32 training wrote.
+state is widened to float64, the checkpoint payload is ``<f8`` (a save
+widens the float32 state chunk by chunk), and a resume narrows a
+checkpoint back, exactly for one that float32 training wrote.
 
-A periodic save copies the float32 state and submits the copy to a
-one-thread ``ThreadPoolExecutor``, held by :func:`train`'s ``with`` block,
-which writes it while the next steps run.  At most one write is in flight:
-:func:`train` waits on its future's ``result()`` before the next save,
-before writing ``checkpoint_diverged.wgck`` (on the training thread), and
-before it returns or raises, so no writer thread outlives it and every
-file it leaves is whole.  The wait raises the error of a write that failed
-on the training thread.  The worker calls
-``_write_checkpoint``, the body of :func:`save_checkpoint`, so that
-wrappers installed over ``save_checkpoint`` run on the training thread
-only.
+Every checkpoint :func:`train` writes, periodic or diverged, is a float32
+copy of the state that it submits to a one-thread ``ThreadPoolExecutor``,
+held by its ``with`` block, which writes the copy while the next steps
+run; the training thread writes no checkpoint file.  At most one write is
+in flight: :func:`train` waits on its future's ``result()`` before the
+next save and before it returns or raises, so no writer thread outlives
+it and every file it leaves is whole.  The wait raises the error of a
+write that failed on the training thread.  Periodic saves fall at the
+multiples of ``checkpoint_every`` before the run's last step: the end
+state is the returned checkpoint, which the caller saves once.  The
+worker calls ``_write_checkpoint``, the body of :func:`save_checkpoint`,
+so that wrappers installed over ``save_checkpoint`` run on the training
+thread only.
 
 WGCK file layout: magic b"WGCK", version u16 LE, meta-JSON length u32 LE,
 meta JSON (config, geometry, scalers, layer tables, step, RNG state,
@@ -86,7 +88,7 @@ CHECKPOINT_MAGIC = b"WGCK"
 # Bytes per operand in one pass of adam_update: the six operands of one
 # block stay in a core's L2 cache across the whole operation sequence.
 ADAM_BLOCK = 128 * 1024
-# Elements per write when save_checkpoint widens an array to <f8 (512 KiB).
+# Elements per write when save_checkpoint widens a buffer to <f8 (512 KiB).
 SAVE_CHUNK = 65536
 CHECKPOINT_VERSION = 1
 # the dtype of the networks, Adam moments and inputs inside train(); the
@@ -315,17 +317,6 @@ def _layer_table(params: MlpParams) -> list[list]:
     return [[l.weights.shape[0], l.weights.shape[1], l.activation] for l in params.layers]
 
 
-def _geometry_dict(geometry: ArrayGeometry) -> dict:
-    return {
-        "num_arrays": geometry.num_arrays,
-        "rows_per_array": geometry.rows_per_array,
-        "cols_per_array": geometry.cols_per_array,
-        "num_taps": geometry.num_taps,
-        "carrier_frequency": geometry.carrier_frequency,
-        "bandwidth": geometry.bandwidth,
-    }
-
-
 def _scaler_dict(scaler: MinMaxScaler) -> dict:
     return {"min": scaler.minimum.tolist(), "max": scaler.maximum.tolist()}
 
@@ -339,9 +330,10 @@ def _scaler_from(entry: dict, shape: tuple) -> MinMaxScaler:
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     """Write ``checkpoint`` to ``path`` atomically: the bytes go to a
-    temporary file beside it, which then replaces ``path``.  ``<f8``
-    arrays are written as they lie in memory; arrays of another dtype are
-    widened through one reused ``<f8`` chunk of ``SAVE_CHUNK`` elements."""
+    temporary file beside it, which then replaces ``path``.  Each of the
+    six buffers (networks, then Adam moments) is written in slices of
+    ``SAVE_CHUNK`` elements, each widened to ``<f8`` when it is not, so no
+    full-size float64 copy is made."""
     _write_checkpoint(checkpoint, path)
 
 
@@ -350,7 +342,7 @@ def _write_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     leave alone: :func:`train`'s writer thread calls it."""
     meta = {
         "config": checkpoint.config.to_dict(),
-        "geometry": _geometry_dict(checkpoint.geometry),
+        "geometry": dataclasses.asdict(checkpoint.geometry),
         "condition_scaler": _scaler_dict(checkpoint.condition_scaler),
         "ds_scaler": _scaler_dict(checkpoint.ds_scaler),
         "step": checkpoint.step,
@@ -363,30 +355,21 @@ def _write_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
         "adam_t": {"generator": checkpoint.gen_adam.t, "critic": checkpoint.critic_adam.t},
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    arrays = (
-        checkpoint.generator.arrays()
-        + checkpoint.critic.arrays()
-        + checkpoint.gen_adam.m
-        + checkpoint.critic_adam.m
-        + checkpoint.gen_adam.v
-        + checkpoint.critic_adam.v
+    gen_adam, critic_adam = checkpoint.gen_adam, checkpoint.critic_adam
+    # payload order: parameters, first moments, second moments; the
+    # generator before the critic in each
+    buffers = (
+        checkpoint.generator.arrays().flat, checkpoint.critic.arrays().flat,
+        gen_adam.m.flat, critic_adam.m.flat, gen_adam.v.flat, critic_adam.v.flat,
     )
-    chunk = np.empty(SAVE_CHUNK, "<f8")
     with atomic_write(path) as handle:
         handle.write(CHECKPOINT_MAGIC)
         handle.write(struct.pack("<H", CHECKPOINT_VERSION))
         handle.write(struct.pack("<I", len(meta_bytes)))
         handle.write(meta_bytes)
-        for array in arrays:
-            flat = np.ravel(array)
-            if flat.dtype == np.dtype("<f8"):
-                handle.write(flat)
-                continue
-            for start in range(0, flat.size, SAVE_CHUNK):
-                part = flat[start : start + SAVE_CHUNK]
-                widened = chunk[: part.size]
-                widened[...] = part
-                handle.write(widened)
+        for buffer in buffers:
+            for start in range(0, buffer.size, SAVE_CHUNK):
+                handle.write(buffer[start : start + SAVE_CHUNK].astype("<f8", copy=False))
 
 
 def _layer_shapes(table: list) -> list[tuple[int, ...]]:
@@ -526,10 +509,11 @@ def train(
     penalty with per-sample mixing coefficients), then the generator takes
     one; the fakes of all these batches come from one generator forward
     (see the module docstring for the draw order).  Emits one log row per
-    generator step; writes periodic checkpoints into ``out_dir`` when a
-    cadence is configured, each on a worker thread while the next steps
-    run, and a diagnostic checkpoint on divergence.
-    Steps run in ``TRAINING_DTYPE``; the returned checkpoint is float64.
+    generator step.  With an ``out_dir``, writes a checkpoint at each
+    multiple of ``checkpoint_every`` before the last step and a diagnostic
+    checkpoint on divergence, each on a worker thread while the next steps
+    run.  Steps run in ``TRAINING_DTYPE``; the returned checkpoint, the
+    end state, is float64.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -582,13 +566,27 @@ def train(
     log_rows: list[dict] = []
     count, batch = len(dataset), config.batch_size
     critic_rows = config.n_critic * batch
+    final_step = state.step + config.generator_steps
 
-    # the periodic write in flight, if any; its result() is the wait, and
-    # raises the error of a write that failed
+    # the write in flight, if any; its result() is the wait, and raises the
+    # error of a write that failed
     pending = None
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="checkpoint writer") as writer:
+
+        def save(step: int, name: str) -> None:
+            """Write a float32 copy of the state at ``step`` to ``out_dir /
+            name`` on the writer thread; waiting first keeps at most one
+            copy alive."""
+            nonlocal pending
+            if out_dir is None:
+                return
+            if pending is not None:
+                pending.result()
+            copy = live_state(step).astype(TRAINING_DTYPE)
+            pending = writer.submit(_write_checkpoint, copy, out_dir / name)
+
         try:
-            for step in range(state.step + 1, state.step + config.generator_steps + 1):
+            for step in range(state.step + 1, final_step + 1):
                 draws = [
                     (
                         rng.integers(0, count, size=batch),
@@ -647,23 +645,13 @@ def train(
                 values = (step, closs, gloss, last["real_score"], last["fake_score"])
                 log_rows.append(dict(zip(LOG_COLUMNS, values)))
                 if not (math.isfinite(closs) and math.isfinite(gloss)):
-                    if out_dir is not None:
-                        if pending is not None:
-                            pending.result()
-                        save_checkpoint(live_state(step), out_dir / "checkpoint_diverged.wgck")
+                    save(step, "checkpoint_diverged.wgck")
                     raise TrainingDivergedError(f"non-finite loss at generator step {step}")
                 every = config.checkpoint_every
-                if out_dir is not None and every and step % every == 0:
-                    # a float32 copy, written while the next steps run; waiting
-                    # first keeps at most one copy alive
-                    if pending is not None:
-                        pending.result()
-                    path = out_dir / f"checkpoint_{step:07d}.wgck"
-                    pending = writer.submit(
-                        _write_checkpoint, live_state(step).astype(TRAINING_DTYPE), path
-                    )
+                if every and step % every == 0 and step < final_step:
+                    save(step, f"checkpoint_{step:07d}.wgck")
         finally:
             if pending is not None:
                 pending.result()
 
-    return TrainResult(live_state(state.step + config.generator_steps).astype(np.float64), log_rows)
+    return TrainResult(live_state(final_step).astype(np.float64), log_rows)

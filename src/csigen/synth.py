@@ -370,58 +370,64 @@ def scenario_from_config(entries: dict[str, str]) -> Scenario:
     - reflector.<i>.position, reflector.<i>.gain, reflector.<i>.phase_deg
     - noise_power, seed, bounds (``x0,y0,x1,y1``)
 
-    Unknown keys are a hard error.
+    Unknown keys, non-finite numbers and out-of-range values raise
+    :class:`~csigen.config.ConfigError`.
     """
     from csigen.config import ConfigError, pop_float, pop_int, pop_vector
 
     remaining = dict(entries)
-    geometry = ArrayGeometry(
-        num_arrays=pop_int(remaining, "geometry.num_arrays"),
-        rows_per_array=pop_int(remaining, "geometry.rows"),
-        cols_per_array=pop_int(remaining, "geometry.cols"),
-        num_taps=pop_int(remaining, "geometry.num_taps"),
-        carrier_frequency=pop_float(remaining, "geometry.carrier_hz"),
-        bandwidth=pop_float(remaining, "geometry.bandwidth_hz"),
-    )
-    placements = []
-    for b in range(geometry.num_arrays):
-        position = pop_vector(remaining, f"array.{b}.position", 2)
-        broadside = pop_float(remaining, f"array.{b}.broadside_deg")
-        placements.append(ArrayPlacement(position, math.radians(broadside)))
-    reflectors = []
-    index = 0
-    while f"reflector.{index}.position" in remaining:
-        position = pop_vector(remaining, f"reflector.{index}.position", 2)
-        magnitude = pop_float(remaining, f"reflector.{index}.gain")
-        phase = pop_float(remaining, f"reflector.{index}.phase_deg", default=0.0)
-        reflectors.append(Reflector(position, magnitude * np.exp(1j * math.radians(phase))))
-        index += 1
-    obstacles = []
-    index = 0
-    while f"obstacle.{index}.start" in remaining:
-        start = pop_vector(remaining, f"obstacle.{index}.start", 2)
-        end = pop_vector(remaining, f"obstacle.{index}.end", 2)
-        transmission = pop_float(
-            remaining, f"obstacle.{index}.transmission", default=Obstacle.transmission
+    try:
+        geometry = ArrayGeometry(
+            num_arrays=pop_int(remaining, "geometry.num_arrays"),
+            rows_per_array=pop_int(remaining, "geometry.rows"),
+            cols_per_array=pop_int(remaining, "geometry.cols"),
+            num_taps=pop_int(remaining, "geometry.num_taps"),
+            carrier_frequency=pop_float(remaining, "geometry.carrier_hz"),
+            bandwidth=pop_float(remaining, "geometry.bandwidth_hz"),
         )
-        obstacles.append(Obstacle(start, end, transmission))
-        index += 1
-    noise_power = pop_float(remaining, "noise_power", default=Scenario.noise_power)
-    seed = pop_int(remaining, "seed", default=Scenario.seed)
-    if seed < 0:
-        raise ConfigError(f"config key 'seed': expected a non-negative integer, got {seed}")
-    delay_offset = pop_float(remaining, "delay_offset_taps", default=Scenario.delay_offset_taps)
-    box = pop_vector(remaining, "bounds", 4)
-    bounds = ((box[0], box[1]), (box[2], box[3]))
-    if remaining:
-        raise ConfigError(f"unknown scenario config keys: {sorted(remaining)}")
-    return Scenario(
-        geometry=geometry,
-        placements=tuple(placements),
-        reflectors=tuple(reflectors),
-        obstacles=tuple(obstacles),
-        noise_power=noise_power,
-        seed=seed,
-        bounds=bounds,
-        delay_offset_taps=delay_offset,
-    )
+        placements = []
+        for b in range(geometry.num_arrays):
+            position = pop_vector(remaining, f"array.{b}.position", 2)
+            broadside = pop_float(remaining, f"array.{b}.broadside_deg")
+            placements.append(ArrayPlacement(position, math.radians(broadside)))
+        reflectors = []
+        index = 0
+        while f"reflector.{index}.position" in remaining:
+            position = pop_vector(remaining, f"reflector.{index}.position", 2)
+            magnitude = pop_float(remaining, f"reflector.{index}.gain")
+            phase = pop_float(remaining, f"reflector.{index}.phase_deg", default=0.0)
+            reflectors.append(Reflector(position, magnitude * np.exp(1j * math.radians(phase))))
+            index += 1
+        obstacles = []
+        index = 0
+        while f"obstacle.{index}.start" in remaining:
+            start = pop_vector(remaining, f"obstacle.{index}.start", 2)
+            end = pop_vector(remaining, f"obstacle.{index}.end", 2)
+            transmission = pop_float(
+                remaining, f"obstacle.{index}.transmission", default=Obstacle.transmission
+            )
+            obstacles.append(Obstacle(start, end, transmission))
+            index += 1
+        noise_power = pop_float(remaining, "noise_power", default=Scenario.noise_power)
+        seed = pop_int(remaining, "seed", default=Scenario.seed)
+        if seed < 0:
+            raise ConfigError(f"config key 'seed': expected a non-negative integer, got {seed}")
+        delay_offset = pop_float(remaining, "delay_offset_taps", default=Scenario.delay_offset_taps)
+        box = pop_vector(remaining, "bounds", 4)
+        bounds = ((box[0], box[1]), (box[2], box[3]))
+        if remaining:
+            raise ConfigError(f"unknown scenario config keys: {sorted(remaining)}")
+        return Scenario(
+            geometry=geometry,
+            placements=tuple(placements),
+            reflectors=tuple(reflectors),
+            obstacles=tuple(obstacles),
+            noise_power=noise_power,
+            seed=seed,
+            bounds=bounds,
+            delay_offset_taps=delay_offset,
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a scene value out of its range
+        raise ConfigError(str(exc)) from exc

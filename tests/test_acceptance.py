@@ -405,10 +405,12 @@ def desk_scale_jsds(seed: int, out_dir) -> tuple[float, float, float]:
         gp_ds_through_csi=False,
         checkpoint_every=500,
     )
-    train(train_set, config, out_dir=out_dir)
+    final = train(train_set, config, out_dir=out_dir).checkpoint
     pools = []
     for step in range(4500, 6001, 500):
-        checkpoint = load_checkpoint(Path(out_dir) / f"checkpoint_{step:07d}.wgck")
+        # the last step's state is not written as a periodic checkpoint
+        path = Path(out_dir) / f"checkpoint_{step:07d}.wgck"
+        checkpoint = final if step == final.step else load_checkpoint(path)
         generated = sample_variable(checkpoint, test_set.positions, seed=1000 + step)
         pools.append(dataset_delay_spreads(generated).ravel())
     ds_gan = np.concatenate(pools) * 1e9

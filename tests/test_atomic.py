@@ -4,6 +4,7 @@ file intact and no temporary file behind.  Periodic checkpoints, which
 promise too, and no worker thread outlives ``train()``."""
 
 import builtins
+import dataclasses
 import importlib
 import math
 import threading
@@ -194,14 +195,15 @@ def test_failed_periodic_checkpoint_write_is_raised_by_train(tmp_path, fail_writ
     data, config = dataset(12, seed=3), small_config()
     train(data, config, out_dir=tmp_path / "clean")
     clean = snapshot(tmp_path / "clean")
-    fail_writes_to("checkpoint_0000003.wgck")
+    fail_writes_to("checkpoint_0000002.wgck")
     threads = set(threading.enumerate())
     # the write fails on the worker thread; the next save raises its error
+    # before it writes step 3
     with pytest.raises(DiskFull):
         train(data, config, out_dir=tmp_path / "run")
     assert set(threading.enumerate()) == threads
     after = snapshot(tmp_path / "run")
-    assert set(after) == {"checkpoint_0000001.wgck", "checkpoint_0000002.wgck"}
+    assert set(after) == {"checkpoint_0000001.wgck"}
     for name, content in after.items():
         assert content == clean[name]
 
@@ -212,20 +214,20 @@ def test_failed_periodic_checkpoint_write_exits_3(tmp_path, fail_writes_to, caps
     config.write_text("generator_steps = 3\ncheckpoint_every = 1\nbatch_size = 4\n"
                       "noise_dim = 4\nhidden_scale = 0.01\n")
     run = tmp_path / "run"
-    fail_writes_to("checkpoint_0000003.wgck")  # the last step's save
+    # the run's last periodic save: no later save waits for it, train's
+    # own wait raises its error
+    fail_writes_to("checkpoint_0000002.wgck")
     argv = ["train", "--train", str(tmp_path / "train.csit"), "--config", str(config),
             "--out", str(run)]
     assert main(argv) == EXIT_DATA
     assert "no space left on device" in capsys.readouterr().err
-    assert set(snapshot(run)) == {
-        "resolved_config.cfg", "checkpoint_0000001.wgck", "checkpoint_0000002.wgck"
-    }
-    assert load_checkpoint(run / "checkpoint_0000002.wgck").step == 2
+    assert set(snapshot(run)) == {"resolved_config.cfg", "checkpoint_0000001.wgck"}
+    assert load_checkpoint(run / "checkpoint_0000001.wgck").step == 1
 
 
-def test_divergence_during_a_periodic_write_leaves_both_files_whole(
-    tmp_path, slow_writes, monkeypatch
-):
+@pytest.fixture
+def diverge_at_step_2(monkeypatch):
+    """Training whose generator loss turns NaN at step 2."""
     losses = []
     generator_loss = TRAIN_MODULE.generator_loss_fast
 
@@ -235,6 +237,11 @@ def test_divergence_during_a_periodic_write_leaves_both_files_whole(
         return (math.nan if len(losses) == 2 else loss), grads
 
     monkeypatch.setattr(TRAIN_MODULE, "generator_loss_fast", nan_at_step_2)
+
+
+def test_divergence_during_a_periodic_write_leaves_both_files_whole(
+    tmp_path, slow_writes, diverge_at_step_2
+):
     threads = set(threading.enumerate())
     with pytest.raises(TrainingDivergedError):
         train(dataset(12, seed=7), small_config(), out_dir=tmp_path)
@@ -249,12 +256,32 @@ def test_divergence_during_a_periodic_write_leaves_both_files_whole(
     assert load_checkpoint(tmp_path / "checkpoint_diverged.wgck").step == 2
 
 
+def test_train_writes_every_checkpoint_on_the_writer_thread(
+    tmp_path, monkeypatch, diverge_at_step_2
+):
+    writers = []
+    write = TRAIN_MODULE._write_checkpoint
+
+    def recording_write(checkpoint, path):
+        writers.append((path.name, threading.current_thread()))
+        write(checkpoint, path)
+
+    monkeypatch.setattr(TRAIN_MODULE, "_write_checkpoint", recording_write)
+    with pytest.raises(TrainingDivergedError):
+        train(dataset(12, seed=7), small_config(), out_dir=tmp_path)
+    assert [name for name, _ in writers] == ["checkpoint_0000001.wgck", "checkpoint_diverged.wgck"]
+    assert all(thread is not threading.current_thread() for _, thread in writers)
+
+
 def test_no_writer_thread_outlives_train(tmp_path, slow_writes):
     threads = set(threading.enumerate())
-    result = train(dataset(12, seed=8), small_config(generator_steps=2), out_dir=tmp_path)
-    # the last step's write was still running when the steps ended
+    config = small_config(generator_steps=2)
+    train(dataset(12, seed=8), config, out_dir=tmp_path)
+    # step 1's write was still running when the steps ended
     assert set(threading.enumerate()) == threads
-    assert slow_writes[-1] == ("end", "checkpoint_0000002.wgck")
-    save_checkpoint(result.checkpoint, tmp_path / "final.wgck")
-    final = tmp_path / "final.wgck"
-    assert (tmp_path / "checkpoint_0000002.wgck").read_bytes() == final.read_bytes()
+    assert slow_writes == [("start", "checkpoint_0000001.wgck"), ("end", "checkpoint_0000001.wgck")]
+    # the file holds the state a 1-step run returns, under the 2-step config
+    one_step = train(dataset(12, seed=8), small_config(generator_steps=1)).checkpoint
+    save_checkpoint(dataclasses.replace(one_step, config=config), tmp_path / "one_step.wgck")
+    saved = tmp_path / "checkpoint_0000001.wgck"
+    assert saved.read_bytes() == (tmp_path / "one_step.wgck").read_bytes()

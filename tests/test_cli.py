@@ -1,18 +1,24 @@
 """End-to-end runs of every command, exit codes, and report round trips."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csigen
 from csigen.cli import (
@@ -816,3 +822,110 @@ class TestUsageErrors:
     def test_train_without_config(self, tmp_path, small_dataset):
         code = main(["train", "--train", str(small_dataset), "--out", str(tmp_path / "r")])
         assert code == EXIT_USAGE
+
+
+# A 1x2x2x32 scene whose reflector lies off the position grid.
+SMALL_SCENE = {
+    "geometry.num_arrays": "1",
+    "geometry.rows": "2",
+    "geometry.cols": "2",
+    "geometry.num_taps": "32",
+    "geometry.carrier_hz": "1.272e9",
+    "geometry.bandwidth_hz": "100e6",
+    "array.0.position": "6.0, 0.0",
+    "array.0.broadside_deg": "90",
+    "reflector.0.position": "0.0, 12.0",
+    "reflector.0.gain": "2.5",
+    "reflector.0.phase_deg": "40",
+    "obstacle.0.start": "2.5, 4.0",
+    "obstacle.0.end": "9.5, 4.0",
+    "obstacle.0.transmission": "0.5",
+    "noise_power": "1e-7",
+    "seed": "7",
+    "delay_offset_taps": "4.0",
+    "bounds": "0.0, 1.5, 12.0, 10.5",
+}
+
+# In-range values of each numeric key, bounded so that no draw allocates
+# more than a few MB; a vector key's draw replaces one of its components.
+_COORDINATE = st.floats(-20.0, 20.0)
+IN_RANGE = {
+    "geometry.num_arrays": st.integers(1, 2),
+    "geometry.rows": st.integers(1, 4),
+    "geometry.cols": st.integers(1, 4),
+    "geometry.num_taps": st.integers(1, 64),
+    "geometry.carrier_hz": st.floats(1e8, 1e10),
+    "geometry.bandwidth_hz": st.floats(1e6, 1e9),
+    "array.0.position": _COORDINATE,
+    "array.0.broadside_deg": st.floats(-360.0, 360.0),
+    "reflector.0.position": _COORDINATE,
+    "reflector.0.gain": st.floats(0.0, 10.0),
+    "reflector.0.phase_deg": st.floats(-360.0, 360.0),
+    "obstacle.0.start": _COORDINATE,
+    "obstacle.0.end": _COORDINATE,
+    "obstacle.0.transmission": st.floats(0.0, 1.0),
+    "noise_power": st.floats(0.0, 1e-3),
+    "seed": st.integers(0, 2**32),
+    "delay_offset_taps": st.floats(0.0, 16.0),
+    "bounds": _COORDINATE,
+}
+NOT_FINITE = ("nan", "inf", "-inf", "not-a-number")
+
+
+@st.composite
+def scene_values(draw, key):
+    """The text of ``key``'s value: in range, 0, negative, NaN, +-inf or
+    non-numeric."""
+    integral = key in ("geometry.num_arrays", "geometry.rows", "geometry.cols",
+                       "geometry.num_taps", "seed")
+    negative = st.integers(-5, -1) if integral else st.floats(-1e3, -1e-3)
+    value = str(draw(st.one_of(
+        IN_RANGE[key], st.just(0), negative, st.sampled_from(NOT_FINITE)
+    )))
+    parts = SMALL_SCENE[key].split(", ")
+    if len(parts) == 1:
+        return value
+    parts[draw(st.integers(0, len(parts) - 1))] = value
+    return ", ".join(parts)
+
+
+@st.composite
+def scene_overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(SMALL_SCENE)), min_size=1, max_size=3, unique=True))
+    return {key: draw(scene_values(key)) for key in keys}
+
+
+class TestSynthConfigValues:
+    """``csigen synth`` over generated scenario values: a documented exit
+    code, never a traceback or a numpy warning, and a non-finite or
+    non-numeric value is a config error that names its key."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(overrides=scene_overrides(), nx=st.integers(1, 5), ny=st.integers(1, 5))
+    def test_synth_exits_with_a_documented_code(self, overrides, nx, ny):
+        scene = {**SMALL_SCENE, **overrides}
+        with tempfile.TemporaryDirectory() as directory:
+            directory = Path(directory)
+            (directory / "scene.cfg").write_text(
+                "".join(f"{key} = {value}\n" for key, value in scene.items())
+            )
+            out = directory / "out.csit"
+            argv = ["synth", "--scenario", str(directory / "scene.cfg"),
+                    "--positions", f"grid:{nx}x{ny}", "--out", str(out)]
+            stderr = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
+            if code == EXIT_OK:
+                dataset = load_dataset(out)
+                assert len(dataset) == nx * ny and np.isfinite(dataset.csi).all()
+            else:
+                assert sorted(path.name for path in directory.iterdir()) == ["scene.cfg"]
+            bad = [key for key, value in overrides.items()
+                   if any(word in value for word in NOT_FINITE)]
+            if bad:
+                assert code == EXIT_USAGE, stderr.getvalue()
+                assert stderr.getvalue().startswith("config error:")
+            if len(overrides) == 1 and bad:
+                assert repr(bad[0]) in stderr.getvalue()

@@ -267,10 +267,13 @@ def test_trained_state_equals_its_saved_file(tmp_path, monkeypatch):
     # a chunk smaller than every buffer: each one is widened in several writes
     monkeypatch.setattr(TRAIN_MODULE, "SAVE_CHUNK", 7)
     dataset, config = small_run(checkpoint_every=3)
-    result = train(dataset, config, out_dir=tmp_path)
-    save_checkpoint(result.checkpoint, tmp_path / "final.wgck")
-    # the periodic save writes the live float32 state, the final save the
-    # returned float64 state: both hold the same values
+    result = train(dataset, config)
+    longer = dataclasses.replace(config, generator_steps=6)
+    train(dataset, longer, out_dir=tmp_path)
+    # the longer run's periodic save writes its live float32 state at step
+    # 3, the final save the float64 state the 3-step run returns: under
+    # one config, both hold the same values
+    save_checkpoint(dataclasses.replace(result.checkpoint, config=longer), tmp_path / "final.wgck")
     assert (tmp_path / "final.wgck").read_bytes() == (tmp_path / "checkpoint_0000003.wgck").read_bytes()
     loaded = load_checkpoint(tmp_path / "final.wgck")
     assert_float32_values(loaded)

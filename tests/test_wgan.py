@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import csigen.atomic
 from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.gan.fastgrad import critic_forward, critic_loss_fast, generator_loss_fast
 from csigen.gan.mlp import DenseLayer, FlatArrays, MlpParams, init_mlp, mlp_forward
@@ -355,10 +356,16 @@ class TestTrain:
         assert (tmp_path / "checkpoint_diverged.wgck").exists()
 
     def test_periodic_checkpoints(self, tmp_path):
+        # every multiple of checkpoint_every before the last step: the end
+        # state is the returned checkpoint, which the caller saves
         dataset = toy_dataset(32, seed=15)
-        train(dataset, toy_config(generator_steps=4, checkpoint_every=2), out_dir=tmp_path)
-        assert (tmp_path / "checkpoint_0000002.wgck").exists()
-        assert (tmp_path / "checkpoint_0000004.wgck").exists()
+        result = train(dataset, toy_config(generator_steps=6, checkpoint_every=2), out_dir=tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "checkpoint_0000002.wgck", "checkpoint_0000004.wgck"
+        ]
+        assert load_checkpoint(tmp_path / "checkpoint_0000002.wgck").step == 2
+        assert load_checkpoint(tmp_path / "checkpoint_0000004.wgck").step == 4
+        assert result.checkpoint.step == 6
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -757,18 +764,36 @@ class TestCheckpointFormat:
             tracemalloc.stop()
         assert peak < 1.5 * size, f"peak {peak} B while loading a {size} B file"
 
-    def test_interrupted_save_keeps_the_previous_file(self, tmp_path):
+    def test_interrupted_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "ck.wgck"
         checkpoint = self.make_checkpoint()
         save_checkpoint(checkpoint, path)
         previous = path.read_bytes()
 
         class Exploding:
-            def __array__(self, *args, **kwargs):
-                raise RuntimeError("injected write failure")
+            """A file handle whose third payload write raises."""
 
+            def __init__(self, handle):
+                self.handle, self.payload_writes = handle, 0
+
+            def write(self, data):
+                if isinstance(data, np.ndarray):
+                    self.payload_writes += 1
+                    if self.payload_writes == 3:
+                        raise RuntimeError("injected write failure")
+                return self.handle.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.handle.__exit__(*exc)
+
+        def exploding_open(*args, **kwargs):
+            return Exploding(open(*args, **kwargs))
+
+        monkeypatch.setattr(csigen.atomic, "open", exploding_open, raising=False)
         checkpoint.step += 1
-        checkpoint.critic_adam.v = checkpoint.critic_adam.v + [Exploding()]
         with pytest.raises(RuntimeError, match="injected"):
             save_checkpoint(checkpoint, path)
         assert path.read_bytes() == previous
@@ -808,9 +833,9 @@ def wgck_blob(tmp_path_factory):
 def bimodal_marginal_jsd(seed: int, out_dir) -> float:
     """Learn a bimodal 1-D marginal on the degenerate geometry (single
     antenna, two taps) with training seed ``seed``, writing a checkpoint
-    into ``out_dir`` every 100 steps.  Returns the JSD between the target
-    mixture and the generated tap-0 real part, pooled over the 21
-    checkpoints of steps 4000-6000: the late marginal oscillates, so a few
+    into ``out_dir`` every 100 steps before the last.  Returns the JSD
+    between the target mixture and the generated tap-0 real part, pooled
+    over the 21 states of steps 4000-6000: the late marginal oscillates, so a few
     snapshots would measure its phase.  For another seed, from the
     repository root:
 
@@ -834,7 +859,7 @@ def bimodal_marginal_jsd(seed: int, out_dir) -> float:
         hidden_scale=0.125, critic_hidden_scale=1.0, learning_rate=1e-4,
         gp_lambda=1.0, checkpoint_every=100,
     )
-    train(CsiDataset(geometry, csi, positions), config, out_dir=out_dir)
+    final = train(CsiDataset(geometry, csi, positions), config, out_dir=out_dir).checkpoint
 
     def mixture_cdf(x):
         return 0.25 * (1 + erf((x + 1.0) / (0.3 * np.sqrt(2)))) + 0.25 * (
@@ -846,7 +871,9 @@ def bimodal_marginal_jsd(seed: int, out_dir) -> float:
     target = Density(edges, target_probs / target_probs.sum())
     pools = []
     for step in range(4000, 6001, 100):
-        checkpoint = load_checkpoint(Path(out_dir) / f"checkpoint_{step:07d}.wgck")
+        # the last step's state is not written as a periodic checkpoint
+        path = Path(out_dir) / f"checkpoint_{step:07d}.wgck"
+        checkpoint = final if step == final.step else load_checkpoint(path)
         generated = sample_variable(checkpoint, positions, seed=99 + step)
         pools.append(generated.csi[:, 0, 0, 0, 0].real)
     pooled = np.clip(np.concatenate(pools), edges[0], edges[-1])
