@@ -25,6 +25,7 @@ from csigen import config as cfg
 from csigen.atomic import atomic_write
 from csigen.core import CsiDataset, dataset_powers, power_db
 from csigen.dataio import (
+    CSIT_VALUE_MAX,
     DatasetFormatError,
     EmptySplitError,
     SplitSpec,
@@ -43,7 +44,7 @@ from csigen.gan.train import (
     train,
 )
 from csigen.gan.sample import sample_fixed, sample_variable
-from csigen.interp import OutsideHullError, TriangulationError, build_interpolant, interpolate_dataset
+from csigen.interp import build_interpolant, interpolate_dataset
 from csigen.metrics import (
     array_correlation,
     dataset_delay_spreads,
@@ -111,8 +112,8 @@ def _parse_positions(spec: str, fallback_bounds=None) -> np.ndarray:
                     row = [float(parts[0]), float(parts[1])]
                 except (IndexError, ValueError):
                     raise ValueError(f"{path}:{number}: expected x,y, got {line!r}") from None
-                if not (math.isfinite(row[0]) and math.isfinite(row[1])):
-                    raise ValueError(f"{path}:{number}: non-finite position {line!r}")
+                if not all(abs(value) <= CSIT_VALUE_MAX for value in row):  # NaN fails too
+                    raise ValueError(f"{path}:{number}: position {line!r} is not a finite float32")
                 rows.append(row)
         return np.asarray(rows, dtype=np.float64).reshape(-1, 2)
     if spec.startswith("from-dataset:"):
@@ -270,35 +271,18 @@ def cmd_interpolate(args) -> int:
     return EXIT_OK
 
 
-def _dataset_label(path: str, used: set) -> str:
+def _dataset_label(path: str, used: list[str]) -> str:
     base = Path(path).stem
     label = base
     counter = 2
     while label in used:
         label = f"{base}_{counter}"
         counter += 1
-    used.add(label)
     return label
 
 
-def _write_points_csv(
-    path: Path, dataset: CsiDataset, power_reference: float, spreads: np.ndarray
-) -> None:
-    """One row per datapoint; ``spreads`` are the dataset's per-antenna delay
-    spreads from :func:`dataset_delay_spreads`.  A NaN azimuth marks a
-    correlation that root-MUSIC cannot resolve."""
-    geometry = dataset.geometry
-    num_arrays = geometry.num_arrays
-    header = ["x1", "x2"]
-    for b in range(num_arrays):
-        header += [f"power_db_b{b}", f"mean_ds_ns_b{b}", f"aoa_rad_b{b}"]
-    db = power_db(dataset_powers(dataset), power_reference)
-    per_array = (len(dataset), num_arrays, geometry.rows_per_array * geometry.cols_per_array)
-    mean_ds_ns = spreads.reshape(per_array).mean(axis=-1) * 1e9
-    azimuths = [root_music_azimuth(array_correlation(dataset.csi, b)) for b in range(num_arrays)]
-    columns = [dataset.positions[:, 0], dataset.positions[:, 1]]
-    for b in range(num_arrays):
-        columns += [db[:, b], mean_ds_ns[:, b], azimuths[b]]
+def _write_columns(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """A CSV report of equal-length columns, each value written as its ``repr``."""
     table = np.column_stack(columns).tolist()
     with atomic_write(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -306,44 +290,61 @@ def _write_points_csv(
         writer.writerows([map(repr, row) for row in table])
 
 
+def _write_points_csv(path: Path, dataset: CsiDataset, db: np.ndarray, spreads: np.ndarray) -> None:
+    """One row per datapoint, from its per-array powers ``db`` in dB, shape
+    (L, B), and its per-antenna delay ``spreads``.  A NaN azimuth marks a
+    correlation that root-MUSIC cannot resolve."""
+    geometry = dataset.geometry
+    num_arrays = geometry.num_arrays
+    header = ["x1", "x2"]
+    for b in range(num_arrays):
+        header += [f"power_db_b{b}", f"mean_ds_ns_b{b}", f"aoa_rad_b{b}"]
+    per_array = (len(dataset), num_arrays, geometry.rows_per_array * geometry.cols_per_array)
+    mean_ds_ns = spreads.reshape(per_array).mean(axis=-1) * 1e9
+    azimuths = [root_music_azimuth(array_correlation(dataset.csi, b)) for b in range(num_arrays)]
+    columns = [dataset.positions[:, 0], dataset.positions[:, 1]]
+    for b in range(num_arrays):
+        columns += [db[:, b], mean_ds_ns[:, b], azimuths[b]]
+    _write_columns(path, header, columns)
+
+
 def cmd_evaluate(args) -> int:
     if args.bins < 2:
         raise cfg.ConfigError("need at least 2 histogram bins")
-    used_labels: set = set()
-    named: list[tuple[str, CsiDataset]] = []
+    labels: list[str] = []
+    datasets: list[CsiDataset] = []
     for path in [args.reference, *args.candidates]:
         dataset = load_dataset(path)
         if len(dataset) == 0:
             raise ValueError(f"{path}: no datapoints to evaluate")
-        named.append((_dataset_label(path, used_labels), dataset))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        labels.append(_dataset_label(path, labels))
+        datasets.append(dataset)
 
     # 0 dB reference: maximum per-array power pooled over all datasets
-    pooled_max = max(float(dataset_powers(ds).max()) for _, ds in named)
+    powers = [dataset_powers(ds) for ds in datasets]
+    pooled_max = max(float(p.max()) for p in powers)
+    if pooled_max == 0.0:
+        raise ValueError("every dataset has zero received power, so the 0 dB reference is undefined")
 
-    spreads = [dataset_delay_spreads(ds) for _, ds in named]
-    ds_pools = [(label, s.ravel() * 1e9) for (label, _), s in zip(named, spreads)]
+    spreads = [dataset_delay_spreads(ds) for ds in datasets]
+    ds_pools = [s.ravel() * 1e9 for s in spreads]
     if args.gaussian_baseline:
-        reference_pool = ds_pools[0][1]
-        gauss = gaussian_fit_samples(reference_pool, n=reference_pool.size, seed=args.seed)
-        ds_pools.append(("gaussian", gauss))
+        ds_pools.append(gaussian_fit_samples(ds_pools[0], n=ds_pools[0].size, seed=args.seed))
+        labels.append("gaussian")
+    # each pool is binned once: both the histograms and the JSD matrix use these densities
+    edges = pooled_edges(ds_pools, n_bins=args.bins)
+    densities = [histogram_density(pool, edges) for pool in ds_pools]
+    matrix = jsd_matrix(densities)
 
-    for (label, dataset), spread in zip(named, spreads):
-        _write_points_csv(out_dir / f"points_{label}.csv", dataset, pooled_max, spread)
-
-    edges = pooled_edges([pool for _, pool in ds_pools], n_bins=args.bins)
-    with atomic_write(out_dir / "ds_histograms.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_left_ns", "bin_right_ns"] + [label for label, _ in ds_pools])
-        densities = [histogram_density(pool, edges) for _, pool in ds_pools]
-        for i in range(args.bins):
-            writer.writerow(
-                [repr(float(edges[i])), repr(float(edges[i + 1]))]
-                + [repr(float(d.probabilities[i])) for d in densities]
-            )
-
-    labels, matrix = jsd_matrix(ds_pools, n_bins=args.bins)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for label, dataset, power, spread in zip(labels, datasets, powers, spreads):
+        _write_points_csv(out_dir / f"points_{label}.csv", dataset, power_db(power, pooled_max), spread)
+    _write_columns(
+        out_dir / "ds_histograms.csv",
+        ["bin_left_ns", "bin_right_ns"] + labels,
+        [edges[:-1], edges[1:]] + [d.probabilities for d in densities],
+    )
     with atomic_write(out_dir / "jsd_matrix.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["label"] + labels)
@@ -361,7 +362,7 @@ def cmd_evaluate(args) -> int:
             "power_reference_linear": pooled_max,
         },
     )
-    print(f"evaluation report ({len(ds_pools)} datasets) -> {out_dir}")
+    print(f"evaluation report ({len(labels)} datasets) -> {out_dir}")
     print("JSD matrix:")
     for label, row in zip(labels, matrix):
         print(f"  {label:>12s}: " + " ".join(f"{value:.3f}" for value in row))
@@ -454,16 +455,13 @@ def main(argv=None) -> int:
     except cfg.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetFormatError, CheckpointFormatError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except EmptySplitError as exc:
         print(f"empty split: {exc}", file=sys.stderr)
         return EXIT_EMPTY_SPLIT
     except TrainingDivergedError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (TriangulationError, OutsideHullError, ValueError) as exc:
+    except (DatasetFormatError, CheckpointFormatError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

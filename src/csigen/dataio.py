@@ -32,6 +32,7 @@ from csigen.core import ArrayGeometry, CsiDataset, freq_to_time
 
 FORMAT_MAGIC = b"CSIT"
 FORMAT_VERSION = 1
+CSIT_VALUE_MAX = float(np.finfo("<f4").max)  # the largest float32 payload magnitude
 
 _HEADER = struct.Struct("<5I2d")
 # Dataset names inside the HDF5 exports read by import_hdf5.
@@ -71,8 +72,9 @@ def save_dataset(dataset: CsiDataset, path: str | Path, provenance: dict | None 
     """Write a dataset to ``path`` in CSIT format plus a JSON provenance
     sidecar.
 
-    The payload is float32; loading back reproduces values exactly at that
-    precision.
+    The payload is float32, and loading back reproduces values exactly at
+    that precision; a value beyond its range raises ``ValueError`` naming
+    the record, before anything is written.
     """
     path = Path(path)
     geo = dataset.geometry
@@ -87,10 +89,14 @@ def save_dataset(dataset: CsiDataset, path: str | Path, provenance: dict | None 
     )
     entries = geo.num_arrays * geo.rows_per_array * geo.cols_per_array * geo.num_taps
     records = np.empty((len(dataset), 2 + 2 * entries), dtype="<f4")
-    records[:, 0:2] = dataset.positions
     flat = dataset.csi.reshape(len(dataset), entries)
-    records[:, 2::2] = flat.real
-    records[:, 3::2] = flat.imag
+    with np.errstate(over="ignore"):  # the dataset is finite, so an inf here overflowed the cast
+        records[:, 0:2] = dataset.positions
+        records[:, 2::2] = flat.real
+        records[:, 3::2] = flat.imag
+    if np.isinf(records.min(initial=0.0)) or np.isinf(records.max(initial=0.0)):
+        record = np.argwhere(np.isinf(records))[0, 0]
+        raise ValueError(f"{path}: record {record} holds a value beyond the float32 range")
     with atomic_write(path) as handle:
         handle.write(header)
         handle.write(records)

@@ -293,6 +293,9 @@ class Interpolant:
         weights = np.full((len(positions), 3), np.nan)
         if outside.size:
             _, nearest = self._tree.query(positions[outside])
+            lost = nearest == len(self.points)  # no neighbour: the distance overflowed to inf
+            if lost.any():
+                raise ValueError(f"position {positions[outside][lost][0]} has no nearest neighbour")
             csi[outside] = self.train.csi[self.vertex_indices[nearest]]
         inside = np.flatnonzero(simplex >= 0)
         if inside.size:

@@ -377,26 +377,17 @@ def js_distance(p: Density, q: Density) -> float:
     return math.sqrt(max(divergence, 0.0))
 
 
-def jsd_matrix(
-    named_sets: list[tuple[str, np.ndarray]], n_bins: int = 150
-) -> tuple[list[str], np.ndarray]:
-    """Symmetric Jensen-Shannon distance matrix between value sets.
-
-    Bin edges are pooled once across all sets so every pairwise distance
-    lives on the same discretization.  Returns (labels, matrix) with an
-    exactly-zero diagonal.
-    """
-    if len(named_sets) < 2:
-        raise ValueError("need at least two value sets")
-    labels = [name for name, _ in named_sets]
-    edges = pooled_edges([values for _, values in named_sets], n_bins=n_bins)
-    densities = [histogram_density(values, edges) for _, values in named_sets]
+def jsd_matrix(densities: list[Density]) -> np.ndarray:
+    """Symmetric Jensen-Shannon distance matrix between densities that share
+    their bin edges, with an exactly-zero diagonal."""
+    if len(densities) < 2:
+        raise ValueError("need at least two densities")
     n = len(densities)
     matrix = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
             matrix[i, j] = matrix[j, i] = js_distance(densities[i], densities[j])
-    return labels, matrix
+    return matrix
 
 
 def gaussian_fit_samples(values: np.ndarray, n: int, seed: int) -> np.ndarray:

@@ -52,8 +52,10 @@ from csigen.metrics import (
     dataset_delay_spreads,
     delay_spread_taps,
     gaussian_fit_samples,
+    histogram_density,
     js_distance,
     jsd_matrix,
+    pooled_edges,
     root_music_azimuth,
 )
 from csigen.synth import (
@@ -418,10 +420,9 @@ def desk_scale_jsds(seed: int, out_dir) -> tuple[float, float, float]:
     ds_train = dataset_delay_spreads(train_set).ravel() * 1e9
     ds_test = dataset_delay_spreads(test_set).ravel() * 1e9
     gauss = gaussian_fit_samples(ds_train, n=ds_test.size, seed=5)
-    labels, matrix = jsd_matrix(
-        [("train", ds_train), ("test", ds_test), ("ganvar", ds_gan), ("gauss", gauss)],
-        n_bins=150,
-    )
+    value_sets = [ds_train, ds_test, ds_gan, gauss]
+    edges = pooled_edges(value_sets, n_bins=150)
+    matrix = jsd_matrix([histogram_density(values, edges) for values in value_sets])
     return matrix[0, 1], matrix[0, 2], matrix[0, 3]
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of every command, exit codes, and report round trips."""
 
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -17,10 +18,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import csigen
+import csigen.cli
+import csigen.metrics
 from csigen.cli import (
     EXIT_DATA,
     EXIT_EMPTY_SPLIT,
@@ -29,7 +32,7 @@ from csigen.cli import (
     _training_config_from_file,
     main,
 )
-from csigen.core import CsiDataset
+from csigen.core import ArrayGeometry, CsiDataset
 from csigen.dataio import load_dataset, save_dataset
 from csigen.gan.train import TrainingConfig, load_checkpoint
 
@@ -560,8 +563,10 @@ class TestGenerate:
         assert not (tmp_path / "resumed" / "checkpoint_final.wgck").exists()
 
     @pytest.mark.parametrize(
-        "bad_row", ["3", "1.0,abc", "nan,2.0", "1.0,inf", "-inf 4.0"],
-        ids=["short-row", "non-numeric", "nan", "inf", "minus-inf"],
+        "bad_row", ["3", "1.0,abc", "nan,2.0", "1.0,inf", "-inf 4.0", "1e39,0", "1e150,0",
+                    "1e308,1e308"],
+        ids=["short-row", "non-numeric", "nan", "inf", "minus-inf", "beyond-float32",
+             "far-1e150", "far-1e308"],
     )
     def test_bad_positions_file_is_a_data_error(self, tmp_path, trained_checkpoint, bad_row):
         positions = tmp_path / "bad.csv"
@@ -604,8 +609,101 @@ class TestInterpolate:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("far_row", ["1e39,0", "1e150,0", "1e200,0", "-1e308,1e308"])
+    def test_far_position_is_a_data_error(self, tmp_path, small_dataset, far_row):
+        positions = tmp_path / "far.csv"
+        positions.write_text(f"1.0,2.0\n{far_row}\n")
+        out = tmp_path / "i.csit"
+        result = cli_process(
+            "interpolate", "--train", small_dataset, "--positions", f"file:{positions}",
+            "--out", out,
+        )
+        assert result.returncode == EXIT_DATA, result.stderr
+        assert result.stderr.startswith(f"data error: {positions}:2:"), result.stderr
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        assert not out.exists()
+
+
+def counted_calls(monkeypatch, modules, *function_names) -> collections.Counter:
+    """Count the calls of ``csigen.metrics`` functions, whichever of
+    ``modules`` the caller looks them up in."""
+    calls = collections.Counter()
+    for name in function_names:
+        function = getattr(csigen.metrics, name)
+
+        def counted(*args, _name=name, _function=function, **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def read_csv(path: Path) -> list[list[str]]:
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
+
 
 class TestEvaluate:
+    def test_bins_each_pool_once(self, tmp_path, small_dataset, monkeypatch):
+        calls = counted_calls(
+            monkeypatch, [csigen.cli, csigen.metrics], "pooled_edges", "histogram_density"
+        )
+        code = main(
+            ["evaluate", "--reference", str(small_dataset), "--candidates", str(small_dataset),
+             "--gaussian-baseline", "--bins", "20", "--out", str(tmp_path / "report")]
+        )
+        assert code == EXIT_OK
+        # three pools: the reference, the candidate and the Gaussian fit
+        assert calls == {"pooled_edges": 1, "histogram_density": 3}
+
+    def test_jsd_matrix_is_the_js_distance_of_the_written_histograms(
+        self, tmp_path, small_dataset, trained_checkpoint
+    ):
+        gen = tmp_path / "gen.csit"
+        assert main(
+            ["generate", "--checkpoint", str(trained_checkpoint),
+             "--positions", f"from-dataset:{small_dataset}", "--out", str(gen)]
+        ) == EXIT_OK
+        report = tmp_path / "report"
+        assert main(
+            ["evaluate", "--reference", str(small_dataset), "--candidates", str(gen),
+             "--gaussian-baseline", "--bins", "25", "--out", str(report)]
+        ) == EXIT_OK
+        histograms = read_csv(report / "ds_histograms.csv")
+        labels = histograms[0][2:]
+        columns = [[float(row[2 + k]) for row in histograms[1:]] for k in range(len(labels))]
+        matrix = read_csv(report / "jsd_matrix.csv")
+        assert matrix[0] == ["label"] + labels
+        assert [row[0] for row in matrix[1:]] == labels
+
+        def kl(p, q):  # nats, over the bins where p > 0
+            return sum(pk * math.log(pk / qk) for pk, qk in zip(p, q) if pk > 0.0)
+
+        for i, p in enumerate(columns):
+            for j, q in enumerate(columns):
+                m = [(pk + qk) / 2.0 for pk, qk in zip(p, q)]
+                expected = math.sqrt(max((kl(p, m) + kl(q, m)) / 2.0, 0.0))
+                # the file holds 6 decimals
+                assert abs(float(matrix[1 + i][1 + j]) - expected) <= 5e-7 + 1e-12, (i, j)
+        assert any(float(value) > 0.01 for row in matrix[1:] for value in row[1:])
+
+    def test_zero_pooled_power_is_a_data_error(self, tmp_path, small_dataset):
+        dataset = load_dataset(small_dataset)
+        silent = tmp_path / "silent.csit"
+        silent_dataset = CsiDataset(dataset.geometry, np.zeros_like(dataset.csi), dataset.positions)
+        save_dataset(silent_dataset, silent)
+        report = tmp_path / "report"
+        result = cli_process(
+            "evaluate", "--reference", silent, "--candidates", silent, "--out", report
+        )
+        assert result.returncode == EXIT_DATA, result.stderr
+        assert result.stderr.startswith("data error:"), result.stderr
+        assert "0 dB reference is undefined" in result.stderr
+        assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+        assert not report.exists()
+
     def test_full_report(self, tmp_path, small_dataset, trained_checkpoint):
         gen = tmp_path / "gen.csit"
         main(
@@ -929,3 +1027,115 @@ class TestSynthConfigValues:
                 assert stderr.getvalue().startswith("config error:")
             if len(overrides) == 1 and bad:
                 assert repr(bad[0]) in stderr.getvalue()
+
+
+# Coordinates that reach the float32 and float64 edges: 1e39 is beyond
+# float32, and from about 1e155 a squared distance overflows float64.
+FAR_COORDINATES = (1e30, -1e30, 1e39, 1e150, 1e200, 1e308)
+TINY_GEOMETRIES = [ArrayGeometry(1, 1, cols, taps, 1.272e9, 100e6) for cols in (1, 2) for taps in (1, 3)]
+
+
+@st.composite
+def positions_rows(draw):
+    """One to three x,y rows: inside the grid:8x6 hull, outside it, or with
+    a far coordinate."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["far", "inside", "outside"]))
+        if kind == "inside":
+            row = [draw(st.floats(0.5, 11.5)), draw(st.floats(2.0, 10.0))]
+        elif kind == "outside":
+            row = [draw(st.floats(20.0, 60.0)), draw(st.floats(-60.0, 60.0))]
+        else:
+            row = [draw(st.sampled_from(FAR_COORDINATES)), draw(st.floats(0.0, 12.0))]
+            if draw(st.booleans()):
+                row.reverse()
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def tiny_datasets(draw, geometry):
+    """One to four datapoints, each with zero power, a single tap or a
+    random profile, at one of three power scales."""
+    count = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    csi = np.zeros((count,) + geometry.csi_shape, dtype=complex)
+    for row in range(count):
+        kind = draw(st.sampled_from(["zero", "single-tap", "random"]))
+        scale = draw(st.sampled_from([1e-20, 1.0, 1e20]))
+        values = scale * (rng.standard_normal(geometry.csi_shape)
+                          + 1j * rng.standard_normal(geometry.csi_shape))
+        if kind == "single-tap":
+            tap = draw(st.integers(0, geometry.num_taps - 1))
+            csi[row, ..., tap] = values[..., tap]
+        elif kind == "random":
+            csi[row] = values
+    return CsiDataset(geometry, csi, rng.uniform(0.0, 12.0, size=(count, 2)))
+
+
+@pytest.fixture(scope="class")
+def trained_scene(tmp_path_factory):
+    """The grid:8x6 scene of ``small_dataset`` and a checkpoint trained on it."""
+    directory = tmp_path_factory.mktemp("scene")
+    (directory / "scene.cfg").write_text(SCENARIO)
+    (directory / "train.cfg").write_text(TRAIN_CONFIG)
+    data = directory / "data.csit"
+    assert main(["synth", "--scenario", str(directory / "scene.cfg"),
+                 "--positions", "grid:8x6", "--out", str(data)]) == EXIT_OK
+    assert main(["train", "--train", str(data), "--config", str(directory / "train.cfg"),
+                 "--out", str(directory / "run")]) == EXIT_OK
+    return data, directory / "run" / "checkpoint_final.wgck"
+
+
+class TestSampleInterpolateEvaluateInputs:
+    """``generate``, ``interpolate`` and ``evaluate`` over far positions and
+    tiny datasets with zero-power or single-tap rows: exit 0 or 3 without a
+    traceback or a numpy warning, no output file after a failure, and a
+    CSIT written on success loads."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exits_0_or_3_and_writes_only_whole_outputs(self, trained_scene, data):
+        scene_data, checkpoint = trained_scene
+        command = data.draw(st.sampled_from(["generate", "interpolate", "evaluate"]))
+        geometry = data.draw(st.sampled_from(TINY_GEOMETRIES))
+        with tempfile.TemporaryDirectory() as directory:
+            directory = Path(directory)
+            out = directory / ("report" if command == "evaluate" else "out.csit")
+            rows = []
+            if command == "evaluate":
+                inputs = [directory / f"d{k}.csit" for k in range(data.draw(st.integers(2, 3)))]
+                for path in inputs:
+                    save_dataset(data.draw(tiny_datasets(geometry)), path)
+                argv = ["evaluate", "--reference", inputs[0], "--candidates", *inputs[1:],
+                        "--bins", data.draw(st.sampled_from([2, 3, 150])), "--out", out]
+                if data.draw(st.booleans()):
+                    argv.append("--gaussian-baseline")
+            else:
+                rows = data.draw(positions_rows())
+                positions = directory / "positions.csv"
+                positions.write_text("".join(f"{x!r},{y!r}\n" for x, y in rows))
+                if command == "generate":
+                    argv = ["generate", "--checkpoint", checkpoint,
+                            "--mode", data.draw(st.sampled_from(["fixed", "variable"]))]
+                else:
+                    train = scene_data
+                    if data.draw(st.booleans()):
+                        train = directory / "train.csit"
+                        save_dataset(data.draw(tiny_datasets(geometry)), train)
+                    argv = ["interpolate", "--train", train]
+                argv += ["--positions", f"file:{positions}", "--out", out]
+            before = sorted(directory.iterdir())
+            stderr = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([str(arg) for arg in argv])
+            event(f"{command} exits {code}")
+            assert code in (EXIT_OK, EXIT_DATA), stderr.getvalue()
+            assert "Traceback" not in stderr.getvalue()
+            if code != EXIT_OK:
+                assert sorted(directory.iterdir()) == before
+            elif command != "evaluate":
+                assert len(load_dataset(out)) == len(rows)

@@ -115,6 +115,26 @@ class TestFileFormat:
             with pytest.raises(NonFinitePayloadError, match="record 1"):
                 load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "field, slot", [("position", 1), ("CSI", 7)], ids=["position", "csi"]
+    )
+    def test_value_beyond_float32_is_refused_before_writing(self, tmp_path, field, slot):
+        dataset = random_dataset(3)
+        if field == "position":
+            positions = dataset.positions.copy()
+            positions[2, slot] = -1e150
+            dataset = CsiDataset(GEO, dataset.csi, positions)
+        else:
+            csi = dataset.csi.copy()
+            csi.reshape(3, -1)[2, slot] = 1j * 1e39
+            dataset = CsiDataset(GEO, csi, dataset.positions)
+        path = tmp_path / "ds.csit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="record 2 holds a value beyond the float32 range"):
+                save_dataset(dataset, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_magic(self, tmp_path):
         dataset = random_dataset(2)
         path = tmp_path / "ds.csit"

@@ -289,6 +289,15 @@ class TestInterpolateAt:
         with pytest.raises(OutsideHullError):
             interp.query(np.array([5.0, 5.0]))
 
+    @pytest.mark.parametrize("far", [1e155, 1e200, 1e308])
+    def test_position_without_a_nearest_neighbour_is_named(self, far):
+        # the squared distance overflows, and the tree finds no neighbour
+        dataset = dataset_at([[0, 0], [1, 0], [0, 1], [1, 1]])
+        interp = build_interpolant(dataset)
+        with pytest.raises(ValueError, match="no nearest neighbour") as raised:
+            interpolate_dataset(interp, np.array([[0.5, 0.5], [far, 0.0]]))
+        assert str(np.array([far, 0.0])) in str(raised.value)
+
     def test_interpolate_dataset_flags_fallback_rows(self):
         dataset = dataset_at([[0, 0], [1, 0], [0, 1], [1, 1]])
         interp = build_interpolant(dataset)

@@ -398,33 +398,45 @@ class TestJsDistance:
         assert js_distance(p, Density(edges, nudged)) > 0.0
 
 
+def pooled_densities(value_sets, n_bins=150):
+    """Densities of the value sets on their pooled edges, as ``evaluate``
+    bins them."""
+    edges = pooled_edges(value_sets, n_bins=n_bins)
+    return [histogram_density(values, edges) for values in value_sets]
+
+
 class TestJsdMatrix:
     def test_identical_sets(self):
         values = np.array([1.0, 2.0, 3.0, 2.0])
-        labels, matrix = jsd_matrix([("a", values), ("b", values.copy())])
-        assert labels == ["a", "b"]
+        matrix = jsd_matrix(pooled_densities([values, values.copy()]))
+        assert matrix.shape == (2, 2)
         assert np.all(matrix == 0.0)
 
     def test_known_overlap_structure(self):
         rng = np.random.default_rng(67)
         base = rng.uniform(0, 1, 4000)
         shifted = base + 10.0  # disjoint support after pooling
-        labels, matrix = jsd_matrix(
-            [("train", base), ("copy", base.copy()), ("far", shifted)], n_bins=50
-        )
+        matrix = jsd_matrix(pooled_densities([base, base.copy(), shifted], n_bins=50))
         assert matrix[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert matrix[0, 2] == pytest.approx(math.sqrt(math.log(2)), abs=1e-6)
 
     def test_symmetry_and_zero_diagonal(self):
         rng = np.random.default_rng(71)
-        sets = [(f"s{i}", rng.standard_normal(500) * (1 + i)) for i in range(4)]
-        _, matrix = jsd_matrix(sets)
+        matrix = jsd_matrix(pooled_densities([rng.standard_normal(500) * (1 + i) for i in range(4)]))
         assert np.array_equal(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0.0)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            jsd_matrix([("a", np.array([1.0])), ("b", np.array([]))])
+            pooled_densities([np.array([1.0]), np.array([])])
+
+    def test_needs_two_densities_on_shared_edges(self):
+        density = histogram_density(np.array([0.5]), np.linspace(0, 1, 5))
+        with pytest.raises(ValueError, match="two densities"):
+            jsd_matrix([density])
+        other = histogram_density(np.array([0.5]), np.linspace(0, 2, 5))
+        with pytest.raises(ValueError, match="identical bin edges"):
+            jsd_matrix([density, other])
 
 
 class TestGaussianFit:
