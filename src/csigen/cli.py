@@ -168,13 +168,14 @@ def cmd_split(args) -> int:
         raise cfg.ConfigError(f"bad split arguments: {exc}") from exc
     dataset = load_dataset(args.dataset)
     train_set, test_set = split_train_test(dataset, spec)
+    if len(train_set) == 0 or len(test_set) == 0:
+        raise EmptySplitError(
+            f"{len(train_set)} train and {len(test_set)} test datapoints; nothing written"
+        )
     save_dataset(train_set, args.out_train, provenance={"command": "split", "role": "train"})
     save_dataset(test_set, args.out_test, provenance={"command": "split", "role": "test"})
     print(f"train: {len(train_set)} datapoints -> {args.out_train}")
     print(f"test:  {len(test_set)} datapoints -> {args.out_test}")
-    if len(train_set) == 0 or len(test_set) == 0:
-        print("warning: empty split output", file=sys.stderr)
-        return EXIT_EMPTY_SPLIT
     return EXIT_OK
 
 
@@ -272,6 +273,8 @@ def cmd_interpolate(args) -> int:
 
 
 def _dataset_label(path: str, used: list[str]) -> str:
+    """The file stem of ``path``; when ``used`` holds it, the stem with the
+    first suffix ``_2``, ``_3``, ... that ``used`` does not hold."""
     base = Path(path).stem
     label = base
     counter = 2
@@ -313,11 +316,13 @@ def cmd_evaluate(args) -> int:
         raise cfg.ConfigError("need at least 2 histogram bins")
     labels: list[str] = []
     datasets: list[CsiDataset] = []
+    # the moment-fit pool, appended last, keeps the label "gaussian"
+    reserved = ["gaussian"] if args.gaussian_baseline else []
     for path in [args.reference, *args.candidates]:
         dataset = load_dataset(path)
         if len(dataset) == 0:
             raise ValueError(f"{path}: no datapoints to evaluate")
-        labels.append(_dataset_label(path, labels))
+        labels.append(_dataset_label(path, labels + reserved))
         datasets.append(dataset)
 
     # 0 dB reference: maximum per-array power pooled over all datasets

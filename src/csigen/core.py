@@ -25,6 +25,21 @@ def as_floating(values) -> np.ndarray:
     return values if np.issubdtype(values.dtype, np.floating) else values.astype(np.float64)
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every value of a real float array is finite.  Its minimum
+    and maximum carry any NaN or infinity, so no boolean array is made."""
+    return values.size == 0 or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
+def _adopted(values, dtype) -> np.ndarray:
+    """``values`` itself when it is a C-contiguous ``dtype`` array that owns
+    its data, else a C-ordered ``dtype`` copy."""
+    array = np.asarray(values, dtype=dtype)
+    if array.flags.owndata and array.flags.c_contiguous:
+        return array
+    return array.copy()
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Antenna setup: ``num_arrays`` uniform planar arrays (UPAs) with
@@ -72,11 +87,17 @@ class CsiDataset:
     float64.  Index order is the measurement-trajectory order; datapoint
     ``i`` is the pair (``csi[i]``, ``positions[i]``).  Construction rejects
     wrong shapes and non-finite CSI or positions.
+
+    An argument that is a C-contiguous array of that dtype and owns its
+    data is adopted, not copied: the dataset holds that very array and
+    makes it read-only, so the caller's later writes through it raise
+    (views the caller took of it before stay writable).  Any other
+    argument, such as a view or another dtype, is copied.
     """
 
     def __init__(self, geometry: ArrayGeometry, csi: np.ndarray, positions: np.ndarray) -> None:
-        csi = np.asarray(csi, dtype=np.complex128)
-        positions = np.asarray(positions, dtype=np.float64)
+        csi = _adopted(csi, np.complex128)
+        positions = _adopted(positions, np.float64)
         if csi.ndim != 5 or csi.shape[1:] != geometry.csi_shape:
             raise ValueError(
                 f"csi must have shape (L,) + {geometry.csi_shape}, got {csi.shape}"
@@ -85,13 +106,13 @@ class CsiDataset:
             raise ValueError(
                 f"positions must have shape ({csi.shape[0]}, 2), got {positions.shape}"
             )
-        if not np.all(np.isfinite(csi.view(np.float64))):
+        if not all_finite(csi.view(np.float64)):
             raise ValueError("dataset CSI contains non-finite entries")
-        if not np.all(np.isfinite(positions)):
+        if not all_finite(positions):
             raise ValueError("dataset positions contain non-finite entries")
         self.geometry = geometry
-        self.csi = csi.copy()
-        self.positions = positions.copy()
+        self.csi = csi
+        self.positions = positions
         self.csi.flags.writeable = False
         self.positions.flags.writeable = False
 

@@ -28,11 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from csigen.atomic import atomic_write
-from csigen.core import ArrayGeometry, CsiDataset, freq_to_time
+from csigen.core import ArrayGeometry, CsiDataset, all_finite, freq_to_time
 
 FORMAT_MAGIC = b"CSIT"
 FORMAT_VERSION = 1
 CSIT_VALUE_MAX = float(np.finfo("<f4").max)  # the largest float32 payload magnitude
+# payload floats per slice that save_dataset converts and writes at a time
+SAVE_CHUNK = 65536
 
 _HEADER = struct.Struct("<5I2d")
 # Dataset names inside the HDF5 exports read by import_hdf5.
@@ -74,32 +76,40 @@ def save_dataset(dataset: CsiDataset, path: str | Path, provenance: dict | None 
 
     The payload is float32, and loading back reproduces values exactly at
     that precision; a value beyond its range raises ``ValueError`` naming
-    the record, before anything is written.
+    the record, and ``path`` keeps what it held.  The records are converted
+    and written in slices of whole records, about ``SAVE_CHUNK`` floats
+    each, so no full-size float32 copy of the payload is made.
     """
     path = Path(path)
     geo = dataset.geometry
+    count = len(dataset)
     header = FORMAT_MAGIC + struct.pack("<H", FORMAT_VERSION) + _HEADER.pack(
         geo.num_arrays,
         geo.rows_per_array,
         geo.cols_per_array,
         geo.num_taps,
-        len(dataset),
+        count,
         geo.carrier_frequency,
         geo.bandwidth,
     )
-    entries = geo.num_arrays * geo.rows_per_array * geo.cols_per_array * geo.num_taps
-    records = np.empty((len(dataset), 2 + 2 * entries), dtype="<f4")
-    flat = dataset.csi.reshape(len(dataset), entries)
-    with np.errstate(over="ignore"):  # the dataset is finite, so an inf here overflowed the cast
-        records[:, 0:2] = dataset.positions
-        records[:, 2::2] = flat.real
-        records[:, 3::2] = flat.imag
-    if np.isinf(records.min(initial=0.0)) or np.isinf(records.max(initial=0.0)):
-        record = np.argwhere(np.isinf(records))[0, 0]
-        raise ValueError(f"{path}: record {record} holds a value beyond the float32 range")
+    entries = geo.num_antennas * geo.num_taps
+    flat = dataset.csi.reshape(count, entries)
+    rows = max(1, SAVE_CHUNK // (2 + 2 * entries))
+    block = np.empty((min(rows, count), 2 + 2 * entries), dtype="<f4")
     with atomic_write(path) as handle:
         handle.write(header)
-        handle.write(records)
+        for start in range(0, count, rows):
+            stop = min(start + rows, count)
+            records = block[: stop - start]
+            # the dataset is finite, so an inf here overflowed the cast
+            with np.errstate(over="ignore"):
+                records[:, 0:2] = dataset.positions[start:stop]
+                records[:, 2::2] = flat[start:stop].real
+                records[:, 3::2] = flat[start:stop].imag
+            if not all_finite(records):
+                record = start + np.argwhere(np.isinf(records))[0, 0]
+                raise ValueError(f"{path}: record {record} holds a value beyond the float32 range")
+            handle.write(records)
     meta = {
         "format": "CSIT",
         "version": FORMAT_VERSION,
@@ -157,15 +167,20 @@ def load_dataset(path: str | Path) -> CsiDataset:
     records = np.frombuffer(blob, dtype="<f4", offset=offset, count=count * record_floats)
     records = records.reshape(count, record_floats)
     # checked on the float32 values, before the complex product below could
-    # turn an infinite imaginary part into a NaN with a RuntimeWarning
-    non_finite = np.argwhere(~np.isfinite(records))
-    if non_finite.size:
-        record, slot = non_finite[0]
+    # turn an infinite imaginary part into a NaN with a RuntimeWarning; only
+    # a failed check pays for locating the value
+    if not all_finite(records):
+        record, slot = np.argwhere(~np.isfinite(records))[0]
         kind = "position" if slot < 2 else "CSI"
         raise NonFinitePayloadError(f"{path}: record {record} holds a non-finite {kind} value")
     positions = records[:, 0:2].astype(np.float64)
-    csi = (records[:, 2::2].astype(np.float64) + 1j * records[:, 3::2].astype(np.float64))
-    csi = csi.reshape((count,) + geometry.csi_shape)
+    # re + 1j * im, run in place as that expression's two ufuncs; assigning
+    # the real and imaginary parts instead would keep a -0.0 that the sum
+    # makes +0.0
+    csi = np.empty((count,) + geometry.csi_shape, dtype=np.complex128)
+    flat = csi.reshape(count, entries)
+    np.multiply(records[:, 3::2], 1j, out=flat, dtype=np.complex128)
+    np.add(flat, records[:, 2::2], out=flat, dtype=np.complex128)
     return CsiDataset(geometry, csi, positions)
 
 
@@ -214,9 +229,11 @@ def split_train_test(dataset: CsiDataset, spec: SplitSpec) -> tuple[CsiDataset, 
     indices = np.arange(count)
     test_idx = indices[indices % spec.stride == spec.test_offset]
     train_idx = indices[indices % spec.stride == spec.train_offset]
-    distances = np.linalg.norm(
-        dataset.positions[train_idx] - spec.hole_center[None, :], axis=1
-    )
+    # hypot, unlike a sum of squares, stays finite up to the float64
+    # maximum; a distance beyond it is inf, outside every finite hole
+    with np.errstate(over="ignore"):
+        offsets = dataset.positions[train_idx] - spec.hole_center
+        distances = np.hypot(offsets[:, 0], offsets[:, 1])
     train_idx = train_idx[distances > spec.hole_diameter / 2.0]
     return dataset.subset(train_idx), dataset.subset(test_idx)
 

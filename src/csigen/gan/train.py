@@ -90,6 +90,9 @@ CHECKPOINT_MAGIC = b"WGCK"
 ADAM_BLOCK = 128 * 1024
 # Elements per write when save_checkpoint widens a buffer to <f8 (512 KiB).
 SAVE_CHUNK = 65536
+# CSI entries per row block while train() prepares its inputs: a block's
+# float64 rows and delay-spread temporaries are the only float64 copy made.
+INPUT_CHUNK = 32768
 CHECKPOINT_VERSION = 1
 # the dtype of the networks, Adam moments and inputs inside train(); the
 # networks it returns and the checkpoints it writes are float64
@@ -524,8 +527,18 @@ def train(
 
     if resume is not None and resume.geometry != geometry:
         raise ValueError("checkpoint geometry does not match the training dataset")
-    real_flat = flatten_csi(dataset.csi)
-    ds_real = delay_spread_flat(real_flat, geometry)
+    # the flattened rows in the training dtype, and the float64 delay spreads
+    # of the float64 rows, a block of rows at a time; each row's reductions
+    # are its own, so the blocks change no bit
+    count, entries = len(dataset), geometry.num_antennas * geometry.num_taps
+    rows = max(1, INPUT_CHUNK // entries)
+    blocks = [slice(start, start + rows) for start in range(0, count, rows)]
+    real_flat = np.empty((count, 2 * entries), TRAINING_DTYPE)
+    ds_real = np.empty((count, geometry.num_antennas))
+    for block in blocks:
+        flat = flatten_csi(dataset.csi[block])
+        real_flat[block] = flat
+        ds_real[block] = delay_spread_flat(flat, geometry)
 
     if resume is not None:
         state = resume.astype(TRAINING_DTYPE)
@@ -551,11 +564,14 @@ def train(
     config = state.config
 
     # cast once, so that no float64 operand promotes the step's arithmetic
-    real_flat = real_flat.astype(TRAINING_DTYPE)
     pos_scaled = state.condition_scaler.scale(dataset.positions).astype(TRAINING_DTYPE)
     ds_real_scaled = state.ds_scaler.scale(ds_real).astype(TRAINING_DTYPE)
     # the penalty without the delay-spread path mixes the real rows' spreads
-    ds_real_mix = None if config.gp_ds_through_csi else delay_spread_flat(real_flat, geometry)
+    ds_real_mix = None
+    if not config.gp_ds_through_csi:
+        ds_real_mix = np.empty(ds_real.shape, TRAINING_DTYPE)
+        for block in blocks:
+            ds_real_mix[block] = delay_spread_flat(real_flat[block], geometry)
     if resume is None:
         _calibrate_critic_scale(state.critic, geometry, state.ds_scaler, real_flat, pos_scaled)
 
@@ -564,7 +580,7 @@ def train(
         return dataclasses.replace(state, step=step, rng_state=rng.bit_generator.state)
 
     log_rows: list[dict] = []
-    count, batch = len(dataset), config.batch_size
+    batch = config.batch_size
     critic_rows = config.n_critic * batch
     final_step = state.step + config.generator_steps
 

@@ -98,7 +98,7 @@ def interpolation_case():
     positions = grid + rng.uniform(-0.2, 0.2, size=grid.shape)
     shape = (len(positions),) + GEO.csi_shape
     csi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    first = Interpolant(CsiDataset(GEO, csi, positions))
+    first = Interpolant(CsiDataset(GEO, csi.copy(), positions))
     zero_corners = first.vertex_indices[first.triangulation.simplices[0]]
     csi[zero_corners] = 0.0
     interp = Interpolant(CsiDataset(GEO, csi, positions))

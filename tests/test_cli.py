@@ -211,8 +211,10 @@ class TestSplit:
              "--out-test", str(tmp_path / "test.csit")]
         )
         assert code == EXIT_EMPTY_SPLIT
-        assert "warning" in capsys.readouterr().err.lower()
-        assert len(load_dataset(tmp_path / "train.csit")) == 0
+        assert capsys.readouterr().err == (
+            "empty split: 0 train and 12 test datapoints; nothing written\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csit", "data.csit.meta.json", "scene.cfg"]
 
     @pytest.mark.parametrize("argv", [
         ["--hole-center", "abc,1"],
@@ -740,6 +742,23 @@ class TestEvaluate:
         values = np.array([[float(v) for v in row] for row in rows[1:]])
         assert values[:, 2].max() <= 0.0 + 1e-12  # 0 dB pooled reference
 
+    @pytest.mark.parametrize("baseline", [True, False], ids=["baseline", "no-baseline"])
+    def test_candidate_named_gaussian_is_told_from_the_baseline(
+        self, tmp_path, small_dataset, baseline
+    ):
+        candidate = tmp_path / "gaussian.csit"
+        save_dataset(load_dataset(small_dataset), candidate)
+        report = tmp_path / "report"
+        argv = ["evaluate", "--reference", str(small_dataset), "--candidates", str(candidate),
+                "--bins", "20", "--out", str(report)]
+        assert main(argv + ["--gaussian-baseline"] * baseline) == EXIT_OK
+        datasets = ["data", "gaussian_2"] if baseline else ["data", "gaussian"]
+        pools = datasets + ["gaussian"] * baseline
+        assert read_csv(report / "jsd_matrix.csv")[0] == ["label"] + pools
+        assert read_csv(report / "ds_histograms.csv")[0] == ["bin_left_ns", "bin_right_ns"] + pools
+        points = sorted(path.name for path in report.glob("points_*.csv"))
+        assert points == [f"points_{label}.csv" for label in datasets]
+
     def test_reference_vs_itself_zero_diagonal(self, tmp_path, small_dataset):
         copy = tmp_path / "copy.csit"
         save_dataset(load_dataset(small_dataset), copy)
@@ -1139,3 +1158,76 @@ class TestSampleInterpolateEvaluateInputs:
                 assert sorted(directory.iterdir()) == before
             elif command != "evaluate":
                 assert len(load_dataset(out)) == len(rows)
+
+
+# Split option values beyond the in-range ones: negative, huge (to the
+# float32 and float64 edges and past them), NaN, +-inf and not a number.
+SPLIT_EDGE_FLOATS = ("-1e-3", "-7.5", "1e30", "-1e30", "1e39", "1e150", "-1e200", "1e308",
+                     "-1e308", "1e400", "nan", "inf", "-inf", "abc", "", "1.5.2")
+SPLIT_EDGE_INTS = ("-1", "-5", str(10**30), "nan", "inf", "1.5", "abc", "")
+
+
+@st.composite
+def split_arguments(draw):
+    """``csigen split`` options after ``--dataset``: in-range values, a
+    hole centre with an edge component or the wrong arity, and up to one
+    other option at an edge value."""
+    stride = draw(st.integers(2, 60))
+    test_offset = draw(st.integers(0, stride - 1))
+    center = [repr(draw(st.floats(-5.0, 20.0))) for _ in range(2)]
+    values = {
+        "--hole-diameter": repr(draw(st.floats(0.0, 30.0))),
+        "--stride": str(stride),
+        "--test-offset": str(test_offset),
+        "--train-offset": str((test_offset + draw(st.integers(1, stride - 1))) % stride),
+    }
+    center_kind = draw(st.sampled_from(["in range", "edge", "arity"]))
+    if center_kind == "edge":
+        center[draw(st.integers(0, 1))] = draw(st.sampled_from(SPLIT_EDGE_FLOATS))
+    elif center_kind == "arity":
+        center = draw(st.sampled_from([center[:1], center + center[:1]]))
+    for option in draw(st.lists(st.sampled_from(sorted(values)), max_size=1)):
+        edges = SPLIT_EDGE_FLOATS if option == "--hole-diameter" else SPLIT_EDGE_INTS
+        values[option] = draw(st.sampled_from(edges))
+    # "--option=value", so that argparse reads "-inf" or "-5,3" as a value
+    values["--hole-center"] = ",".join(center)
+    return [f"{option}={value}" for option, value in values.items()]
+
+
+@pytest.fixture(scope="class")
+def split_scene(tmp_path_factory):
+    """The grid:8x6 scene of ``small_dataset``."""
+    directory = tmp_path_factory.mktemp("split")
+    (directory / "scene.cfg").write_text(SCENARIO)
+    data = directory / "data.csit"
+    assert main(["synth", "--scenario", str(directory / "scene.cfg"),
+                 "--positions", "grid:8x6", "--out", str(data)]) == EXIT_OK
+    return data
+
+
+class TestSplitArguments:
+    """``csigen split`` over generated hole, stride and offset values: exit
+    0, 2, 3 or 4 without a traceback or a numpy warning, no output file
+    after a non-zero exit, and two loadable, disjoint halves after exit 0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=split_arguments())
+    def test_exits_with_a_documented_code(self, split_scene, argv):
+        with tempfile.TemporaryDirectory() as directory:
+            directory = Path(directory)
+            train, test = directory / "train.csit", directory / "test.csit"
+            stderr = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["split", "--dataset", str(split_scene), *argv,
+                             "--out-train", str(train), "--out-test", str(test)])
+            event(f"split exits {code}")
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_EMPTY_SPLIT), stderr.getvalue()
+            assert "Traceback" not in stderr.getvalue()
+            if code != EXIT_OK:
+                assert list(directory.iterdir()) == []
+                return
+            train_set, test_set = load_dataset(train), load_dataset(test)
+            assert len(train_set) > 0 and len(test_set) > 0
+            assert not {tuple(p) for p in train_set.positions} & {tuple(p) for p in test_set.positions}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,56 @@ class TestTypes:
         dataset = CsiDataset(geo, np.zeros((3, 1, 1, 1, 4), dtype=complex), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             dataset.csi[0, 0, 0, 0, 0] = 1.0
+
+    def test_owned_arrays_are_adopted_and_frozen(self):
+        geo = ArrayGeometry(1, 1, 1, 4, 1e9, 50e6)
+        csi, positions = np.ones((3, 1, 1, 1, 4), dtype=complex), np.zeros((3, 2))
+        dataset = CsiDataset(geo, csi, positions)
+        assert np.shares_memory(dataset.csi, csi) and np.shares_memory(dataset.positions, positions)
+        with pytest.raises(ValueError, match="read-only"):
+            csi[0, 0, 0, 0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            positions[0, 0] = 2.0
+
+    @pytest.mark.parametrize("kind", ["slice", "strided", "fortran", "other-dtype"])
+    def test_other_arrays_are_copied(self, kind):
+        geo = ArrayGeometry(1, 1, 1, 4, 1e9, 50e6)
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((6, 1, 1, 1, 4)) + 1j * rng.standard_normal((6, 1, 1, 1, 4))
+        positions_base = rng.standard_normal((6, 2))
+        csi, positions = {
+            "slice": (base[:3], positions_base[:3]),
+            "strided": (base[::2], positions_base[::2]),
+            "fortran": (np.asfortranarray(base[:3]), np.asfortranarray(positions_base[:3])),
+            "other-dtype": (base[:3].astype(np.complex64), positions_base[:3].astype(np.float32)),
+        }[kind]
+        expected_csi, expected_positions = csi.copy(), positions.copy()
+        dataset = CsiDataset(geo, csi, positions)
+        assert dataset.csi.flags.c_contiguous and dataset.positions.flags.c_contiguous
+        base[...] = 0.0
+        positions_base[...] = 0.0
+        csi[...] = 0.0
+        positions[...] = 0.0
+        assert np.array_equal(dataset.csi, expected_csi)
+        assert np.array_equal(dataset.positions, expected_positions)
+
+    def test_construction_from_owned_arrays_allocates_no_payload(self):
+        geo = ArrayGeometry(1, 2, 4, 16, 1e9, 50e6)
+        rng = np.random.default_rng(5)
+        shape = (4096,) + geo.csi_shape
+        csi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        positions = rng.standard_normal((4096, 2))
+        payload = csi.nbytes
+        assert payload > 4_000_000
+        # tracemalloc also sees numpy's array buffers
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            CsiDataset(geo, csi, positions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * payload, f"peak {peak} B for a {payload} B payload"
 
 
 class TestMinMaxScaler:

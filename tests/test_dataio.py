@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import csigen.dataio
 from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
 from csigen.dataio import (
     BadMagicError,
@@ -173,6 +175,78 @@ class TestFileFormat:
         with pytest.raises(LengthMismatchError):
             load_dataset(path)
 
+    def test_value_beyond_float32_in_a_later_slice_keeps_the_old_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(csigen.dataio, "SAVE_CHUNK", 1)  # one record per slice
+        path = tmp_path / "ds.csit"
+        save_dataset(random_dataset(2, seed=2), path)
+        previous = path.read_bytes()
+        csi = random_dataset(4).csi.copy()
+        csi[3, 1, 0, 2, 5] = -1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="record 3 holds a value beyond the float32 range"):
+                save_dataset(CsiDataset(GEO, csi, np.zeros((4, 2))), path)
+        assert path.read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.csit", "ds.csit.meta.json"]
+
+    @pytest.mark.parametrize("chunk", [1, 7 * (2 + 2 * 256) - 1, None], ids=["record", "six", "default"])
+    def test_slices_write_the_interleaved_records(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(csigen.dataio, "SAVE_CHUNK", chunk)
+        dataset = random_dataset(300, seed=3)
+        path = tmp_path / "ds.csit"
+        save_dataset(dataset, path)
+        # each record: x, y, then re, im of every entry, as float32
+        interleaved = dataset.csi.reshape(300, -1).view(np.float64)
+        records = np.concatenate([dataset.positions, interleaved], axis=1).astype("<f4")
+        assert path.read_bytes()[HEADER_BYTES:] == records.tobytes()
+
+    def test_load_keeps_every_bit(self, tmp_path):
+        path = tmp_path / "ds.csit"
+        save_dataset(random_dataset(5, seed=6), path)
+        blob = bytearray(path.read_bytes())
+        f4 = np.finfo(np.float32)
+        special = np.array(
+            [0.0, -0.0, f4.smallest_subnormal, -f4.smallest_subnormal, f4.smallest_normal / 3,
+             -f4.smallest_normal / 3, f4.max, -f4.max], dtype="<f4",
+        )
+        payload = np.frombuffer(blob, dtype="<f4", offset=HEADER_BYTES).copy()
+        rng = np.random.default_rng(6)
+        slots = rng.choice(payload.size, size=payload.size // 2, replace=False)
+        payload[slots] = special[rng.integers(0, special.size, size=slots.size)]
+        blob[HEADER_BYTES:] = payload.tobytes()
+        path.write_bytes(bytes(blob))
+        records = np.frombuffer(path.read_bytes(), dtype="<f4", offset=HEADER_BYTES).reshape(5, -1)
+        re = records[:, 2::2].astype(np.float64)
+        im = records[:, 3::2].astype(np.float64)
+        loaded = load_dataset(path)
+        assert loaded.csi.tobytes() == (re + 1j * im).tobytes()
+        assert loaded.positions.tobytes() == records[:, :2].astype(np.float64).tobytes()
+        bits = special.astype(np.float64).view(np.uint64)
+        for part in (re, im):  # every special value, -0.0 included, is in both parts
+            assert np.isin(bits, part.view(np.uint64)).all()
+
+    def test_load_and_save_hold_the_payload_once(self, tmp_path):
+        dataset = random_dataset(2048, seed=7)
+        payload = dataset.csi.nbytes  # C, the complex128 payload
+        assert payload > 8_000_000
+        path = tmp_path / "ds.csit"
+        # tracemalloc also sees numpy's array buffers
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            save_dataset(dataset, path)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            load_dataset(path)
+            _, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 0.1 * payload, f"save peak {save_peak} B for a {payload} B payload"
+        load_peak -= start
+        assert load_peak < 1.6 * payload, f"load peak {load_peak} B for a {payload} B payload"
+
     def test_empty_dataset_round_trip(self, tmp_path):
         dataset = random_dataset(0)
         path = tmp_path / "empty.csit"
@@ -253,6 +327,18 @@ class TestSplit:
             assert original % 4 == 0
         for position in train.positions:
             assert np.linalg.norm(position) > 3.0
+
+    @pytest.mark.parametrize("center, diameter, kept", [
+        ((1e200, 0.0), 4.0, [2, 6, 10]),  # squared distances overflow
+        ((1e200, 0.0), 3e200, []),  # the true distance, 1e200, lies inside
+        ((-1e308, 1e308), 1e308, [2, 6, 10]),  # the distance exceeds the float64 maximum
+    ], ids=["far", "far-inside", "beyond-float64"])
+    def test_far_hole_centre_is_measured_without_overflow(self, center, diameter, kept):
+        spec = SplitSpec(hole_center=center, hole_diameter=diameter)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train, _ = split_train_test(line_dataset(12), spec)
+        assert list(train.positions[:, 0]) == kept
 
     def test_stride_larger_than_dataset(self):
         dataset = line_dataset(3)

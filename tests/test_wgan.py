@@ -1,5 +1,6 @@
 """Loss identities, training-loop behavior, checkpoints, and sampling."""
 
+import importlib
 import json
 import math
 import struct
@@ -40,6 +41,8 @@ from csigen.gan.train import (
     train,
 )
 from graph_reference import critic_loss, generator_loss
+
+TRAIN_MODULE = importlib.import_module("csigen.gan.train")
 
 # Each loss identity holds for the routine that trains and for the graph-built
 # reference alike.
@@ -366,6 +369,44 @@ class TestTrain:
         assert load_checkpoint(tmp_path / "checkpoint_0000002.wgck").step == 2
         assert load_checkpoint(tmp_path / "checkpoint_0000004.wgck").step == 4
         assert result.checkpoint.step == 6
+
+    @pytest.mark.parametrize("through_csi", [True, False])
+    def test_input_blocks_change_no_bit(self, tmp_path, monkeypatch, through_csi):
+        dataset = toy_dataset(40, seed=24)
+        config = toy_config(generator_steps=2, gp_ds_through_csi=through_csi)
+        results = []
+        for chunk in (1, 3 * GEO.num_antennas * GEO.num_taps, None):  # rows of 1, 3, all
+            if chunk is not None:
+                monkeypatch.setattr(TRAIN_MODULE, "INPUT_CHUNK", chunk)
+            else:
+                monkeypatch.undo()
+            result = train(dataset, config)
+            path = tmp_path / f"{chunk}.wgck"
+            save_checkpoint(result.checkpoint, path)
+            results.append((path.read_bytes(), result.log_rows))
+        assert results[0] == results[1] == results[2]
+
+    def test_input_preparation_holds_the_payload_once(self):
+        # the critic's calibration probe adds a fixed cost of 256 rows, so
+        # the rows are many and narrow
+        geometry = ArrayGeometry(1, 1, 4, 16, 1.272e9, 50e6)
+        dataset = toy_dataset(8192, seed=25, geometry=geometry)
+        payload = dataset.csi.nbytes  # C, the complex128 payload
+        assert payload > 8_000_000
+        config = toy_config(generator_steps=0, gp_ds_through_csi=False)
+        # a first run does the one-time set-up (about 0.06 C here), which
+        # is no part of the payload's cost
+        train(toy_dataset(8, geometry=geometry), config)
+        # tracemalloc also sees numpy's array buffers
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            train(dataset, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 0.8 * payload, f"peak {peak - start} B beyond a {payload} B payload"
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

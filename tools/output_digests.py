@@ -4,10 +4,11 @@ Usage: python3 tools/output_digests.py SRC OUT
 
 Imports csigen from the source tree SRC and runs, inside the new directory
 OUT: synth of a seeded random 300-point scene (one 2x4 array, 16 taps);
-train for 8 steps at batch 64 with a checkpoint every 4 steps, once with
-``gp_ds_through_csi`` true and once false; for each run, train --resume
-from step 4 into a new directory and from the final checkpoint in place;
-generate in both modes; interpolate; and evaluate.  Then it prints one
+split of that scene with a 4 m hole at (6, 6); train for 8 steps at batch
+64 with a checkpoint every 4 steps, once with ``gp_ds_through_csi`` true
+and once false; for each run, train --resume from step 4 into a new
+directory and from the final checkpoint in place; generate in both modes;
+interpolate; and evaluate.  Then it prints one
 ``sha256  relative-path`` line per file in OUT, sorted by path.  Every
 command runs with relative paths from OUT, so the listings of two source
 trees compare line by line: equal listings mean byte-identical output.
@@ -76,6 +77,8 @@ def run_pipeline(main) -> None:
     write_positions(Path("positions.csv"), 300, seed=0)
     write_positions(Path("queries.csv"), 60, seed=1)
     cli("synth", "--scenario", "scene.cfg", "--positions", "file:positions.csv", "--out", "data.csit")
+    cli("split", "--dataset", "data.csit", "--hole-center", "6,6", "--hole-diameter", "4",
+        "--out-train", "split_train.csit", "--out-test", "split_test.csit")
     for through_csi in ("true", "false"):
         config, run = f"train_{through_csi}.cfg", f"run_{through_csi}"
         Path(config).write_text(TRAIN.format(through_csi))
