@@ -211,8 +211,16 @@ def cmd_train(args) -> int:
     # out, and the checkpoint a run resumed from is a comment
     resolved = {key: value for key, value in config.to_dict().items() if value is not None}
     resumed = f"# resumed_from = {args.resume}\n" if args.resume else ""
-    _write_resolved_config(out_dir / "resolved_config.cfg", resolved, resumed)
-    result = train(dataset, config, out_dir=out_dir, resume=resume)
+    resolved_path = out_dir / "resolved_config.cfg"
+    existed = resolved_path.exists()
+    _write_resolved_config(resolved_path, resolved, resumed)
+    try:
+        result = train(dataset, config, out_dir=out_dir, resume=resume)
+    except (MemoryError, ValueError):
+        # train() raises these before it writes a file: the run leaves none
+        if not existed:
+            resolved_path.unlink()
+        raise
     save_checkpoint(result.checkpoint, out_dir / "checkpoint_final.wgck")
     log_path = out_dir / "training_log.csv"
     # a resume into the same directory extends the log it finds there
@@ -466,7 +474,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (DatasetFormatError, CheckpointFormatError, OSError, ValueError) as exc:
+    except (DatasetFormatError, CheckpointFormatError, OSError, ValueError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

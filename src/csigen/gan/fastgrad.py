@@ -38,9 +38,9 @@ exactly 0 and their slots stay zero.
 Both losses take the generator and a batch's noise.  A caller that already
 ran the generator over the batch, as :func:`csigen.gan.train.train` does
 once for all batches of a step, hands its rows in as the keyword arguments
-``fake_flat`` (with ``ds_fake`` and ``ds_real`` for the critic loss, and
+``fake_flat`` (with ``ds_fake_scaled`` for the critic loss, and
 ``gen_cache`` for the generator loss) instead, and the losses then run no
-generator forward.
+generator forward.  Every delay spread the critic loss reads is scaled.
 
 A row's bits can depend on the number of rows in a GEMM (see README), so
 the stacked pass may round differently from separate passes at batch
@@ -192,18 +192,17 @@ def critic_loss_fast(
     ds_through_csi: bool = True,
     *,
     fake_flat: np.ndarray | None = None,
-    ds_fake: np.ndarray | None = None,
-    ds_real: np.ndarray | None = None,
+    ds_fake_scaled: np.ndarray | None = None,
 ) -> tuple[float, list[np.ndarray], dict]:
     """Critic objective mean[C(fake)] - mean[C(real)] + lambda * penalty and
     its gradients with respect to the critic parameters only.
 
     Fake samples share the real samples' conditions.  The fakes are
     ``generator``'s output on ``noise``, or ``fake_flat`` when given, with
-    ``ds_fake`` their delay spreads in seconds (``generator`` and ``noise``
-    are then not read).  A penalty without the delay-spread path mixes
-    ``ds_real``, the real rows' delay spreads, computed from ``real_flat``
-    when not given.  Returns (loss, gradients in canonical parameter order,
+    ``ds_fake_scaled`` their scaled delay spreads (``generator`` and
+    ``noise`` are then not read).  A penalty without the delay-spread path
+    mixes the scaled spreads the critic scores, ``ds_real_scaled`` and the
+    fakes'.  Returns (loss, gradients in canonical parameter order,
     diagnostics); the gradients are a :class:`~csigen.gan.mlp.FlatArrays`.
 
     The critic runs once over the stacked rows [fakes; real; interpolates]
@@ -219,9 +218,9 @@ def critic_loss_fast(
     grads = FlatArrays.zeros_like(critic.arrays())
     if fake_flat is None:
         fake_flat, _ = generator_forward(generator, pos_scaled, noise)
-        ds_fake = delay_spread_flat(fake_flat, geometry)
+        ds_fake_scaled = ds_scaler.scale(delay_spread_flat(fake_flat, geometry))
     rows = [fake_flat, real_flat]
-    ds_scaled = [ds_scaler.scale(ds_fake), ds_real_scaled]
+    ds_scaled = [ds_fake_scaled, ds_real_scaled]
     seeds = [ones / n, -ones / n]
     penalty = gp_lambda != 0.0
     if penalty:
@@ -237,8 +236,7 @@ def critic_loss_fast(
         ds_mixed, ds_cache = delay_spread_forward(stacked[mixed], geometry)
         ds_scaled.append(ds_scaler.scale(ds_mixed))
     elif penalty:
-        ds_real = delay_spread_flat(real_flat, geometry) if ds_real is None else ds_real
-        ds_scaled.append(ds_scaler.scale(eps_mix * ds_real + (1.0 - eps_mix) * ds_fake))
+        ds_scaled.append(eps_mix * ds_real_scaled + (1.0 - eps_mix) * ds_fake_scaled)
     scores, cache = critic_forward(
         critic, stacked, np.concatenate(ds_scaled), np.concatenate([pos_scaled] * len(rows))
     )

@@ -71,7 +71,7 @@ from pathlib import Path
 import numpy as np
 
 from csigen.atomic import atomic_write
-from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler
+from csigen.core import ArrayGeometry, CsiDataset, MinMaxScaler, all_finite
 from csigen.gan.mlp import FlatArrays, MlpParams, cache_rows
 from csigen.gan.fastgrad import critic_input_gradient, critic_loss_fast, generator_loss_fast
 from csigen.gan.nets import (
@@ -100,7 +100,7 @@ TRAINING_DTYPE = np.float32
 
 
 class TrainingDivergedError(RuntimeError):
-    """A loss became non-finite; training aborted."""
+    """A loss, parameter or Adam moment became non-finite; training aborted."""
 
 
 class CheckpointFormatError(Exception):
@@ -515,8 +515,9 @@ def train(
     generator step.  With an ``out_dir``, writes a checkpoint at each
     multiple of ``checkpoint_every`` before the last step and a diagnostic
     checkpoint on divergence, each on a worker thread while the next steps
-    run.  Steps run in ``TRAINING_DTYPE``; the returned checkpoint, the
-    end state, is float64.
+    run.  A step that leaves a loss, parameter or Adam second moment not
+    finite raises :class:`TrainingDivergedError`.  Steps run in
+    ``TRAINING_DTYPE``; the returned checkpoint, the end state, is float64.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -532,10 +533,10 @@ def train(
     # are its own, so the blocks change no bit
     count, entries = len(dataset), geometry.num_antennas * geometry.num_taps
     rows = max(1, INPUT_CHUNK // entries)
-    blocks = [slice(start, start + rows) for start in range(0, count, rows)]
     real_flat = np.empty((count, 2 * entries), TRAINING_DTYPE)
     ds_real = np.empty((count, geometry.num_antennas))
-    for block in blocks:
+    for start in range(0, count, rows):
+        block = slice(start, start + rows)
         flat = flatten_csi(dataset.csi[block])
         real_flat[block] = flat
         ds_real[block] = delay_spread_flat(flat, geometry)
@@ -566,12 +567,6 @@ def train(
     # cast once, so that no float64 operand promotes the step's arithmetic
     pos_scaled = state.condition_scaler.scale(dataset.positions).astype(TRAINING_DTYPE)
     ds_real_scaled = state.ds_scaler.scale(ds_real).astype(TRAINING_DTYPE)
-    # the penalty without the delay-spread path mixes the real rows' spreads
-    ds_real_mix = None
-    if not config.gp_ds_through_csi:
-        ds_real_mix = np.empty(ds_real.shape, TRAINING_DTYPE)
-        for block in blocks:
-            ds_real_mix[block] = delay_spread_flat(real_flat[block], geometry)
     if resume is None:
         _calibrate_critic_scale(state.critic, geometry, state.ds_scaler, real_flat, pos_scaled)
 
@@ -587,7 +582,9 @@ def train(
     # the write in flight, if any; its result() is the wait, and raises the
     # error of a write that failed
     pending = None
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="checkpoint writer") as writer:
+    # a diverging step overflows: the finiteness check below reports it
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="checkpoint writer") as writer, \
+            np.errstate(all="ignore"):
 
         def save(step: int, name: str) -> None:
             """Write a float32 copy of the state at ``step`` to ``out_dir /
@@ -622,9 +619,9 @@ def train(
                 critic_idx = block_idx[:critic_rows]
                 block_real = real_flat[critic_idx]
                 block_ds_real = ds_real_scaled[critic_idx]
-                block_ds_mix = None if ds_real_mix is None else ds_real_mix[critic_idx]
                 fake_flat, gen_cache = generator_forward(state.generator, block_pos, block_noise)
                 ds_fake = delay_spread_flat(fake_flat[:critic_rows], geometry)
+                ds_fake_scaled = state.ds_scaler.scale(ds_fake)
 
                 for k, (_, noise, eps_mix) in enumerate(draws):
                     part = slice(k * batch, (k + 1) * batch)
@@ -641,8 +638,7 @@ def train(
                         config.gp_lambda,
                         config.gp_ds_through_csi,
                         fake_flat=fake_flat[part],
-                        ds_fake=ds_fake[part],
-                        ds_real=None if block_ds_mix is None else block_ds_mix[part],
+                        ds_fake_scaled=ds_fake_scaled[part],
                     )
                     adam_update(state.critic.arrays(), cgrads, state.critic_adam, config)
                 part = slice(critic_rows, None)
@@ -660,9 +656,13 @@ def train(
 
                 values = (step, closs, gloss, last["real_score"], last["fake_score"])
                 log_rows.append(dict(zip(LOG_COLUMNS, values)))
-                if not (math.isfinite(closs) and math.isfinite(gloss)):
+                # an overflowing squared gradient shows in the second moments only
+                buffers = (state.generator.arrays(), state.critic.arrays(),
+                           state.gen_adam.v, state.critic_adam.v)
+                if not (all(map(math.isfinite, (closs, gloss)))
+                        and all(all_finite(buffer.flat) for buffer in buffers)):
                     save(step, "checkpoint_diverged.wgck")
-                    raise TrainingDivergedError(f"non-finite loss at generator step {step}")
+                    raise TrainingDivergedError(f"non-finite state at generator step {step}")
                 every = config.checkpoint_every
                 if every and step % every == 0 and step < final_step:
                     save(step, f"checkpoint_{step:07d}.wgck")

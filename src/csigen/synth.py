@@ -5,8 +5,8 @@ powers) from a small scene description: antenna arrays at fixed poses, a
 line-of-sight path per array, and one single-bounce path per point
 reflector.  Each path deposits a Hann-windowed fractional-delay sinc pulse
 into the tap-delay line; element phases follow the half-wavelength UPA
-steering model with phase increment pi*sin(azimuth) along columns and
-pi*sin(elevation) along rows.
+steering model with phase increment pi*sin(azimuth) along columns; the rows
+of an array share their phases.
 
 :func:`synth_dataset` is the one entry point.  It works on blocks of
 ``SYNTH_BLOCK_ROWS`` positions, one path at a time, and draws the noise of
@@ -143,14 +143,11 @@ class Scenario:
         if not (x0 < x1 and y0 < y1):
             raise ValueError("bounds must span a non-empty region")
 
-    def contains(self, point: np.ndarray) -> bool | np.ndarray:
-        """Whether ``point`` lies inside the bounds: a bool for one
-        2-vector, one flag per row for a stack (..., 2)."""
-        point = np.asarray(point, dtype=np.float64)
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Whether each row of the float array ``points`` (rows, 2) is inside the bounds."""
         (x0, y0), (x1, y1) = self.bounds
-        x, y = point[..., 0], point[..., 1]
-        inside = (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
-        return bool(inside) if inside.ndim == 0 else inside
+        x, y = points[..., 0], points[..., 1]
+        return (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
 
 
 def _arrivals(placement: ArrayPlacement, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,25 +262,22 @@ def _deposit(
     values: np.ndarray,
     geometry: ArrayGeometry,
     azimuth: np.ndarray,
-    elevation: np.ndarray,
     delay: np.ndarray,
     gain: np.ndarray,
 ) -> None:
     """Add one path per row to ``values`` (rows, M_r, M_c, N_tap), the
-    tensors of one array: the gain times the steering phases times the
-    delay pulse."""
+    tensors of one array: the gain times the steering phases, shared by the
+    array's rows, times the delay pulse."""
     late = delay >= (geometry.num_taps - 1) * geometry.tap_duration
     if np.any(late):
         raise ValueError(
             f"path delay {delay[late][0]:.3e} s falls outside the "
             f"{geometry.num_taps}-tap observation window"
         )
-    rows = np.arange(geometry.rows_per_array)[:, None]
-    cols = np.arange(geometry.cols_per_array)[None, :]
+    cols = np.arange(geometry.cols_per_array)
     # math.sin row by row, as the rounding of every output byte was set by it
     sin_azimuth = np.array([math.sin(a) for a in azimuth.tolist()])[:, None, None]
-    sin_elevation = np.array([math.sin(e) for e in elevation.tolist()])[:, None, None]
-    steer = np.exp(1j * math.pi * (cols * sin_azimuth + rows * sin_elevation))
+    steer = np.exp(1j * math.pi * (cols * sin_azimuth))
     pulses = _fractional_delay_pulses(delay * geometry.bandwidth, geometry.num_taps)
     values += gain[:, None, None, None] * steer[..., None] * pulses[:, None, None, :]
 
@@ -305,8 +299,7 @@ def _synth_rows(
         for azimuth, delay, gain, present in array_paths:
             live = np.flatnonzero(present)
             tensors = values[live, b]
-            elevation = np.zeros(live.size)
-            _deposit(tensors, geometry, azimuth[live], elevation, delay[live], gain[live])
+            _deposit(tensors, geometry, azimuth[live], delay[live], gain[live])
             values[live, b] = tensors
     if rngs is None:
         return values

@@ -24,8 +24,10 @@ from hypothesis import strategies as st
 import csigen
 import csigen.cli
 import csigen.metrics
+from csigen import config as cfg
 from csigen.cli import (
     EXIT_DATA,
+    EXIT_DIVERGED,
     EXIT_EMPTY_SPLIT,
     EXIT_OK,
     EXIT_USAGE,
@@ -427,6 +429,40 @@ class TestTrain:
         assert err.startswith("config error:") and "seed" in err
         assert not (run_dir / "resolved_config.cfg").exists()
 
+    @pytest.mark.parametrize("key", ["noise_dim", "batch_size"])
+    def test_a_size_no_memory_holds_is_a_data_error(self, tmp_path, small_dataset, capsys, key):
+        # 1e15 elements: no 64-bit process can map them, so nothing is allocated
+        config = tmp_path / "train.cfg"
+        config.write_text(TRAIN_CONFIG.replace(f"{key} = 8", f"{key} = {10**15}"))
+        run_dir = tmp_path / "run"
+        code = main(
+            ["train", "--train", str(small_dataset), "--config", str(config), "--out", str(run_dir)]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: Unable to allocate")
+        assert list(run_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["learning_rate = 10", "learning_rate = 1e300",
+                                       "adam_eps = 1e-300", "gp_lambda = 1e38"])
+    def test_a_valid_config_that_overflows_is_a_numerical_abort(
+        self, tmp_path, small_dataset, capsys, value
+    ):
+        config = tmp_path / "train.cfg"
+        text = TRAIN_CONFIG.replace("generator_steps = 3", "generator_steps = 2")
+        config.write_text(text.replace("learning_rate = 1e-4\n", "") + value + "\n")
+        run_dir = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(
+                ["train", "--train", str(small_dataset), "--config", str(config),
+                 "--out", str(run_dir)]
+            )
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err.startswith("numerical abort:")
+        assert sorted(path.name for path in run_dir.iterdir()) == [
+            "checkpoint_diverged.wgck", "resolved_config.cfg"]
+        assert load_checkpoint(run_dir / "checkpoint_diverged.wgck").step >= 1
+
     @pytest.mark.parametrize("field", ["hidden_scale", "critic_hidden_scale"])
     def test_nan_scale_is_a_config_error(self, tmp_path, small_dataset, capsys, field):
         config = tmp_path / "train.cfg"
@@ -690,6 +726,17 @@ class TestEvaluate:
                 # the file holds 6 decimals
                 assert abs(float(matrix[1 + i][1 + j]) - expected) <= 5e-7 + 1e-12, (i, j)
         assert any(float(value) > 0.01 for row in matrix[1:] for value in row[1:])
+
+    def test_a_bin_count_no_memory_holds_is_a_data_error(self, tmp_path, small_dataset, capsys):
+        # 1e15 edges: no 64-bit process can map them, so nothing is allocated
+        report = tmp_path / "report"
+        code = main(
+            ["evaluate", "--reference", str(small_dataset), "--candidates", str(small_dataset),
+             "--bins", str(10**15), "--out", str(report)]
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: Unable to allocate")
+        assert not report.exists()
 
     def test_zero_pooled_power_is_a_data_error(self, tmp_path, small_dataset):
         dataset = load_dataset(small_dataset)
@@ -1231,3 +1278,100 @@ class TestSplitArguments:
             train_set, test_set = load_dataset(train), load_dataset(test)
             assert len(train_set) > 0 and len(test_set) > 0
             assert not {tuple(p) for p in train_set.positions} & {tuple(p) for p in test_set.positions}
+
+
+# Training config values from their valid ranges, kept to runs of at most
+# two steps at hidden_scale <= 0.1; every float key may take any valid
+# value, so a valid config that overflows is among them.
+TRAIN_IN_RANGE = {
+    "generator_steps": st.integers(1, 2),
+    "seed": st.integers(0, 2**80),
+    "gp_lambda": st.floats(0.0, 1e308),
+    "n_critic": st.integers(1, 3),
+    "batch_size": st.integers(1, 16),
+    "learning_rate": st.floats(0.0, 1e308, exclude_min=True),
+    "adam_beta1": st.floats(0.0, 1.0, exclude_max=True),
+    "adam_beta2": st.floats(0.0, 1.0, exclude_max=True),
+    "adam_eps": st.floats(0.0, 1e308, exclude_min=True),
+    "noise_dim": st.integers(1, 16),
+    "hidden_scale": st.floats(0.0, 0.1, exclude_min=True),
+    "critic_hidden_scale": st.floats(0.0, 0.1, exclude_min=True),
+    "gp_ds_through_csi": st.sampled_from(["true", "false", "yes", "off", "1", "0"]),
+    "checkpoint_every": st.integers(0, 3),
+}
+# sizes of at least 1e15 elements: no 64-bit process can map them, so the
+# allocation fails at once
+TRAIN_HUGE = {"noise_dim": "1000000000000000", "batch_size": "1000000000000000",
+              "hidden_scale": "1e15", "critic_hidden_scale": "1e15"}
+TRAIN_BASE = TRAIN_CONFIG.replace("generator_steps = 3", "generator_steps = 2")
+
+
+@st.composite
+def train_overrides(draw):
+    """One to three training config keys, each in range, 0, negative, NaN,
+    +-inf, non-numeric, a bool word or, for a size, huge."""
+    keys = draw(st.lists(st.sampled_from(sorted(TRAIN_IN_RANGE)), min_size=1, max_size=3,
+                         unique=True))
+    overrides = {}
+    for key in keys:
+        # in range as often as the other kinds together, so that whole runs
+        # are common
+        kinds = ["in range"] * 4 + ["zero", "negative", "word"] + (
+            ["huge"] if key in TRAIN_HUGE else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "in range":
+            overrides[key] = str(draw(TRAIN_IN_RANGE[key]))
+        elif kind == "zero":
+            overrides[key] = "0"
+        elif kind == "negative":
+            overrides[key] = draw(st.sampled_from(["-1", "-0.5", "-1e300"]))
+        elif kind == "word":
+            overrides[key] = draw(st.sampled_from(NOT_FINITE + ("true", "false")))
+        else:
+            overrides[key] = TRAIN_HUGE[key]
+    return overrides
+
+
+@pytest.fixture(scope="class")
+def train_scene(tmp_path_factory):
+    """A 16-point grid of the ``small_dataset`` scene."""
+    directory = tmp_path_factory.mktemp("train")
+    (directory / "scene.cfg").write_text(SCENARIO)
+    data = directory / "data.csit"
+    assert main(["synth", "--scenario", str(directory / "scene.cfg"),
+                 "--positions", "grid:4x4", "--out", str(data)]) == EXIT_OK
+    return data
+
+
+class TestTrainConfigValues:
+    """``csigen train`` over generated config values: exit 0, 2, 3 or 5
+    without a traceback or a numpy warning, no file after exit 2 or 3, a
+    loadable diagnostic checkpoint after exit 5, and a loadable final
+    checkpoint and a full log after exit 0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(overrides=train_overrides())
+    def test_exits_with_a_documented_code(self, train_scene, overrides):
+        entries = cfg.parse_config_text(TRAIN_BASE)
+        entries.update(overrides)
+        with tempfile.TemporaryDirectory() as directory:
+            directory = Path(directory)
+            config, run = directory / "train.cfg", directory / "run"
+            config.write_text(cfg.format_config(entries))
+            stderr = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(["train", "--train", str(train_scene), "--config", str(config),
+                             "--out", str(run)])
+            event(f"train exits {code}")
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_DIVERGED), stderr.getvalue()
+            assert "Traceback" not in stderr.getvalue()
+            if code in (EXIT_USAGE, EXIT_DATA):
+                assert not run.exists() or list(run.iterdir()) == []
+            elif code == EXIT_DIVERGED:
+                assert load_checkpoint(run / "checkpoint_diverged.wgck").step >= 1
+            else:
+                steps = int(entries["generator_steps"])
+                assert load_checkpoint(run / "checkpoint_final.wgck").step == steps
+                assert len(read_csv(run / "training_log.csv")) == 1 + steps

@@ -175,8 +175,8 @@ def test_critic_backward_runs_in_the_critic_dtype(setup, seen):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_precomputed_rows_give_the_losses_bits(setup, dtype, ds_through_csi):
     """As train() runs a step: one generator forward over five critic
-    batches and a generator batch, the fakes' delay spreads over the critic
-    rows, and the real rows' spreads over the whole dataset, gathered."""
+    batches and a generator batch, the fakes' scaled delay spreads over the
+    critic rows, and the real rows' over the whole dataset, gathered."""
     generator, critic, ds_scaler, _, _ = setup
     generator, critic = generator.copy(dtype), critic.copy(dtype)
     rng = np.random.default_rng(17)
@@ -188,14 +188,14 @@ def test_precomputed_rows_give_the_losses_bits(setup, dtype, ds_through_csi):
     pos = rng.uniform(-1, 1, (dataset_rows, 2)).astype(dtype)
     noise = rng.standard_normal((idx.size, NOISE_DIM))
     fake, cache = generator_forward(generator, pos[idx], noise)
-    ds_fake = delay_spread_flat(fake[: n_critic * BATCH], GEO)
+    ds_fake_scaled = ds_scaler.scale(delay_spread_flat(fake[: n_critic * BATCH], GEO))
 
     for k in range(n_critic):
         rows = slice(k * BATCH, (k + 1) * BATCH)
         batch = idx[rows]
         args = (critic, generator, GEO, ds_scaler, real[batch], pos[batch], ds_real_scaled[batch],
                 noise[rows], rng.uniform(size=(BATCH, 1)), 10.0, ds_through_csi)
-        given = dict(fake_flat=fake[rows], ds_fake=ds_fake[rows], ds_real=ds_real[batch])
+        given = dict(fake_flat=fake[rows], ds_fake_scaled=ds_fake_scaled[rows])
         loss, grads, diagnostics = critic_loss_fast(*args, **given)
         theirs = critic_loss_fast(*args)
         assert (loss, diagnostics) == (theirs[0], theirs[2])

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from csigen.core import ArrayGeometry, MinMaxScaler
+from csigen.gan import fastgrad
 from csigen.gan.fastgrad import critic_loss_fast, generator_loss_fast
-from csigen.gan.nets import init_critic, init_generator
+from csigen.gan.nets import delay_spread_flat, generator_forward, init_critic, init_generator
 from graph_reference import critic_loss, generator_loss
 
 GEO = ArrayGeometry(1, 2, 2, 5, 1.272e9, 50e6)
@@ -27,8 +28,6 @@ def setup(seed, hidden_scale=0.05, noise_dim=7):
     pos = rng.uniform(-1, 1, (batch, 2))
     noise = rng.standard_normal((batch, noise_dim))
     eps = rng.uniform(0.1, 0.9, (batch, 1))
-    from csigen.gan.nets import delay_spread_flat
-
     ds_real = ds_scaler.scale(delay_spread_flat(real, GEO))
     return generator, critic, ds_scaler, real, pos, ds_real, noise, eps
 
@@ -93,3 +92,27 @@ def test_penalty_adds_exactly_zero_to_bias_gradients(ds_through):
         assert bias_with.tobytes() == bias_without.tobytes()
     # the weights do receive a penalty gradient
     assert any(not np.array_equal(a, b) for a, b in zip(without[::2], with_penalty[::2]))
+
+
+def test_penalty_without_the_delay_spread_path_mixes_the_scaled_spreads(monkeypatch):
+    # the interpolates' side input is the mix of the scaled spreads the
+    # critic scores for the real rows and the fakes, bit for bit
+    generator, critic, ds_scaler, real, pos, ds_real, noise, eps = setup(13)
+    side_inputs, forward = [], fastgrad.critic_forward
+
+    def recording(critic, csi_flat, ds_scaled, pos_scaled):
+        side_inputs.append(ds_scaled)
+        return forward(critic, csi_flat, ds_scaled, pos_scaled)
+
+    monkeypatch.setattr(fastgrad, "critic_forward", recording)
+    critic_loss_fast(
+        critic, generator, GEO, ds_scaler, real, pos, ds_real, noise, eps,
+        gp_lambda=10.0, ds_through_csi=False,
+    )
+    fake, _ = generator_forward(generator, pos, noise)
+    ds_fake = ds_scaler.scale(delay_spread_flat(fake, GEO))
+    (side_input,) = side_inputs
+    n = real.shape[0]
+    assert side_input[:n].tobytes() == ds_fake.tobytes()
+    assert side_input[n : 2 * n].tobytes() == ds_real.tobytes()
+    assert side_input[2 * n :].tobytes() == (eps * ds_real + (1.0 - eps) * ds_fake).tobytes()

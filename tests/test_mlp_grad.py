@@ -340,7 +340,8 @@ def test_critic_backward_without_input_gradient_leaves_parameter_gradients_ident
         # ds_path: the interpolates' input gradient runs through their delay spreads
         return critic_loss_fast(
             critic, None, GEO_SMALL, ds_scaler, real, pos, ds_real_scaled, None,
-            eps_mix, 10.0, ds_path, fake_flat=fake, ds_fake=delay_spread_flat(fake, GEO_SMALL),
+            eps_mix, 10.0, ds_path, fake_flat=fake,
+            ds_fake_scaled=ds_scaler.scale(delay_spread_flat(fake, GEO_SMALL)),
         )
 
     skipped = loss()

@@ -386,6 +386,21 @@ class TestTrain:
             results.append((path.read_bytes(), result.log_rows))
         assert results[0] == results[1] == results[2]
 
+    def test_real_rows_delay_spreads_are_computed_once(self, monkeypatch):
+        # the critic scores the scaled spreads of the real rows, and the
+        # penalty without the delay-spread path mixes those same spreads
+        dataset = toy_dataset(40, seed=26)
+        counted = []
+
+        def counting(csi_flat, geometry):
+            counted.append(csi_flat.shape[0])
+            return delay_spread_flat(csi_flat, geometry)
+
+        monkeypatch.setattr(TRAIN_MODULE, "INPUT_CHUNK", 3 * GEO.num_antennas * GEO.num_taps)
+        monkeypatch.setattr(TRAIN_MODULE, "delay_spread_flat", counting)
+        train(dataset, toy_config(generator_steps=0, gp_ds_through_csi=False))
+        assert counted == [3] * 13 + [1]
+
     def test_input_preparation_holds_the_payload_once(self):
         # the critic's calibration probe adds a fixed cost of 256 rows, so
         # the rows are many and narrow
