@@ -32,8 +32,8 @@ yields exact double backpropagation for the piecewise-linear critic.  That
 sweep has the interpolates' seed (ones), masks and weights, so its
 post-mask adjoints are the ones the stacked backward already computed for
 those rows: the sweep reuses them and runs one ``adjoint.T @ tangent`` GEMM
-per layer.  The biases' tangent is zero, so their penalty gradient is
-exactly 0 and their slots stay zero.
+per layer, which adds into the critic gradient.  The biases' tangent is
+zero, so their penalty gradient is exactly 0 and the sweep skips them.
 
 Both losses take the generator and a batch's noise.  A caller that already
 ran the generator over the batch, as :func:`csigen.gan.train.train` does
@@ -275,13 +275,10 @@ def critic_loss_fast(
         # the backward over the JVP pass has the interpolates' seed, masks
         # and weights, so its post-mask adjoints are the ones above; its
         # layer inputs are the tangents.  The biases' tangent is zero, so
-        # their penalty gradient is exactly 0 and their slots stay zero.
-        pgrads = FlatArrays.zeros_like(grads)
+        # their penalty gradient is exactly 0 and the sweep skips them
         tangents = trunk_tangents + fusion_tangents
         for index, (adjoint, tangent) in enumerate(zip(adjoints, tangents)):
-            pgrads[2 * index] += adjoint[mixed].T @ tangent
-        pgrads.flat *= gp_lambda
-        grads.flat += pgrads.flat
+            grads[2 * index] += (adjoint[mixed].T @ tangent) * gp_lambda
         loss += gp_lambda * penalty_value
 
     diagnostics = {

@@ -8,12 +8,13 @@ input scalers, so a resumed run continues bit-identically.
 
 One generator step draws from the run's random generator, for each of the
 ``n_critic`` critic batches in turn, its indices, noise and mixing
-coefficients, then the generator batch's indices and noise.  The generator
-is frozen while the critic updates, so the step gathers each input's rows
-once, runs one generator forward over all ``(n_critic + 1) * batch_size``
-rows, critic batches first, and the delay spreads of the critic rows in one
-call.  Each critic update reads its rows of that block, and the generator
-update backpropagates through the block's last rows.  A row's bits can
+coefficients, then the generator batch's indices and noise, into buffers
+allocated before the first step.  The generator is frozen while the critic
+updates, so the step gathers each input's rows once, runs one generator
+forward over all ``(n_critic + 1) * batch_size`` rows, critic batches
+first, and the delay spreads of the critic rows in one call.  Each critic
+update reads its rows of that block, and the generator update
+backpropagates through the block's last rows.  A row's bits can
 depend on its place in a GEMM block and on the block's size (see README),
 so a network shape or batch size other than the ones checked may round
 differently from running each batch alone.
@@ -177,6 +178,15 @@ class TrainingConfig:
         for name in ("hidden_scale", "critic_hidden_scale", "learning_rate", "adam_eps"):
             if not 0 < reals[name] < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be positive and finite, got {reals[name]!r}")
+        # adam_update applies both in TRAINING_DTYPE: a learning rate that rounds
+        # to 0 there, or an epsilon that rounds to inf, makes every step 0
+        narrow = np.finfo(TRAINING_DTYPE)
+        if self.learning_rate <= float(narrow.smallest_subnormal) / 2:
+            raise ValueError(
+                f"learning_rate must not round to 0 in {narrow.dtype}, got {self.learning_rate!r}")
+        if self.adam_eps >= (float(narrow.max) + 2.0**narrow.maxexp) / 2:
+            raise ValueError(
+                f"adam_eps must not round to inf in {narrow.dtype}, got {self.adam_eps!r}")
         if not 0 <= self.gp_lambda < math.inf:
             raise ValueError(f"gp_lambda must be >= 0 and finite, got {self.gp_lambda!r}")
         for name in ("adam_beta1", "adam_beta2"):
@@ -578,6 +588,10 @@ def train(
     batch = config.batch_size
     critic_rows = config.n_critic * batch
     final_step = state.step + config.generator_steps
+    # every step's draws land here; a size no memory holds fails now
+    block_idx = np.empty(critic_rows + batch, np.int64)
+    block_noise = np.empty((critic_rows + batch, config.noise_dim))
+    eps_mix = np.empty((config.n_critic, batch, 1))
 
     # the write in flight, if any; its result() is the wait, and raises the
     # error of a write that failed
@@ -600,21 +614,15 @@ def train(
 
         try:
             for step in range(state.step + 1, final_step + 1):
-                draws = [
-                    (
-                        rng.integers(0, count, size=batch),
-                        rng.standard_normal((batch, config.noise_dim)),
-                        rng.uniform(size=(batch, 1)),
-                    )
-                    for _ in range(config.n_critic)
-                ]
-                gen_idx = rng.integers(0, count, size=batch)
-                gen_noise = rng.standard_normal((batch, config.noise_dim))
+                for k in range(config.n_critic + 1):
+                    part = slice(k * batch, (k + 1) * batch)
+                    block_idx[part] = rng.integers(0, count, size=batch)
+                    rng.standard_normal(out=block_noise[part])
+                    if k < config.n_critic:
+                        rng.random(out=eps_mix[k])
                 # the generator is frozen while the critic updates: one forward
                 # over every batch of the step, critic batches first, and one
                 # gather of each input for all of them
-                block_idx = np.concatenate([idx for idx, _, _ in draws] + [gen_idx])
-                block_noise = np.concatenate([noise for _, noise, _ in draws] + [gen_noise])
                 block_pos = pos_scaled[block_idx]
                 critic_idx = block_idx[:critic_rows]
                 block_real = real_flat[critic_idx]
@@ -623,7 +631,7 @@ def train(
                 ds_fake = delay_spread_flat(fake_flat[:critic_rows], geometry)
                 ds_fake_scaled = state.ds_scaler.scale(ds_fake)
 
-                for k, (_, noise, eps_mix) in enumerate(draws):
+                for k in range(config.n_critic):
                     part = slice(k * batch, (k + 1) * batch)
                     closs, cgrads, last = critic_loss_fast(
                         state.critic,
@@ -633,8 +641,8 @@ def train(
                         block_real[part],
                         block_pos[part],
                         block_ds_real[part],
-                        noise,
-                        eps_mix,
+                        block_noise[part],
+                        eps_mix[k],
                         config.gp_lambda,
                         config.gp_ds_through_csi,
                         fake_flat=fake_flat[part],
@@ -648,7 +656,7 @@ def train(
                     geometry,
                     state.ds_scaler,
                     block_pos[part],
-                    gen_noise,
+                    block_noise[part],
                     fake_flat=fake_flat[part],
                     gen_cache=cache_rows(gen_cache, part),
                 )

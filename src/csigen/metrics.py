@@ -1,6 +1,6 @@
 """Evaluation statistics for measured and generated CSI: RMS delay spread,
 array correlation, root-MUSIC azimuth estimation, histogram densities,
-KL divergence and Jensen-Shannon distance, and a Gaussian-moment baseline.
+Jensen-Shannon distance, and a Gaussian-moment baseline.
 
 :func:`array_correlation` and :func:`root_music_azimuth` take one matrix
 or a stack with leading batch axes, worked in blocks of
@@ -352,29 +352,19 @@ def histogram_density(values: np.ndarray, edges: np.ndarray) -> Density:
     return Density(edges, counts / values.size)
 
 
-def kl_divergence(p: Density, q: Density) -> float:
-    """Kullback-Leibler divergence sum P ln(P/Q) in nats.
-
-    Terms with P(x) = 0 contribute 0; any bin with P > 0 and Q = 0 makes the
-    divergence +inf.  Both densities must share identical bin edges.
-    """
-    if not np.array_equal(p.edges, q.edges):
-        raise ValueError("densities must share identical bin edges")
-    mask = p.probabilities > 0
-    if np.any(q.probabilities[mask] == 0):
-        return math.inf
-    terms = p.probabilities[mask] * np.log(p.probabilities[mask] / q.probabilities[mask])
-    return float(terms.sum())
-
-
 def js_distance(p: Density, q: Density) -> float:
     """Jensen-Shannon distance sqrt((KL(P||M) + KL(Q||M)) / 2) with the
-    per-bin mixture M = (P + Q)/2; symmetric, finite, in [0, sqrt(ln 2)]."""
+    per-bin mixture M = (P + Q)/2; symmetric, finite, in [0, sqrt(ln 2)].
+    Each KL sum runs over its density's bins with P > 0, where M > 0 too."""
     if not np.array_equal(p.edges, q.edges):
         raise ValueError("densities must share identical bin edges")
-    mixture = Density(p.edges, (p.probabilities + q.probabilities) / 2.0)
-    divergence = (kl_divergence(p, mixture) + kl_divergence(q, mixture)) / 2.0
-    return math.sqrt(max(divergence, 0.0))
+    mixture = (p.probabilities + q.probabilities) / 2.0
+    divergence = 0.0
+    for density in (p, q):
+        mask = density.probabilities > 0
+        terms = density.probabilities[mask] * np.log(density.probabilities[mask] / mixture[mask])
+        divergence += float(terms.sum())
+    return math.sqrt(max(divergence / 2.0, 0.0))
 
 
 def jsd_matrix(densities: list[Density]) -> np.ndarray:

@@ -396,10 +396,10 @@ class TestTrain:
     @pytest.mark.parametrize("key, value", [
         (key, value)
         for key, values in {
-            "learning_rate": ["0", "-1e-4", "nan", "inf"],
+            "learning_rate": ["0", "-1e-4", "nan", "inf", "1e-300"],
             "adam_beta1": ["-0.1", "1.0", "nan"],
             "adam_beta2": ["1.0", "2.3", "nan"],
-            "adam_eps": ["0", "nan", "inf"],
+            "adam_eps": ["0", "nan", "inf", "1e300"],
             "gp_lambda": ["-1", "nan", "inf"],
             "checkpoint_every": ["-1"],
         }.items()
@@ -429,11 +429,13 @@ class TestTrain:
         assert err.startswith("config error:") and "seed" in err
         assert not (run_dir / "resolved_config.cfg").exists()
 
-    @pytest.mark.parametrize("key", ["noise_dim", "batch_size"])
+    @pytest.mark.parametrize("key", ["noise_dim", "batch_size", "n_critic"])
     def test_a_size_no_memory_holds_is_a_data_error(self, tmp_path, small_dataset, capsys, key):
         # 1e15 elements: no 64-bit process can map them, so nothing is allocated
+        entries = cfg.parse_config_text(TRAIN_CONFIG)
+        entries[key] = str(10**15)
         config = tmp_path / "train.cfg"
-        config.write_text(TRAIN_CONFIG.replace(f"{key} = 8", f"{key} = {10**15}"))
+        config.write_text(cfg.format_config(entries))
         run_dir = tmp_path / "run"
         code = main(
             ["train", "--train", str(small_dataset), "--config", str(config), "--out", str(run_dir)]
@@ -1302,7 +1304,8 @@ TRAIN_IN_RANGE = {
 # sizes of at least 1e15 elements: no 64-bit process can map them, so the
 # allocation fails at once
 TRAIN_HUGE = {"noise_dim": "1000000000000000", "batch_size": "1000000000000000",
-              "hidden_scale": "1e15", "critic_hidden_scale": "1e15"}
+              "n_critic": "1000000000000000", "hidden_scale": "1e15",
+              "critic_hidden_scale": "1e15"}
 TRAIN_BASE = TRAIN_CONFIG.replace("generator_steps = 3", "generator_steps = 2")
 
 

@@ -16,7 +16,6 @@ from csigen.metrics import (
     histogram_density,
     jsd_matrix,
     js_distance,
-    kl_divergence,
     pooled_edges,
     root_music_azimuth,
 )
@@ -330,31 +329,6 @@ class TestHistogramDensity:
             pooled_edges([np.array([1.0])], n_bins=1)
 
 
-class TestKlDivergence:
-    def test_identical_is_zero(self):
-        edges = np.linspace(0, 1, 4)
-        p = Density(edges, np.array([0.2, 0.5, 0.3]))
-        assert kl_divergence(p, p) == 0.0
-
-    def test_half_split(self):
-        edges = np.linspace(0, 1, 3)
-        p = Density(edges, np.array([1.0, 0.0]))
-        q = Density(edges, np.array([0.5, 0.5]))
-        assert kl_divergence(p, q) == pytest.approx(math.log(2), rel=1e-12)
-
-    def test_disjoint_support_is_infinite(self):
-        edges = np.linspace(0, 1, 3)
-        p = Density(edges, np.array([1.0, 0.0]))
-        q = Density(edges, np.array([0.0, 1.0]))
-        assert kl_divergence(p, q) == math.inf
-
-    def test_mismatched_edges(self):
-        p = Density(np.linspace(0, 1, 3), np.array([1.0, 0.0]))
-        q = Density(np.linspace(0, 2, 3), np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            kl_divergence(p, q)
-
-
 class TestJsDistance:
     def test_identical_is_zero(self):
         edges = np.linspace(0, 1, 4)
@@ -385,6 +359,33 @@ class TestJsDistance:
             backward = js_distance(q, p)
             assert abs(forward - backward) < 1e-12
             assert 0.0 <= forward <= JS_DISTANCE_MAX + 1e-12
+
+    def test_mismatched_edges(self):
+        p = Density(np.linspace(0, 1, 3), np.array([1.0, 0.0]))
+        q = Density(np.linspace(0, 2, 3), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError):
+            js_distance(p, q)
+
+    def test_matches_a_per_bin_sum(self):
+        # brute force: the mixture and each KL term bin by bin, in math.log
+        rng = np.random.default_rng(71)
+        edges = np.linspace(0, 1, 13)
+        for _ in range(500):
+            p_raw, q_raw = rng.uniform(0, 1, (2, 12))
+            p_raw[rng.uniform(size=12) < 0.3] = 0.0
+            q_raw[rng.uniform(size=12) < 0.3] = 0.0
+            if p_raw.sum() == 0 or q_raw.sum() == 0:
+                continue
+            p, q = (raw / raw.sum() for raw in (p_raw, q_raw))
+            divergence = 0.0
+            for p_i, q_i in zip(p.tolist(), q.tolist()):
+                m_i = (p_i + q_i) / 2
+                for a_i in (p_i, q_i):
+                    if a_i > 0:
+                        divergence += a_i * math.log(a_i / m_i) / 2
+            expected = math.sqrt(max(divergence, 0.0))
+            assert js_distance(Density(edges, p), Density(edges, q)) == pytest.approx(
+                expected, abs=1e-15)
 
     def test_identity_of_indiscernibles(self):
         rng = np.random.default_rng(61)

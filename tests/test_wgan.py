@@ -25,6 +25,7 @@ from csigen.gan.nets import (
 )
 from csigen.gan.sample import sample_fixed, sample_variable
 from csigen.gan.train import (
+    TRAINING_DTYPE,
     AdamState,
     Checkpoint,
     CheckpointBadMagicError,
@@ -294,6 +295,25 @@ class TestTrainingConfig:
     )
     def test_bools_and_real_numbers_are_accepted(self, field, value):
         assert getattr(TrainingConfig(generator_steps=1, **{field: value}), field) == value
+
+    @pytest.mark.parametrize("field, degenerate, bound", [
+        ("learning_rate", 0.0, 2.0**-150),
+        ("adam_eps", np.inf, 2.0**128 - 2.0**103),
+    ])
+    def test_a_value_that_training_rounds_away_is_a_value_error(self, field, degenerate, bound):
+        # the oracle is numpy's own cast to the training dtype, at the
+        # float64 values around where that cast starts to give 0 or inf
+        outcomes = set()
+        for value in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf)):
+            with np.errstate(over="ignore"):
+                rounds_away = TRAINING_DTYPE(value) == degenerate
+            outcomes.add(rounds_away)
+            if rounds_away:
+                with pytest.raises(ValueError, match=field):
+                    TrainingConfig(generator_steps=1, **{field: float(value)})
+            else:
+                TrainingConfig(generator_steps=1, **{field: float(value)})
+        assert outcomes == {True, False}
 
 
 class TestTrain:

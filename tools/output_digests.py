@@ -7,8 +7,9 @@ OUT: synth of a seeded random 300-point scene (one 2x4 array, 16 taps);
 split of that scene with a 4 m hole at (6, 6); train for 8 steps at batch
 64 with a checkpoint every 4 steps, once with ``gp_ds_through_csi`` true
 and once false; for each run, train --resume from step 4 into a new
-directory and from the final checkpoint in place; generate in both modes;
-interpolate; and evaluate.  Then it prints one
+directory and from the final checkpoint in place; train for 4 steps at
+``n_critic`` 2, batch 16, ``noise_dim`` 8 and ``gp_lambda`` 0; generate in
+both modes; interpolate; and evaluate.  Then it prints one
 ``sha256  relative-path`` line per file in OUT, sorted by path.  Every
 command runs with relative paths from OUT, so the listings of two source
 trees compare line by line: equal listings mean byte-identical output.
@@ -60,6 +61,18 @@ checkpoint_every = 4
 gp_ds_through_csi = {}
 """
 
+# another block shape, and the critic loss without interpolates
+SMALL_TRAIN = """\
+generator_steps = 4
+seed = 1
+n_critic = 2
+batch_size = 16
+noise_dim = 8
+hidden_scale = 0.25
+critic_hidden_scale = 1.0
+gp_lambda = 0
+"""
+
 
 def write_positions(path: Path, count: int, seed: int) -> None:
     points = np.random.default_rng(seed).uniform([0.0, 1.5], [12.0, 10.5], size=(count, 2))
@@ -86,6 +99,8 @@ def run_pipeline(main) -> None:
         cli("train", "--train", "data.csit", "--resume", f"{run}/checkpoint_0000004.wgck",
             "--out", f"resumed_{through_csi}")
         cli("train", "--train", "data.csit", "--resume", f"{run}/checkpoint_final.wgck", "--out", run)
+    Path("train_small.cfg").write_text(SMALL_TRAIN)
+    cli("train", "--train", "data.csit", "--config", "train_small.cfg", "--out", "run_small")
     for mode in ("fixed", "variable"):
         cli("generate", "--checkpoint", "run_true/checkpoint_final.wgck", "--positions",
             "file:queries.csv", "--mode", mode, "--seed", "1", "--out", f"gan_{mode}.csit")
